@@ -15,7 +15,7 @@ from .differentials import (BeltramiEntry, BeltramiSpec, CollarSystem,
                             duality_check, qdiff_field, wp_cometric,
                             wp_metric)
 from .operators import (IndexTuple, box, ck_norm, maass, op_P, op_P_bar,
-                        q_operator, symmetrize, symmetrize_terms, xi)
+                        q_operator, symmetrize_terms, xi)
 from .green import (SolverConfig, SolverError, SupportWarning, apply_box1,
                     bc_sensitivity, solve_T)
 from .curvature import CurvatureWorkspace, G1Report, hermitian_defect, upper_index
@@ -44,7 +44,7 @@ __all__ = [
     "integral_product", "length_derivative_check", "maass", "main",
     "make_grid", "metric_density", "op_P", "op_P_bar", "pairing_l2",
     "perturbed_prediction", "q_operator", "qdiff_field", "run_suite",
-    "solve_T", "symmetrize", "symmetrize_terms", "target", "target_table",
+    "solve_T", "symmetrize_terms", "target", "target_table",
     "upper_index", "volume_integral", "wirtinger", "wp_cometric", "wp_metric",
     "xi",
 ]

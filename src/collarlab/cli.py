@@ -48,10 +48,33 @@ class ConfigError(ValueError):
 
 # -- configuration ----------------------------------------------------------
 
+# keys accepted inside each config section
+_SECTIONS = {
+    "grid": {"n_tau"},
+    "sweep": {"u_min", "u_max", "points", "spacing"},
+    "perturbation": {"C"},
+    "coupling": {"kappa"},
+    "output": {"directory", "formats"},
+}
+
+
+def _read_config(path: str) -> dict:
+    """Raw JSON config from a file; its root must be an object."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
+
+
 @dataclass
 class RunConfig:
     n_tau: int = 1024
-    n_modes: int = 24
     u_min: float = 0.025
     u_max: float = 0.1
     points: int = 5
@@ -85,26 +108,27 @@ class RunConfig:
             raise ConfigError(f"unknown formats: {', '.join(bad)}")
         if not 0.0 < self.c < 1.0:
             raise ConfigError("cutoff c must lie in (0, 1)")
+        if not self.perturbation_C:
+            raise ConfigError("perturbation.C needs at least one value")
         return self
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "grid", "sweep", "suites", "tolerances", "perturbation",
-            "coupling", "output", "seed", "c",
-        }
-        bad = set(raw) - known
+        bad = set(raw) - set(_SECTIONS) - {"suites", "tolerances", "seed", "c"}
+        sec = {}
+        for name, keys in _SECTIONS.items():
+            sec[name] = raw.get(name, {})
+            if not isinstance(sec[name], dict):
+                raise ConfigError(f"config key {name!r} must be a JSON object")
+            bad |= {f"{name}.{k}" for k in set(sec[name]) - keys}
         if bad:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
-        grid = raw.get("grid", {})
-        sweep = raw.get("sweep", {})
-        out = raw.get("output", {})
+        grid, sweep, out = sec["grid"], sec["sweep"], sec["output"]
         try:
             cfg = cls(
                 n_tau=int(grid.get("n_tau", 1024)),
-                n_modes=int(grid.get("n_modes", 24)),
                 u_min=float(sweep.get("u_min", 0.025)),
                 u_max=float(sweep.get("u_max", 0.1)),
                 points=int(sweep.get("points", 5)),
@@ -114,8 +138,8 @@ class RunConfig:
                 tolerances={str(k): float(v)
                             for k, v in raw.get("tolerances", {}).items()},
                 perturbation_C=tuple(float(x) for x in
-                                     raw.get("perturbation", {}).get("C", (1.0, 10.0))),
-                kappa=float(raw.get("coupling", {}).get("kappa", 1.0)),
+                                     sec["perturbation"].get("C", (1.0, 10.0))),
+                kappa=float(sec["coupling"].get("kappa", 1.0)),
                 out_dir=str(out.get("directory", "collarlab-out")),
                 formats=tuple(out.get("formats", ("csv", "json", "markdown"))),
                 seed=int(raw.get("seed", 1234)),
@@ -126,14 +150,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_config(path))
 
     def sweep_values(self) -> list:
         us = np.geomspace(self.u_max, self.u_min, self.points)
@@ -694,12 +711,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = {}
-        if args.config:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ConfigError("config root must be a JSON object")
+        raw = _read_config(args.config) if args.config else {}
         if args.suite:
             raw["suites"] = args.suite
         if args.out:
@@ -709,7 +721,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = RunConfig.from_dict(raw)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

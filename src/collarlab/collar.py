@@ -102,32 +102,34 @@ def geodesic_circle(collar: CollarParams) -> tuple[float, float]:
     return math.sqrt(collar.rho), 2.0 * math.pi * collar.u
 
 
-def _fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights on arbitrary nodes (Fornberg recursion).
+def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray:
+    """Polynomial stencil weights for many stencils at once (Fornberg 1988).
 
-    Returns c with c[:, k] the weights of the k-th derivative at x0,
-    exact for polynomials of degree < len(x).
+    Stencil s covers x[starts[s] : starts[s] + width] and is expanded about
+    x0[s] (a scalar x0 serves every stencil).  Returns c with c[s, :, k]
+    the weights of the k-th derivative at x0[s], k = 0 interpolating;
+    exact for polynomials of degree < width.  The scalar recursion runs
+    once, each statement vectorised over all stencils.
     """
-    n = len(x)
-    c = np.zeros((n, m + 1))
+    xs = x[np.asarray(starts)[:, None] + np.arange(width)]
+    dx = xs - np.reshape(x0, (-1, 1))
+    c = np.zeros(xs.shape + (m + 1,))
+    c[:, 0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
+    for i in range(1, width):
         mn = min(i, m)
         c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = xs[:, i] - xs[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1]
+                                       - dx[:, i - 1] * c[:, i - 1, k]) / c2
+                c[:, i, 0] = -c1 * dx[:, i - 1] * c[:, i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[:, j, k] = (dx[:, i] * c[:, j, k] - k * c[:, j, k - 1]) / c3
+            c[:, j, 0] = dx[:, i] * c[:, j, 0] / c3
         c1 = c2
     return c
 
@@ -203,17 +205,12 @@ class TauGrid:
         if "stencils" not in self._cache:
             x = self.nodes
             n = self.n
-            half = STENCIL // 2
-            starts = np.clip(np.arange(n) - half, 0, n - STENCIL)
-            w1 = np.empty((n, STENCIL))
-            w2 = np.empty((n, STENCIL))
-            for i in range(n):
-                s = starts[i]
-                c = _fd_weights(x[s : s + STENCIL], x[i], 2)
-                w1[i] = c[:, 1]
-                w2[i] = c[:, 2]
+            starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
+            c = stencil_weights(x, starts, STENCIL, x, 2)
             idx = starts[:, None] + np.arange(STENCIL)[None, :]
-            self._cache["stencils"] = (idx, w1, w2)
+            # contiguous copies: einsum sums strided rows in another order
+            self._cache["stencils"] = (idx, np.ascontiguousarray(c[:, :, 1]),
+                                       np.ascontiguousarray(c[:, :, 2]))
         return self._cache["stencils"]
 
     def dtau(self, values, order: int = 1):
@@ -234,20 +231,18 @@ class TauGrid:
         """
         if "d2_dirichlet" in self._cache:
             return self._cache["d2_dirichlet"]
-        x = self.nodes
         n = self.n
-        xe = np.concatenate(([self.collar.tau_min], x, [self.collar.tau_max]))
-        half = STENCIL // 2
+        xe = np.concatenate(([self.collar.tau_min], self.nodes,
+                             [self.collar.tau_max]))
         bw = STENCIL - 1
+        i = np.arange(n)
+        ie = i + 1  # position in extended array
+        starts = np.clip(ie - STENCIL // 2, 0, n + 2 - STENCIL)
+        c = stencil_weights(xe, starts, STENCIL, xe[ie], 2)[:, :, 2]
+        j = starts[:, None] + np.arange(STENCIL) - 1  # interior column index
+        keep = (j >= 0) & (j < n)
         ab = np.zeros((2 * bw + 1, n))
-        for i in range(n):
-            ie = i + 1  # position in extended array
-            s = min(max(ie - half, 0), n + 2 - STENCIL)
-            c = _fd_weights(xe[s : s + STENCIL], xe[ie], 2)
-            for k in range(STENCIL):
-                j = s + k - 1  # interior column index
-                if 0 <= j < n:
-                    ab[bw + i - j, j] = c[k, 2]
+        ab[(bw + i[:, None] - j)[keep], j[keep]] = c[keep]
         out = (ab, (bw, bw))
         self._cache["d2_dirichlet"] = out
         return out

@@ -341,16 +341,6 @@ class CurvatureWorkspace:
                 + self.block_d(i, j, k, l)
                 + C * self.R(i, j, k, l))
 
-    def ricci_tensor(self) -> np.ndarray:
-        n = self.bspec.n
-        out = np.empty((n, n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        out[i, j, k, l] = self.ricci_curvature(i, j, k, l)
-        return out
-
     # -- diagnostics ---------------------------------------------------------
 
     def g1_terms(self, i: int = 0) -> G1Report:

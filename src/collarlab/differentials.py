@@ -195,12 +195,9 @@ class MetricMatrix:
                              f"(min eigenvalue {w.min():.3e})")
         return self
 
-    def inv_values(self) -> np.ndarray:
-        return np.linalg.inv(self.values)
-
     def inverse(self) -> "MetricMatrix":
         kind = {"WP": "WP-cometric", "WP-cometric": "WP"}.get(self.kind, self.kind)
-        return MetricMatrix(self.inv_values(), kind)
+        return MetricMatrix(np.linalg.inv(self.values), kind)
 
 
 def wp_metric(spec: BeltramiSpec, system: CollarSystem,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .collar import CollarParams, TauGrid
+from .collar import STENCIL, CollarParams, TauGrid, stencil_weights
 
 DEFAULT_BANDWIDTH = 24  # modes kept: |n| <= bandwidth (2K + 8 with K = 8)
 
@@ -58,28 +58,19 @@ class CollarField:
         return self
 
     def at(self, r, theta) -> complex:
-        """Pointwise value by barycentric-free direct summation.
+        """Pointwise value for spot checks.
 
-        Radial profiles are interpolated with a local polynomial through
-        the nearest stencil of grid nodes; intended for spot checks.
+        Radial profiles are interpolated with the order-0 weights of
+        ``collar.stencil_weights`` on the 9-node stencil nearest to r.
         """
         tau = self.collar.tau_of_r(r)
         x = self.grid.nodes
-        i = np.searchsorted(x, tau)
-        s = min(max(i - 4, 0), self.grid.n - 9)
-        xs = x[s : s + 9]
-        # Lagrange basis at tau
+        s = min(max(np.searchsorted(x, tau) - STENCIL // 2, 0),
+                self.grid.n - STENCIL)
+        w = stencil_weights(x, [s], STENCIL, tau, 0)[0, :, 0]
         val = 0.0 + 0.0j
         for n, prof in self.modes.items():
-            ys = prof[s : s + 9]
-            acc = 0.0 + 0.0j
-            for k in range(9):
-                lk = 1.0
-                for m in range(9):
-                    if m != k:
-                        lk *= (tau - xs[m]) / (xs[k] - xs[m])
-                acc += ys[k] * lk
-            val += acc * np.exp(1j * n * theta)
+            val += np.dot(w, prof[s : s + STENCIL]) * np.exp(1j * n * theta)
         return val
 
     def sup_norm(self, region=None) -> float:
@@ -153,21 +144,6 @@ def _check_same(f: CollarField, g: CollarField):
         raise ValueError("fields live on different grids")
 
 
-def field_arith(op: str, f: CollarField, g: CollarField | complex | None = None) -> CollarField:
-    """Dispatcher form of field arithmetic: add, sub, mul, conj, scale."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "conj":
-        return f.conj()
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def constant_field(collar: CollarParams, grid: TauGrid, value: complex = 1.0,
                    bandwidth: int = DEFAULT_BANDWIDTH) -> CollarField:
     return CollarField(collar, grid,
@@ -197,15 +173,11 @@ def resolution_defect(f: CollarField) -> float:
 def _dtau_narrow(grid: TauGrid, values: np.ndarray) -> np.ndarray:
     key = "stencils5"
     if key not in grid._cache:
-        from .collar import _fd_weights
-        x = grid.nodes
         n = grid.n
         starts = np.clip(np.arange(n) - 2, 0, n - 5)
-        w = np.empty((n, 5))
-        for i in range(n):
-            s = starts[i]
-            w[i] = _fd_weights(x[s : s + 5], x[i], 1)[:, 1]
-        grid._cache[key] = (starts[:, None] + np.arange(5)[None, :], w)
+        w = stencil_weights(grid.nodes, starts, 5, grid.nodes, 1)[:, :, 1]
+        grid._cache[key] = (starts[:, None] + np.arange(5)[None, :],
+                            np.ascontiguousarray(w))  # as in TauGrid._stencils
     idx, w = grid._cache[key]
     return np.einsum("ij,ij->i", w, np.asarray(values)[idx])
 

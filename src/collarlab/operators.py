@@ -135,11 +135,6 @@ def symmetrize_terms(kind: str, i, k, a, j, l, b) -> list[tuple]:
     raise ValueError(f"unknown symmetrizer {kind!r}")
 
 
-def symmetrize(U, kind: str, i, k, a, j, l, b):
-    """Sum of U over the index tuples of the given symmetrizer."""
-    return sum(U(*tup) for tup in symmetrize_terms(kind, i, k, a, j, l, b))
-
-
 # -- norms ----------------------------------------------------------------
 
 def _compositions(k: int, weight: int):

@@ -151,6 +151,22 @@ def test_main_config_errors(tmp_path):
     assert main(["run", "--config", str(unknown)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"ntau": 4096}},
+    {"grid": {"n_modes": 24}},
+    {"sweep": {"umin": 0.03}},
+    {"perturbation": {"c": [1.0]}},
+    {"coupling": {"kapa": 1.0}},
+    {"output": {"dir": "elsewhere"}},
+    {"perturbation": {"C": []}},
+], ids=["grid", "n_modes", "sweep", "perturbation", "coupling", "output",
+        "empty-C"])
+def test_main_rejects_nested_keys_and_empty_values(tmp_path, overrides):
+    cfg_path = write_config(tmp_path / "cfg.json", suites=["perturbed"],
+                            **overrides)
+    assert main(["run", "--config", cfg_path]) == 2
+
+
 def test_main_output_collision(tmp_path):
     blocked = tmp_path / "blocked"
     blocked.write_text("file, not a directory")

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collarlab import (CollarError, CollarParams, collar_from_t, collar_from_u,
                        geodesic_circle, make_grid, metric_density)
-from collarlab.collar import U_MAX, U_MIN
+from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
 
 PI = math.pi
+
+
+def strict_floats():
+    """Overflow, invalid operations and division by zero raise inside."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 def test_u_and_rho_derived_from_t():
@@ -123,3 +130,84 @@ def test_grid_geometry_arrays():
                                atol=1e-15)
     np.testing.assert_allclose(grid.csc2, 1.0 / grid.sin_tau**2, rtol=1e-14)
     np.testing.assert_allclose(grid.lam * grid.inv_lam, 1.0, rtol=1e-14)
+
+
+def fornberg_scalar(x, x0, m):
+    """Reference: the scalar Fornberg recursion on one stencil."""
+    n = len(x)
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+@pytest.mark.parametrize("u", [0.1, 0.01])
+def test_stencil_weights_match_scalar_recursion(u):
+    # the vectorised recursion keeps every statement's order: equal bits
+    x = make_grid(collar_from_u(u), 512).nodes
+    starts = np.clip(np.arange(len(x)) - STENCIL // 2, 0, len(x) - STENCIL)
+    got = stencil_weights(x, starts, STENCIL, x, 2)
+    want = np.array([fornberg_scalar(x[s : s + STENCIL], x0, 2)
+                     for s, x0 in zip(starts, x)])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(2, STENCIL),
+       gaps=st.lists(st.floats(0.1, 1.0), min_size=15, max_size=15),
+       coef=st.lists(st.floats(-1.0, 1.0), min_size=STENCIL,
+                     max_size=STENCIL),
+       frac=st.floats(0.0, 1.0))
+def test_stencil_weights_exact_on_polynomials(width, gaps, coef, frac):
+    # sorted non-uniform nodes; every stencil expanded inside its own span
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    starts = np.arange(len(x) - width + 1)
+    x0 = x[starts] + frac * (x[starts + width - 1] - x[starts])
+    p = np.polynomial.Polynomial(coef[:width])
+    vals = p(x)[starts[:, None] + np.arange(width)]
+    with strict_floats():
+        c = stencil_weights(x, starts, width, x0, 2)
+    for k in range(3):
+        got = np.einsum("sj,sj->s", c[:, :, k], vals)
+        scale = 1.0 + np.abs(c[:, :, k]).sum(axis=1) * np.abs(vals).max()
+        assert np.all(np.abs(got - p.deriv(k)(x0)) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("u", [0.1, 0.05])
+def test_d2_dirichlet_exact_on_vanishing_polynomials(u):
+    # p = (tau - tau_min)(tau_max - tau) q with deg p <= 8: the ghost
+    # endpoints are exact zeros of p, so every stencil reproduces p''
+    col = collar_from_u(u)
+    grid = make_grid(col, 1024)
+    rng = np.random.default_rng(7)
+    a, b = col.tau_min, col.tau_max
+    s = (2 * grid.nodes - a - b) / (b - a)   # maps (a, b) onto (-1, 1)
+    with strict_floats():
+        ab, (bl, bu) = grid.d2_banded_dirichlet()
+        for deg_q in range(7):
+            p = (np.polynomial.Polynomial([1.0, 0.0, -1.0])
+                 * np.polynomial.Polynomial(rng.uniform(-1, 1, deg_q + 1)))
+            v = p(s)
+            d2 = np.zeros(grid.n)
+            for d in range(-bl, bu + 1):   # ab[bu + i - j, j] = D2[i, j]
+                j = np.arange(max(0, -d), grid.n - max(0, d))
+                d2[j + d] += ab[bu + d, j] * v[j]
+            want = p.deriv(2)(s) * (2 / (b - a)) ** 2
+            assert np.abs(d2 - want).max() <= 1e-5 * np.abs(want).max()

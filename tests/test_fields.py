@@ -9,7 +9,7 @@ import pytest
 from collarlab import (BandwidthWarning, CollarField, UnderResolvedError,
                        collar_from_u, constant_field, integral_product,
                        make_grid, pairing_l2, volume_integral, wirtinger)
-from collarlab.fields import field_arith, resolution_defect
+from collarlab.fields import resolution_defect
 
 PI = math.pi
 
@@ -171,15 +171,6 @@ def test_at_interpolates_single_mode(cg):
     theta = 0.3
     want = math.cos(tau) * np.exp(2j * theta)
     assert f.at(r, theta) == pytest.approx(want, rel=1e-9)
-
-
-def test_field_arith_dispatch(cg):
-    col, grid = cg
-    f = constant_field(col, grid, 2.0)
-    g = constant_field(col, grid, 3.0)
-    np.testing.assert_allclose(field_arith("add", f, g).profile(0), 5.0)
-    with pytest.raises(ValueError):
-        field_arith("frobnicate", f, g)
 
 
 def test_mismatched_grids_rejected():
