@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +40,18 @@ SUITE_IDS = (
     "verify-calculus", "wp-asymptotics", "ricci-asymptotics", "green-props",
     "approximants", "holo-curvature", "perturbed", "lengths", "equivalence",
     "g2-bounds",
+)
+
+# "tolerances" keys: check ids, except g1-terms and perturbed-diag (families)
+TOLERANCE_KEYS = (
+    "calculus-sin2", "calculus-sin2-band", "calculus-exp", "calculus-area",
+    "wp-metric-diag", "wp-cometric-diag", "wp-cometric-spot", "ricci-diag",
+    "spectral-lower", "spectral-upper", "residual", "self-adjoint",
+    "bc-sensitivity", "err-e-exponent", "err-xi-exponent", "err-T-exponent",
+    "ef-pairing", "k0-pairing", "xi-pairing", "eta2-mass-constant", "g1-terms",
+    "t-pairing", "perturbed-diag", "det-structure", "length-derivative",
+    "length-spot", "poincare-variation", "mcmullen-variation", "zero-coupling",
+    "case-1-exponent", "case-2-exponent", "case-3-exponent", "case-4-exponent",
 )
 
 
@@ -102,6 +115,9 @@ class RunConfig:
         bad = [s for s in self.suites if s not in SUITE_IDS]
         if bad:
             raise ConfigError(f"unknown suites: {', '.join(bad)}")
+        bad = sorted(set(self.tolerances) - set(TOLERANCE_KEYS))
+        if bad:
+            raise ConfigError(f"unknown tolerance keys: {', '.join(bad)}")
         bad = [f for f in self.formats
                if f not in ("csv", "json", "markdown", "svg-lines")]
         if bad:
@@ -147,10 +163,6 @@ class RunConfig:
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         return cfg.validate()
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        return cls.from_dict(_read_config(path))
 
     def sweep_values(self) -> list:
         us = np.geomspace(self.u_max, self.u_min, self.points)
@@ -547,19 +559,15 @@ def run_suite(cfg: RunConfig, suite: str) -> SuiteReport:
     return SuiteReport(suite, records, time.perf_counter() - t0)
 
 
-def _run_suite_packed(args) -> SuiteReport:
-    raw, suite = args
-    return run_suite(RunConfig.from_dict(raw), suite)
-
-
-def run_all(cfg: RunConfig, raw_cfg: dict | None = None) -> list:
-    workers = int(os.environ.get("COLLARLAB_WORKERS", "1"))
+def run_all(cfg: RunConfig) -> list:
+    raw = os.environ.get("COLLARLAB_WORKERS", "1")
+    workers = int(raw) if raw.isdecimal() else 0
+    if workers < 1:
+        raise ConfigError(f"COLLARLAB_WORKERS must be an integer >= 1, got {raw!r}")
     suites = list(cfg.suites)
-    if workers > 1 and raw_cfg is not None and len(suites) > 1:
+    if workers > 1 and len(suites) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            reports = list(ex.map(_run_suite_packed,
-                                  [(raw_cfg, s) for s in suites]))
-        return reports
+            return list(ex.map(run_suite, repeat(cfg), suites))
     return [run_suite(cfg, s) for s in suites]
 
 
@@ -714,10 +722,12 @@ def main(argv=None) -> int:
         raw = _read_config(args.config) if args.config else {}
         if args.suite:
             raw["suites"] = args.suite
-        if args.out:
-            raw.setdefault("output", {})["directory"] = args.out
-        if args.format:
-            raw.setdefault("output", {})["formats"] = args.format.split(",")
+        out = raw.setdefault("output", {})
+        if isinstance(out, dict):  # from_dict rejects any other value
+            if args.out:
+                out["directory"] = args.out
+            if args.format:
+                out["formats"] = args.format.split(",")
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = RunConfig.from_dict(raw)
@@ -726,7 +736,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        reports = run_all(cfg, raw_cfg=raw)
+        reports = run_all(cfg)
     except (CollarError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,6 +19,7 @@ zones, ``r**k`` factors) stay resolved at every supported ``u``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -135,6 +136,7 @@ def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray
 
 
 STENCIL = 9  # polynomial exactness 8; >= 6th order as required
+_GRIDS: dict = {}  # (collar, n_tau, nodes_per_panel) -> its shared TauGrid
 
 
 @dataclass
@@ -156,44 +158,27 @@ class TauGrid:
         return len(self.nodes)
 
     # -- geometry arrays -------------------------------------------------
-    def _geom(self, key):
-        cache = self._cache
-        if key not in cache:
-            tau = self.nodes
-            u = self.collar.u
-            if key == "r":
-                cache[key] = np.exp(tau / u)
-            elif key == "sin":
-                cache[key] = np.sin(tau)
-            elif key == "csc2":
-                cache[key] = 1.0 / np.sin(tau) ** 2
-            elif key == "lam":
-                cache[key] = 0.5 * u**2 * np.exp(-2 * tau / u) / np.sin(tau) ** 2
-            elif key == "inv_lam":
-                cache[key] = 2.0 * np.exp(2 * tau / u) * np.sin(tau) ** 2 / u**2
-            else:
-                raise KeyError(key)
-        return cache[key]
-
-    @property
+    @functools.cached_property
     def r(self):
-        return self._geom("r")
+        return np.exp(self.nodes / self.collar.u)
 
-    @property
+    @functools.cached_property
     def sin_tau(self):
-        return self._geom("sin")
+        return np.sin(self.nodes)
 
-    @property
+    @functools.cached_property
     def csc2(self):
-        return self._geom("csc2")
+        return 1.0 / np.sin(self.nodes) ** 2
 
-    @property
+    @functools.cached_property
     def lam(self):
-        return self._geom("lam")
+        u = self.collar.u
+        return 0.5 * u**2 * np.exp(-2 * self.nodes / u) / np.sin(self.nodes) ** 2
 
-    @property
+    @functools.cached_property
     def inv_lam(self):
-        return self._geom("inv_lam")
+        u = self.collar.u
+        return 2.0 * np.exp(2 * self.nodes / u) * np.sin(self.nodes) ** 2 / u**2
 
     # -- quadrature ------------------------------------------------------
     def integrate(self, values) -> complex:
@@ -249,12 +234,16 @@ class TauGrid:
 
 
 def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10) -> TauGrid:
-    """Build the composite Gauss grid for a collar.
+    """Composite Gauss grid for a collar; equal arguments share one TauGrid.
 
-    Panel widths shrink geometrically toward both interval ends, starting
-    at ~0.02 u (finer than any cutoff transition zone) and doubling until
-    they reach the uniform interior width.
+    Callers treat it as read-only.  Panel widths shrink geometrically toward
+    both interval ends, starting at ~0.02 u (finer than any cutoff
+    transition zone) and doubling until they reach the uniform interior
+    width.
     """
+    key = (collar, n_tau, nodes_per_panel)
+    if key in _GRIDS:
+        return _GRIDS[key]
     if n_tau < 64:
         raise CollarError("n_tau too small (need >= 64)")
     a, b = collar.tau_min, collar.tau_max
@@ -292,4 +281,5 @@ def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (centers[:, None] + half_w[:, None] * xg[None, :]).ravel()
     weights = (half_w[:, None] * wg[None, :]).ravel()
-    return TauGrid(collar=collar, nodes=nodes, weights=weights, panel_edges=edges)
+    _GRIDS[key] = TauGrid(collar, nodes, weights, edges)
+    return _GRIDS[key]

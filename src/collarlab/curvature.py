@@ -23,13 +23,13 @@ import numpy as np
 from .asymptotics import CutoffSpec, taper_weights
 from .collar import CollarParams, collar_from_u, make_grid
 from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
-                            beltrami_field, coupled_family, diagonal_family,
-                            wp_metric)
+                            beltrami_field, coupled_family, wp_metric)
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
 from .operators import mul_radial, q_operator, symmetrize_terms, xi
 
 PI = math.pi
+_WORKSPACES: dict = {}  # (cls, collars, n_tau, kappa) -> its shared workspace
 
 
 def upper_index(values: np.ndarray) -> np.ndarray:
@@ -79,26 +79,19 @@ class CurvatureWorkspace:
         self._cache = {}
 
     # -- constructors ------------------------------------------------------
+    # shared, read-only instances; kappa = 0 is the diagonal family
 
     @classmethod
     def single_collar(cls, u: float, c: float = 0.5, n_tau: int = 1024,
-                      phase: float = 0.0, **kw) -> "CurvatureWorkspace":
-        rho = math.exp(-PI / u)
-        col = CollarParams(rho * cmath.exp(1j * phase), c)
-        system = CollarSystem([col], [make_grid(col, n_tau)])
-        bspec, _ = diagonal_family(system)
-        return cls(system, bspec, **kw)
+                      phase: float = 0.0) -> "CurvatureWorkspace":
+        t = math.exp(-PI / u) * cmath.exp(1j * phase)
+        return _shared_workspace(cls, (CollarParams(t, c),), n_tau, 0.0)
 
     @classmethod
     def from_u_values(cls, u_values, c: float = 0.5, n_tau: int = 1024,
-                      kappa: float | None = None, **kw) -> "CurvatureWorkspace":
-        collars = [collar_from_u(u, c) for u in u_values]
-        system = CollarSystem(collars, [make_grid(col, n_tau) for col in collars])
-        if kappa is None:
-            bspec, _ = diagonal_family(system)
-        else:
-            bspec, _ = coupled_family(system, kappa)
-        return cls(system, bspec, **kw)
+                      kappa: float = 0.0) -> "CurvatureWorkspace":
+        collars = tuple(collar_from_u(u, c) for u in u_values)
+        return _shared_workspace(cls, collars, n_tau, kappa)
 
     # -- cached field chain --------------------------------------------------
 
@@ -366,6 +359,14 @@ class CurvatureWorkspace:
         total = sum(terms.values())
         return G1Report(u=u, terms=terms, targets=targets, total=total,
                         total_target=6.0 * base)
+
+
+def _shared_workspace(cls, collars: tuple, n_tau: int, kappa: float):
+    key = (cls, collars, n_tau, kappa)
+    if key not in _WORKSPACES:
+        system = CollarSystem(list(collars), [make_grid(col, n_tau) for col in collars])
+        _WORKSPACES[key] = cls(system, coupled_family(system, kappa)[0])
+    return _WORKSPACES[key]
 
 
 def hermitian_defect(tensor: np.ndarray) -> float:

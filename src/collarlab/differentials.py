@@ -302,8 +302,7 @@ def duality_check(bspec: BeltramiSpec, qspec: QuadDiffSpec, system: CollarSystem
 
 # -- model families ------------------------------------------------------
 
-def diagonal_family(collars: CollarSystem, phases: list[float] | None = None
-                    ) -> tuple[BeltramiSpec, QuadDiffSpec]:
+def diagonal_family(collars: CollarSystem) -> tuple[BeltramiSpec, QuadDiffSpec]:
     """Pure diagonal family: q = 0, beta = 1, p = 0, b_hat = -(u/pi) t/|t|."""
     m = collars.m
     bentries = {}

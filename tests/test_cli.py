@@ -1,13 +1,19 @@
 """Run configs, suite execution, report emission, and exit codes."""
 
+import collections
+import concurrent.futures
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from collarlab import RunConfig, emit_report, main, run_suite
-from collarlab.cli import CSV_COLUMNS, ConfigError, run_all
+from collarlab import (CurvatureWorkspace, RunConfig, TauGrid, emit_report,
+                       main, run_suite)
+from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
+                           run_all)
 
 
 def write_config(path, **overrides):
@@ -41,10 +47,66 @@ def test_runconfig_rejects_bad_input():
         {"suites": ["no-such-suite"]},
         {"output": {"formats": ["yaml"]}},
         {"c": 1.5},
+        {"tolerances": {"no-such-check": 0.2}},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
+
+
+def test_readme_example_config_is_valid():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1)
+    cfg = RunConfig.from_dict(json.loads(block))
+    assert cfg.tolerances == {"t-pairing": 0.15}
+
+
+@pytest.fixture(scope="module")
+def default_run(clear_models):
+    """One default run_all on cold memos: models built, tolerance keys read."""
+    built = collections.Counter()
+    keys = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("COLLARLAB_WORKERS", raising=False)
+        for cls in (TauGrid, CurvatureWorkspace):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+            mp.setattr(cls, "__init__", counted)
+        tol = RunConfig.tol
+
+        def recorded(self, key, default):
+            keys.add(key)
+            return tol(self, key, default)
+        mp.setattr(RunConfig, "tol", recorded)
+        clear_models()
+        run_all(RunConfig.from_dict({}))
+    return built, keys
+
+
+def test_default_run_builds_each_model_once(default_run):
+    built, _ = default_run
+    assert built["TauGrid"] <= 7
+    assert built["CurvatureWorkspace"] <= 17
+
+
+def test_tolerance_keys_are_the_keys_a_run_reads(default_run):
+    _, keys = default_run
+    assert len(set(TOLERANCE_KEYS)) == len(TOLERANCE_KEYS)
+    assert set(TOLERANCE_KEYS) == keys
+
+
+def test_shared_models_do_not_depend_on_suite_order(tmp_path, clear_models):
+    cfg = RunConfig.from_dict({"suites": ["ricci-asymptotics",
+                                          "holo-curvature"]})
+    clear_models()
+    emit_report(run_all(cfg), str(tmp_path / "cold"), ("csv",))
+    clear_models()
+    run_all(RunConfig.from_dict({"suites": ["approximants", "perturbed",
+                                            "equivalence", "g2-bounds"]}))
+    emit_report(run_all(cfg), str(tmp_path / "warm"), ("csv",))
+    assert ((tmp_path / "cold" / "report.csv").read_bytes()
+            == (tmp_path / "warm" / "report.csv").read_bytes())
 
 
 def test_sweep_values_geometric():
@@ -195,3 +257,39 @@ def test_parallel_workers_match_serial(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg2]) == 0
     assert ((tmp_path / "serial" / "report.csv").read_bytes()
             == (tmp_path / "par" / "report.csv").read_bytes())
+
+
+def test_run_all_uses_the_worker_pool(monkeypatch):
+    # a library call honours COLLARLAB_WORKERS, as the CLI does
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    cfg = RunConfig.from_dict({"suites": ["verify-calculus", "lengths"]})
+    serial = run_all(cfg)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setenv("COLLARLAB_WORKERS", "2")
+    pooled = run_all(cfg)
+    assert pools == [2]
+    assert ([r.records for r in pooled] == [r.records for r in serial])
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+def test_main_rejects_malformed_worker_count(tmp_path, monkeypatch, capsys,
+                                             value):
+    monkeypatch.setenv("COLLARLAB_WORKERS", value)
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            output={"directory": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg_path]) == 2
+    assert "config error: COLLARLAB_WORKERS" in capsys.readouterr().err
+
+
+def test_main_out_override_on_non_object_output(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "cfg.json", output="x")
+    assert main(["run", "--config", cfg_path, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert main(["run", "--config", cfg_path, "--format", "csv"]) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -75,6 +75,17 @@ def test_metric_density_matches_grid_lam():
                                 rel=1e-14)
 
 
+def test_make_grid_shares_one_grid_per_distinct_arguments():
+    col = collar_from_u(0.1)
+    grid = make_grid(col, 512)
+    assert make_grid(col, n_tau=512) is grid
+    assert make_grid(collar=col, n_tau=512, nodes_per_panel=10) is grid
+    assert make_grid(collar_from_u(0.1), 512, 10) is grid  # equal collar
+    assert make_grid(col, 1024) is not grid
+    assert make_grid(col, 512, 8) is not grid
+    assert make_grid(collar_from_u(0.1, c=0.45), 512) is not grid
+
+
 def test_make_grid_rejects_coarse_grids():
     col = collar_from_u(0.1)
     with pytest.raises(ValueError):
@@ -191,9 +202,10 @@ def test_stencil_weights_exact_on_polynomials(width, gaps, coef, frac):
 
 
 @pytest.mark.parametrize("u", [0.1, 0.05])
-def test_d2_dirichlet_exact_on_vanishing_polynomials(u):
+def test_d2_dirichlet_exact_on_vanishing_polynomials(u, clear_models):
     # p = (tau - tau_min)(tau_max - tau) q with deg p <= 8: the ghost
     # endpoints are exact zeros of p, so every stencil reproduces p''
+    clear_models()  # a fresh grid, so D2 is built under strict_floats
     col = collar_from_u(u)
     grid = make_grid(col, 1024)
     rng = np.random.default_rng(7)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from collarlab import (CurvatureWorkspace, hermitian_defect,
-                       perturbed_prediction, upper_index)
+from collarlab import (CurvatureWorkspace, collar_from_u, hermitian_defect,
+                       make_grid, perturbed_prediction, upper_index)
 
 PI = math.pi
 
@@ -129,6 +129,40 @@ def test_single_collar_phase_rotates_family():
     ws0 = CurvatureWorkspace.single_collar(0.1, n_tau=512)
     assert ws.h().values[0, 0].real == pytest.approx(
         ws0.h().values[0, 0].real, rel=1e-12)
+
+
+def test_constructors_share_one_workspace_per_model():
+    ws = CurvatureWorkspace.single_collar(0.1, 0.5, 512, 0.0)
+    assert CurvatureWorkspace.single_collar(0.1, n_tau=512) is ws
+    assert CurvatureWorkspace.single_collar(u=0.1, c=0.5, n_tau=512,
+                                            phase=0.0) is ws
+    assert CurvatureWorkspace.single_collar(0.1, n_tau=1024) is not ws
+    assert CurvatureWorkspace.single_collar(0.1, n_tau=512,
+                                            phase=0.7) is not ws
+    assert ws.system.grids[0] is make_grid(collar_from_u(0.1), 512)
+
+    two = CurvatureWorkspace.from_u_values([0.1, 0.1], n_tau=512)
+    assert CurvatureWorkspace.from_u_values((0.1, 0.1), 0.5, 512, 0.0) is two
+    assert CurvatureWorkspace.from_u_values([0.1, 0.1], n_tau=512,
+                                            kappa=0.0) is two
+    assert CurvatureWorkspace.from_u_values([0.1, 0.1], n_tau=512,
+                                            kappa=1.0) is not two
+    assert CurvatureWorkspace.from_u_values([0.1, 0.1], n_tau=1024) is not two
+    # kappa = 0 is the diagonal family: no off-diagonal Beltrami entries
+    assert set(two.bspec.entries) == {(0, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("u", [0.05, 0.012, 0.01])
+def test_curvature_pipeline_float_safe_down_to_floor(u, clear_models):
+    # cold memos: every grid, solve and pairing is computed inside errstate
+    clear_models()
+    with np.errstate(over="raise", invalid="raise", divide="raise",
+                     under="ignore"):
+        ws = CurvatureWorkspace.single_collar(u)
+        vals = [ws.tau().values[0, 0], ws.g1_terms().total,
+                ws.P2((0, 0, 0), (0, 0, 0)),
+                ws.perturbed_curvature(0, 0, 0, 0, C=10.0)]
+    assert np.all(np.isfinite(vals))
 
 
 def test_hermitian_defect_detects_asymmetry():
