@@ -42,6 +42,9 @@ class CollarField:
     modes: dict[int, np.ndarray] = field(default_factory=dict)
     bandwidth: int = DEFAULT_BANDWIDTH
     truncated: bool = False
+    # set by green.solve_T: max over modes of max|A x - b| divided by max
+    # over modes of max|b|; linear-algebra error, not discretisation error
+    residual_sup: float | None = None
 
     def copy(self) -> "CollarField":
         return replace(self, modes={n: v.copy() for n, v in self.modes.items()})

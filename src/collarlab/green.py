@@ -5,9 +5,17 @@ Each angular mode solves the radial two-point problem
     -(sin^2 tau / 2) (F'' - (n/u)^2 F) + F = R,   F(tau_min) = F(tau_max) = 0,
 
 on the collar's TauGrid, using the same high-order stencils as the field
-derivatives (endpoints enter as ghost nodes pinned to zero) and a banded
-LU solve.  The Dirichlet truncation replaces the closed-surface solve;
-its bias is quantified by the boundary-cut sensitivity check.
+derivatives (endpoints enter as ghost nodes pinned to zero).  Each
+(grid, mode) matrix is LU-factored once (LAPACK zgbtrf) and every later
+solve on it is a zgbtrs call.  The factors live in ``grid._cache``:
+
+    "box_band"           -(sin^2 tau / 2) D2, (bl + bu + 1, n) float64,
+                         one per grid; a mode adds its diagonal on use
+    ("box1_lu", mode)    lu.real, (2 bl + bu + 1, n) float64, and int32
+                         pivots: 25 n * 8 + 4 n bytes, 208 KB at n_tau 1024
+
+The Dirichlet truncation replaces the closed-surface solve; its bias is
+quantified by the boundary-cut sensitivity check.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .fields import CollarField
 from .operators import box
@@ -38,26 +46,63 @@ class SolverConfig:
     warn_support: bool = True
 
 
-def _mode_matrix(grid, n_mode: int):
-    """Banded (box + 1) matrix for one angular mode, Dirichlet ends."""
-    key = ("box1ab", n_mode)
-    if key in grid._cache:
-        return grid._cache[key]
-    ab_d2, (bl, bu) = grid.d2_banded_dirichlet()
-    u = grid.collar.u
+def _box_band(grid):
+    """-(sin^2 tau / 2) D2 in banded storage, shared by every mode of a grid.
+
+    Storage is ab[bu + i - j, j] = M[i, j]; the corners outside the matrix
+    are zero.
+    """
+    if "box_band" not in grid._cache:
+        ab_d2, (bl, bu) = grid.d2_banded_dirichlet()
+        n = grid.n
+        s = 0.5 * grid.sin_tau**2
+        i = np.arange(n) + np.arange(-bu, bl + 1)[:, None]  # row of each entry
+        inside = (i >= 0) & (i < n)
+        band = np.where(inside, -s[np.clip(i, 0, n - 1)] * ab_d2, 0.0)
+        grid._cache["box_band"] = (band, bl, bu)
+    return grid._cache["box_band"]
+
+
+def _mode_diag(grid, band, bu, n_mode):
+    """Main diagonal of the mode-n (box + 1) matrix."""
     s = 0.5 * grid.sin_tau**2
-    n = grid.n
-    ab = np.zeros_like(ab_d2)
-    # row-scale the banded D2 by -s and add the diagonal term
-    # banded storage: ab[bu + i - j, j] = M[i, j]; diagonal offset d = i - j
-    for d in range(-bl, bu + 1):
-        j = np.arange(max(0, -d), n - max(0, d))
-        i = j + d
-        ab[bu + d, j] = -s[i] * ab_d2[bu + d, j]
-    diag = (n_mode / u) ** 2 * s + 1.0
-    ab[bu, :] += diag
-    grid._cache[key] = (ab, (bl, bu))
+    return band[bu] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
+
+
+def _mode_factor(grid, n_mode):
+    """Banded LU of the mode-n (box + 1) matrix, factored once per grid.
+
+    The matrix is real, so the complex factors zgbtrf returns have zero
+    imaginary part: only lu.real (Fortran order) and the pivots are kept.
+    """
+    key = ("box1_lu", n_mode)
+    if key not in grid._cache:
+        band, bl, bu = _box_band(grid)
+        work = np.zeros((2 * bl + bu + 1, grid.n), dtype=complex)
+        work[bl:] = band
+        work[bl + bu] = _mode_diag(grid, band, bu, n_mode)
+        lu, piv, info = zgbtrf(work, bl, bu, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"mode {n_mode} matrix is singular")
+        grid._cache[key] = (np.array(lu.real, order="F"), piv)
     return grid._cache[key]
+
+
+def _band_matvec(band, diag, bl, bu, x):
+    """A x for the band matrix A with main diagonal diag.
+
+    Each diagonal's products are skewed into their own row of a zeroed
+    buffer and the rows summed in order, diagonal by diagonal.
+    """
+    n = len(x)
+    prod = band * x
+    prod[bu] = diag * x
+    rows = bl + bu + 1
+    width = n + rows - 1
+    buf = np.zeros(rows * (width + 1), dtype=prod.dtype)
+    # entry (r, j) lands at column r + j of the (rows, width) view
+    buf.reshape(rows, width + 1)[:, :n] = prod
+    return buf[: rows * width].reshape(rows, width).sum(axis=0)[bu : bu + n]
 
 
 def apply_box1(f: CollarField) -> CollarField:
@@ -67,7 +112,14 @@ def apply_box1(f: CollarField) -> CollarField:
 
 
 def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
-    """T f = (box + 1)^-1 f on the collar, zero at both ends."""
+    """T f = (box + 1)^-1 f on the collar, zero at both ends.
+
+    The result's ``residual_sup`` is max over modes of max|A x - b|
+    divided by max over modes of max|b|, for each mode's band matrix A:
+    linear-algebra error, not discretisation error.  A residual above
+    ``config.rtol`` (or NaN) raises SolverError; NaN or inf in f raises
+    ValueError.
+    """
     cfg = config or SolverConfig()
     grid = f.grid
     if cfg.warn_support and f.modes:
@@ -81,33 +133,28 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
             warnings.warn("input not supported well inside the collar; "
                           "Dirichlet boundary bias is uncontrolled",
                           SupportWarning, stacklevel=2)
+    band, bl, bu = _box_band(grid)
     out = {}
-    res_sup = 0.0
-    f_sup = 0.0
+    res_sups, f_sups = [0.0], [0.0]
     for n_mode, rhs in f.modes.items():
-        ab, (bl, bu) = _mode_matrix(grid, n_mode)
-        sol = solve_banded((bl, bu), ab, rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        lu, piv = _mode_factor(grid, n_mode)
+        sol, _ = zgbtrs(lu, bl, bu, rhs, piv)
         out[n_mode] = sol
         # residual against the defining discrete forward operator
-        res = _banded_matvec(ab, bl, bu, sol) - rhs
-        res_sup = max(res_sup, float(np.abs(res).max()))
-        f_sup = max(f_sup, float(np.abs(rhs).max()))
-    g = CollarField(f.collar, f.grid, out, f.bandwidth, f.truncated)
-    g.residual_sup = res_sup / f_sup if f_sup > 0 else 0.0
-    if f_sup > 0 and res_sup > cfg.rtol * f_sup:
+        res = _band_matvec(band, _mode_diag(grid, band, bu, n_mode),
+                           bl, bu, sol) - rhs
+        res_sups.append(np.abs(res).max())
+        f_sups.append(np.abs(rhs).max())
+    # np.max, unlike max(), carries a NaN residual through to the gate
+    res_sup, f_sup = float(np.max(res_sups)), float(np.max(f_sups))
+    g = CollarField(f.collar, f.grid, out, f.bandwidth, f.truncated,
+                    residual_sup=res_sup / f_sup if f_sup > 0 else 0.0)
+    if f_sup > 0 and not res_sup <= cfg.rtol * f_sup:
         raise SolverError(f"solver residual {res_sup/f_sup:.3e} exceeds "
                           f"rtol {cfg.rtol:.1e}")
     return g
-
-
-def _banded_matvec(ab: np.ndarray, bl: int, bu: int, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    y = np.zeros_like(x)
-    for d in range(-bl, bu + 1):
-        j = np.arange(max(0, -d), n - max(0, d))
-        i = j + d
-        y[i] += ab[bu + d, j] * x[j]
-    return y
 
 
 def bc_sensitivity(pair_wide: complex, pair_narrow: complex) -> float:

@@ -5,6 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
+
+import collarlab.green
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
                        apply_box1, bc_sensitivity, collar_from_u,
@@ -138,3 +143,156 @@ def test_bc_sensitivity_helpers():
     assert bc_sensitivity(2.0 + 0j, 1.0 + 0j) == pytest.approx(0.5)
     val = bc_sensitivity_check(0.05, n_tau=512)
     assert 0.0 < val < 5e-2
+
+
+# -- factor once per (grid, mode) ------------------------------------------
+
+def oracle_solve(f):
+    """The unfactored path: solve_banded per call, scalar diagonal matvec."""
+    grid = f.grid
+    ab_d2, (bl, bu) = grid.d2_banded_dirichlet()
+    s = 0.5 * grid.sin_tau**2
+    n = grid.n
+    out, res_sup, f_sup = {}, 0.0, 0.0
+    for n_mode, rhs in f.modes.items():
+        ab = np.zeros_like(ab_d2)
+        for d in range(-bl, bu + 1):
+            j = np.arange(max(0, -d), n - max(0, d))
+            ab[bu + d, j] = -s[j + d] * ab_d2[bu + d, j]
+        ab[bu, :] += (n_mode / grid.collar.u) ** 2 * s + 1.0
+        sol = solve_banded((bl, bu), ab, rhs)
+        y = np.zeros_like(sol)
+        for d in range(-bl, bu + 1):
+            j = np.arange(max(0, -d), n - max(0, d))
+            y[j + d] += ab[bu + d, j] * sol[j]
+        out[n_mode] = sol
+        res_sup = max(res_sup, float(np.abs(y - rhs).max()))
+        f_sup = max(f_sup, float(np.abs(rhs).max()))
+    return out, res_sup / f_sup
+
+
+@pytest.mark.parametrize("u", [0.1, 0.03, 0.012, 0.01])
+def test_factored_solve_matches_unfactored_bitwise(u, clear_models):
+    clear_models()
+    col = collar_from_u(u)
+    grid = make_grid(col, 1024)
+    rng = np.random.default_rng(11)
+    window = compact_window(col, grid)
+    modes = {n: window * (rng.standard_normal(grid.n)
+                          + 1j * rng.standard_normal(grid.n))
+             for n in (0, 1, -1, 4, -4, 24, -24)}
+    f = CollarField(col, grid, modes)
+    want, want_res = oracle_solve(f)
+    for _ in range(2):  # the first call factors, the second reuses
+        g = solve_T(f, QUIET)
+        assert g.modes.keys() == want.keys()
+        for n, sol in want.items():
+            assert np.array_equal(g.modes[n], sol)
+        assert g.residual_sup == want_res
+
+
+def test_each_grid_mode_is_factored_once(monkeypatch, clear_models):
+    calls = []
+    real_zgbtrf = collarlab.green.zgbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_zgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(collarlab.green, "zgbtrf", counting)
+    clear_models()
+    col = collar_from_u(0.05)
+    grid = make_grid(col, 512)
+    window = compact_window(col, grid) + 0j
+    solve_T(CollarField(col, grid, {0: window, 3: window, -3: window}), QUIET)
+    assert len(calls) == 3
+    solve_T(CollarField(col, grid, {0: window, 3: window, -3: window}), QUIET)
+    assert len(calls) == 3
+    solve_T(CollarField(col, grid, {3: 2 * window, 5: window}), QUIET)
+    assert len(calls) == 4
+
+
+def test_singular_factor_raises(monkeypatch, clear_models):
+    real_zgbtrf = collarlab.green.zgbtrf
+
+    def singular(*args, **kwargs):
+        lu, piv, _ = real_zgbtrf(*args, **kwargs)
+        return lu, piv, 1
+
+    monkeypatch.setattr(collarlab.green, "zgbtrf", singular)
+    clear_models()
+    col = collar_from_u(0.05)
+    grid = make_grid(col, 512)
+    f = CollarField(col, grid, {0: compact_window(col, grid) + 0j})
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_T(f, QUIET)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(cg, bad):
+    col, grid = cg
+    f = random_compact(col, grid, np.random.default_rng(6))
+    last = list(f.modes)[-1]  # earlier modes solve before the bad one
+    f.modes[last] = f.modes[last].copy()
+    f.modes[last][grid.n // 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_T(f, QUIET)
+
+
+def test_overflowing_residual_fails_the_gate(cg):
+    # finite input whose residual overflows to NaN must not pass as 0
+    col, grid = cg
+    f = CollarField(col, grid, {0: 1e305 * compact_window(col, grid) + 0j})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="nan"):
+            solve_T(f, QUIET)
+
+
+# -- spectral properties on random compactly supported fields --------------
+
+terms = st.dictionaries(
+    st.integers(-4, 4),
+    st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2 * PI),
+              st.floats(1.0, 4.0), st.floats(0.0, PI)),
+    min_size=1, max_size=4)
+
+
+def field_from_terms(col, grid, spec):
+    """Mode n carries z window(tau) cos(k pi x + phase), |z| in [0.1, 1]."""
+    window = compact_window(col, grid)
+    x = (grid.nodes - grid.nodes[0]) / (grid.nodes[-1] - grid.nodes[0])
+    return CollarField(col, grid, {
+        n: r * np.exp(1j * arg) * window * np.cos(k * PI * x + phase)
+        for n, (r, arg, k, phase) in spec.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec1=terms, spec2=terms)
+def test_property_self_adjoint(cg, spec1, spec2):
+    col, grid = cg
+    f1, f2 = field_from_terms(col, grid, spec1), field_from_terms(col, grid, spec2)
+    lhs = pairing_l2(solve_T(f1, QUIET), f2)
+    rhs = pairing_l2(f1, solve_T(f2, QUIET))
+    # relative to the Cauchy-Schwarz bound |<f1, f2>| <= |f1| |f2|
+    scale = math.sqrt(pairing_l2(f1, f1).real * pairing_l2(f2, f2).real)
+    assert abs(lhs - rhs) <= 1e-8 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=terms)
+def test_property_positive(cg, spec):
+    col, grid = cg
+    f = field_from_terms(col, grid, spec)
+    assert pairing_l2(solve_T(f, QUIET), f).real > 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=terms)
+def test_property_spectral_bounds(cg, spec):
+    col, grid = cg
+    f = field_from_terms(col, grid, spec)
+    g = solve_T(f, QUIET)
+    ff, gf, gg = (pairing_l2(f, f).real, pairing_l2(g, f).real,
+                  pairing_l2(g, g).real)
+    assert ff - gf >= -1e-10 * ff
+    assert gf - gg >= -1e-10 * ff
