@@ -18,33 +18,31 @@ from .operators import (IndexTuple, box, ck_norm, maass, op_P, op_P_bar,
                         q_operator, symmetrize_terms, xi)
 from .green import (SolverConfig, SolverError, SupportWarning, apply_box1,
                     bc_sensitivity, solve_T)
-from .curvature import CurvatureWorkspace, G1Report, hermitian_defect, upper_index
-from .asymptotics import (Approximants, AsymptoticTarget, CutoffSpec,
-                          DegenerateFitError, FitResult, approximant_errors,
+from .curvature import CurvatureWorkspace, hermitian_defect, upper_index
+from .asymptotics import (CutoffSpec, DegenerateFitError, approximant_errors,
                           build_approximants, cutoff_eval, equivalence_ratios,
                           fit_power_law, g2_spotcheck, geodesic_length,
                           length_derivative_check, perturbed_prediction,
                           target, target_table)
-from .cli import RunConfig, SuiteReport, emit_report, main, run_suite
+from .cli import RunConfig, emit_report, main, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Approximants", "AsymptoticTarget", "BandwidthWarning", "BeltramiEntry",
-    "BeltramiSpec", "CollarError", "CollarField", "CollarParams",
-    "CollarSystem", "CurvatureWorkspace", "CutoffSpec", "DegenerateFitError",
-    "FitResult", "G1Report", "IndexTuple", "MetricMatrix", "QuadDiffEntry",
-    "QuadDiffSpec", "RunConfig", "SolverConfig", "SolverError", "SuiteReport",
-    "SupportWarning", "TauGrid", "UnderResolvedError", "apply_box1",
-    "approximant_errors", "bc_sensitivity", "beltrami_field", "box",
-    "build_approximants", "ck_norm", "collar_from_t", "collar_from_u",
-    "constant_field", "coupled_family", "cutoff_eval", "diagonal_family",
-    "duality_check", "emit_report", "equivalence_ratios", "fit_power_law",
-    "g2_spotcheck", "geodesic_circle", "geodesic_length", "hermitian_defect",
+    "BandwidthWarning", "BeltramiEntry", "BeltramiSpec", "CollarError",
+    "CollarField", "CollarParams", "CollarSystem", "CurvatureWorkspace",
+    "CutoffSpec", "DegenerateFitError", "IndexTuple", "MetricMatrix",
+    "QuadDiffEntry", "QuadDiffSpec", "RunConfig", "SolverConfig",
+    "SolverError", "SupportWarning", "TauGrid", "UnderResolvedError",
+    "apply_box1", "approximant_errors", "bc_sensitivity", "beltrami_field",
+    "box", "build_approximants", "ck_norm", "collar_from_t",
+    "collar_from_u", "constant_field", "coupled_family", "cutoff_eval",
+    "diagonal_family", "duality_check", "emit_report",
+    "equivalence_ratios", "fit_power_law", "g2_spotcheck",
+    "geodesic_circle", "geodesic_length", "hermitian_defect",
     "integral_product", "length_derivative_check", "maass", "main",
     "make_grid", "metric_density", "op_P", "op_P_bar", "pairing_l2",
     "perturbed_prediction", "q_operator", "qdiff_field", "run_suite",
-    "solve_T", "symmetrize_terms", "target", "target_table",
-    "upper_index", "volume_integral", "wirtinger", "wp_cometric", "wp_metric",
-    "xi",
+    "solve_T", "symmetrize_terms", "target", "target_table", "upper_index",
+    "volume_integral", "wirtinger", "wp_cometric", "wp_metric", "xi",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import asymptotics as asym
 from .collar import CollarError, U_MIN, collar_from_u, make_grid
 from .curvature import CurvatureWorkspace, upper_index
-from .differentials import CollarSystem, diagonal_family, wp_cometric, wp_metric
+from .differentials import diagonal_family, wp_cometric
 from .fields import CollarField, constant_field, pairing_l2, volume_integral
 from .green import SolverConfig, solve_T
 from .operators import ck_norm, maass
@@ -42,17 +42,24 @@ SUITE_IDS = (
     "g2-bounds",
 )
 
-# "tolerances" keys: check ids, except g1-terms and perturbed-diag (families)
-TOLERANCE_KEYS = (
-    "calculus-sin2", "calculus-sin2-band", "calculus-exp", "calculus-area",
-    "wp-metric-diag", "wp-cometric-diag", "wp-cometric-spot", "ricci-diag",
-    "spectral-lower", "spectral-upper", "residual", "self-adjoint",
-    "bc-sensitivity", "err-e-exponent", "err-xi-exponent", "err-T-exponent",
-    "ef-pairing", "k0-pairing", "xi-pairing", "eta2-mass-constant", "g1-terms",
-    "t-pairing", "perturbed-diag", "det-structure", "length-derivative",
-    "length-spot", "poincare-variation", "mcmullen-variation", "zero-coupling",
-    "case-1-exponent", "case-2-exponent", "case-3-exponent", "case-4-exponent",
-)
+# default of each "tolerances" key; a callable default is a function of u.
+# Keys are check ids, except g1-terms and perturbed-diag (families).
+_u2, _u3 = (lambda u: 2 * u), (lambda u: 3 * u)
+DEFAULT_TOLERANCES = {
+    "calculus-sin2": 1e-10, "calculus-sin2-band": _u2, "calculus-exp": 1e-10,
+    "calculus-area": 1e-10, "wp-metric-diag": _u3, "wp-cometric-diag": _u3,
+    "wp-cometric-spot": 1e-3, "ricci-diag": 0.15, "spectral-lower": 1e-10,
+    "spectral-upper": 1e-10, "residual": 1e-6, "self-adjoint": 1e-8,
+    "bc-sensitivity": 0.05, "err-e-exponent": 0.0, "err-xi-exponent": 0.0,
+    "err-T-exponent": 0.0, "ef-pairing": 0.15, "k0-pairing": 0.15,
+    "xi-pairing": 0.15, "eta2-mass-constant": 0.01, "g1-terms": 0.15,
+    "t-pairing": 0.15, "perturbed-diag": 0.15, "det-structure": 0.15,
+    "length-derivative": _u3, "length-spot": 0.01, "poincare-variation": 0.10,
+    "mcmullen-variation": 0.10, "zero-coupling": 1e-14,
+    "case-1-exponent": 0.0, "case-2-exponent": 0.0, "case-3-exponent": 0.0,
+    "case-4-exponent": 0.0,
+}
+TOLERANCE_KEYS = tuple(DEFAULT_TOLERANCES)
 
 
 class ConfigError(ValueError):
@@ -199,7 +206,7 @@ class SuiteReport:
         return "pass" if ok else "fail"
 
 
-def _record(suite, check_id, u, measured, target, tol, *, mode="rel",
+def _record(check_id, u, measured, target, tol, *, mode="rel",
             report_only=False) -> CheckRecord:
     """Build a record; mode picks how rel_err and pass are derived.
 
@@ -207,6 +214,7 @@ def _record(suite, check_id, u, measured, target, tol, *, mode="rel",
     abs  : rel_err = |measured - target|, pass iff <= tol;
     floor: pass iff Re measured >= Re target (exponent thresholds);
     band : pass iff Re target - tol <= Re measured <= Re target + tol.
+    The suite is stamped on by run_suite.
     """
     measured = complex(measured)
     target = complex(target)
@@ -220,8 +228,26 @@ def _record(suite, check_id, u, measured, target, tol, *, mode="rel",
         ok = abs(measured.real - target.real) <= tol
     else:
         ok = rel <= tol
-    return CheckRecord(suite, check_id, float(u), math.exp(-PI / u),
+    return CheckRecord("", check_id, float(u), math.exp(-PI / u),
                        measured, target, float(rel), bool(ok), report_only)
+
+
+def _tol(cfg: RunConfig, key: str, u: float) -> float:
+    default = DEFAULT_TOLERANCES[key]
+    return cfg.tol(key, default(u) if callable(default) else default)
+
+
+def _check(cfg, check_id, u, measured, target, *, key=None, us=None,
+           mode="rel") -> CheckRecord:
+    """A record gated by the tolerance of `key` (default: check_id).
+
+    Given the sweep `us`, only its smallest u is gated; the other u values
+    are reported with an infinite tolerance.
+    """
+    tol = math.inf
+    if us is None or u == us[-1]:
+        tol = _tol(cfg, key or check_id, u)
+    return _record(check_id, u, measured, target, tol, mode=mode)
 
 
 # -- suites ------------------------------------------------------------------
@@ -236,11 +262,8 @@ def _suite_verify_calculus(cfg: RunConfig) -> list:
 
         measured = grid.integrate(np.sin(tau) ** 2)
         closed = PI / 2 + u * math.log(c) - math.sin(2 * u * math.log(c)) / 2
-        recs.append(_record("verify-calculus", "calculus-sin2", u, measured,
-                            closed, cfg.tol("calculus-sin2", 1e-10)))
-        recs.append(_record("verify-calculus", "calculus-sin2-band", u,
-                            measured, PI / 2,
-                            cfg.tol("calculus-sin2-band", 2 * u)))
+        recs.append(_check(cfg, "calculus-sin2", u, measured, closed))
+        recs.append(_check(cfg, "calculus-sin2-band", u, measured, PI / 2))
 
         a = 2.0 / u
         prof = np.exp(a * (tau + PI)) * np.sin(tau) ** 2
@@ -248,57 +271,45 @@ def _suite_verify_calculus(cfg: RunConfig) -> list:
                              - (a * math.cos(2 * s) + 2 * math.sin(2 * s))
                              / (2 * (a * a + 4))))
         closed = antider(col.tau_max) - antider(col.tau_min)
-        recs.append(_record("verify-calculus", "calculus-exp", u,
-                            grid.integrate(prof), closed,
-                            cfg.tol("calculus-exp", 1e-10)))
+        recs.append(_check(cfg, "calculus-exp", u, grid.integrate(prof),
+                           closed))
 
         area = volume_integral(constant_field(col, grid, 1.0))
         closed = 2 * PI * u / math.tan(u * math.log(1.0 / c))
-        recs.append(_record("verify-calculus", "calculus-area", u, area,
-                            closed, cfg.tol("calculus-area", 1e-10)))
+        recs.append(_check(cfg, "calculus-area", u, area, closed))
     return recs
 
 
-def _wp_diag(u: float, c: float, n_tau: int) -> tuple:
-    col = collar_from_u(u, c)
-    system = CollarSystem([col], [make_grid(col, n_tau)])
-    bspec, qspec = diagonal_family(system)
-    h = wp_metric(bspec, system).values[0, 0].real
-    hc = wp_cometric(qspec, system).values[0, 0].real
-    return h, hc
+def _wp_diag(u: float, cfg: RunConfig) -> tuple:
+    """Diagonal WP metric and cometric entries of the shared u workspace."""
+    ws = CurvatureWorkspace.single_collar(u, c=cfg.c, n_tau=cfg.n_tau)
+    hc = wp_cometric(diagonal_family(ws.system)[1], ws.system)
+    return ws.h().values[0, 0].real, hc.values[0, 0].real
 
 
 def _suite_wp_asymptotics(cfg: RunConfig) -> list:
     recs = []
     for u in cfg.sweep_values():
-        h, hc = _wp_diag(u, cfg.c, cfg.n_tau)
-        recs.append(_record("wp-asymptotics", "wp-metric-diag", u,
-                            h * 2.0 / u**3, 1.0,
-                            cfg.tol("wp-metric-diag", 3 * u)))
-        recs.append(_record("wp-asymptotics", "wp-cometric-diag", u,
-                            hc * u**3 / 2.0, 1.0,
-                            cfg.tol("wp-cometric-diag", 3 * u)))
-    _, hc = _wp_diag(0.1, cfg.c, cfg.n_tau)
-    recs.append(_record("wp-asymptotics", "wp-cometric-spot", 0.1, hc,
-                        2000.0, cfg.tol("wp-cometric-spot", 1e-3)))
+        h, hc = _wp_diag(u, cfg)
+        recs.append(_check(cfg, "wp-metric-diag", u, h * 2.0 / u**3, 1.0))
+        recs.append(_check(cfg, "wp-cometric-diag", u, hc * u**3 / 2.0, 1.0))
+    _, hc = _wp_diag(0.1, cfg)
+    recs.append(_check(cfg, "wp-cometric-spot", 0.1, hc, 2000.0))
     return recs
 
 
 def _suite_ricci_asymptotics(cfg: RunConfig) -> list:
-    recs = []
-    rel_seq = []
-    target = 3.0 / (4.0 * PI**2)
+    target = asym.target("ricci-diag").constant
     us = cfg.sweep_values()
+    recs = []
     for u in us:
         ws = CurvatureWorkspace.single_collar(u, c=cfg.c, n_tau=cfg.n_tau)
-        val = ws.tau().values[0, 0].real / u**2
-        rel_seq.append(abs(val - target) / target)
-        tol = cfg.tol("ricci-diag", 0.15) if u == us[-1] else math.inf
-        recs.append(_record("ricci-asymptotics", "ricci-diag", u, val, target,
-                            tol))
-    mono = all(b < a for a, b in zip(rel_seq, rel_seq[1:]))
-    recs.append(_record("ricci-asymptotics", "ricci-converging", us[-1],
-                        1.0 if mono else 0.0, 1.0, 0.0, mode="band"))
+        recs.append(_check(cfg, "ricci-diag", u,
+                           ws.tau().values[0, 0].real / u**2, target, us=us))
+    rel = [r.rel_err for r in recs]
+    mono = all(b < a for a, b in zip(rel, rel[1:]))
+    recs.append(_record("ricci-converging", us[-1], 1.0 if mono else 0.0,
+                        1.0, 0.0, mode="band"))
     return recs
 
 
@@ -347,25 +358,22 @@ def _suite_green_props(cfg: RunConfig) -> list:
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst["selfadj"] = max(worst["selfadj"], abs(lhs - rhs) / scale)
     # the two spectral margins must be nonnegative up to slack
-    recs.append(_record("green-props", "spectral-lower", u, worst["lower"],
-                        -cfg.tol("spectral-lower", 1e-10), 0.0, mode="floor"))
-    recs.append(_record("green-props", "spectral-upper", u, worst["upper"],
-                        -cfg.tol("spectral-upper", 1e-10), 0.0, mode="floor"))
-    recs.append(_record("green-props", "residual", u, worst["resid"], 0.0,
-                        cfg.tol("residual", 1e-6), mode="abs"))
-    recs.append(_record("green-props", "self-adjoint", u, worst["selfadj"],
-                        0.0, cfg.tol("self-adjoint", 1e-8), mode="abs"))
+    for side in ("lower", "upper"):
+        key = f"spectral-{side}"
+        recs.append(_record(key, u, worst[side], -_tol(cfg, key, u), 0.0,
+                            mode="floor"))
+    recs.append(_check(cfg, "residual", u, worst["resid"], 0.0, mode="abs"))
+    recs.append(_check(cfg, "self-adjoint", u, worst["selfadj"], 0.0,
+                       mode="abs"))
 
     # positivity and sup contraction on a nonnegative full-collar input;
     # the support precondition is deliberately waived here
     pos = CollarField(col, grid, {0: (np.sin(grid.nodes) ** 4).astype(complex)})
     gp = solve_T(pos, SolverConfig(warn_support=False))
-    recs.append(_record("green-props", "positivity", u,
-                        float(gp.modes[0].real.min()), -1e-12, 0.0,
-                        mode="floor"))
-    recs.append(_record("green-props", "sup-contraction", u,
-                        pos.sup_norm() - gp.sup_norm(), 0.0, 0.0,
-                        mode="floor"))
+    recs.append(_record("positivity", u, float(gp.modes[0].real.min()),
+                        -1e-12, 0.0, mode="floor"))
+    recs.append(_record("sup-contraction", u, pos.sup_norm() - gp.sup_norm(),
+                        0.0, 0.0, mode="floor"))
 
     # report-only stability monitors across the sweep
     for u_s in cfg.sweep_values():
@@ -376,71 +384,55 @@ def _suite_green_props(cfg: RunConfig) -> list:
         num = math.sqrt(abs(pairing_l2(maass(g, 0, "K"), maass(g, 0, "K"))))
         den = math.sqrt(abs(pairing_l2(maass(ap.ftilde, 0, "K"),
                                        maass(ap.ftilde, 0, "K"))))
-        recs.append(_record("green-props", "mode-energy-ratio", u_s,
-                            num / den, 0.0, math.inf, mode="abs",
-                            report_only=True))
-        recs.append(_record("green-props", "schauder-ratio", u_s,
+        recs.append(_record("mode-energy-ratio", u_s, num / den, 0.0,
+                            math.inf, mode="abs", report_only=True))
+        recs.append(_record("schauder-ratio", u_s,
                             ck_norm(g, 2) / ck_norm(ap.ftilde, 1), 0.0,
                             math.inf, mode="abs", report_only=True))
-    recs.append(_record("green-props", "bc-sensitivity", 0.05,
-                        asym.bc_sensitivity_check(0.05, cfg.n_tau), 0.0,
-                        cfg.tol("bc-sensitivity", 0.05), mode="abs"))
+    recs.append(_check(cfg, "bc-sensitivity", 0.05,
+                       asym.bc_sensitivity_check(0.05, cfg.n_tau), 0.0,
+                       mode="abs"))
     return recs
 
 
 def _suite_approximants(cfg: RunConfig) -> list:
     recs = []
     us = cfg.sweep_values()
-    errs = {"err_e": [], "err_xi": [], "err_T": []}
-    pairs = {"ef": [], "k0": [], "xi_e": []}
-    eta2 = []
+    errs, eta2 = [], []
     for u in us:
-        d = asym.approximant_errors(u, c=cfg.c, n_tau=cfg.n_tau)
-        for k in errs:
-            errs[k].append((u, d[k]))
-        for k in pairs:
-            pairs[k].append((u, d[k]))
-        col = collar_from_u(u, cfg.c)
-        grid = make_grid(col, cfg.n_tau)
-        spec = asym.CutoffSpec()
-        d2 = asym.cutoff_eval(spec, grid.nodes / u, "eta", 2)
+        errs.append(asym.approximant_errors(u, c=cfg.c, n_tau=cfg.n_tau))
+        grid = make_grid(collar_from_u(u, cfg.c), cfg.n_tau)
+        d2 = asym.cutoff_eval(asym.CutoffSpec(), grid.nodes / u, "eta", 2)
         eta2.append(grid.integrate(np.abs(d2)) / u)
-    floors = {"err_e": 3.7, "err_xi": 4.7, "err_T": 4.7}
-    names = {"err_e": "err-e", "err_xi": "err-xi", "err_T": "err-T"}
-    for k, samples in errs.items():
-        fit = asym.fit_power_law(samples)
-        recs.append(_record("approximants", f"{names[k]}-exponent", us[-1],
-                            fit.exponent, floors[k],
-                            cfg.tol(f"{names[k]}-exponent", 0.0), mode="floor"))
+    u = us[-1]
+    for k, floor in (("err_e", 3.7), ("err_xi", 4.7), ("err_T", 4.7)):
+        fit = asym.fit_power_law([(u_k, d[k]) for u_k, d in zip(us, errs)])
+        recs.append(_check(cfg, k.replace("_", "-") + "-exponent", u,
+                           fit.exponent, floor, mode="floor"))
     for k, tid in (("ef", "ef-pairing"), ("k0", "k0-pairing"),
                    ("xi_e", "xi-pairing")):
         t = asym.target(tid)
-        u = us[-1]
-        recs.append(_record("approximants", tid, u, dict(pairs[k])[u],
-                            t.constant * u**t.exponent, cfg.tol(tid, 0.15)))
+        recs.append(_check(cfg, tid, u, errs[-1][k],
+                           t.constant * u**t.exponent))
     spread = (max(eta2) - min(eta2)) / (sum(eta2) / len(eta2))
-    recs.append(_record("approximants", "eta2-mass-constant", us[-1], spread,
-                        0.0, cfg.tol("eta2-mass-constant", 0.01), mode="abs"))
+    recs.append(_check(cfg, "eta2-mass-constant", u, spread, 0.0, mode="abs"))
     return recs
 
 
 def _suite_holo_curvature(cfg: RunConfig) -> list:
     recs = []
     us = cfg.sweep_values()
+    t_pairing = asym.target("t-pairing").constant
     for u in us:
         ws = CurvatureWorkspace.single_collar(u, c=cfg.c, n_tau=cfg.n_tau)
         rep = ws.g1_terms()
-        strict = u == us[-1]
-        tol = cfg.tol("g1-terms", 0.15) if strict else math.inf
         for k in rep.terms:
-            recs.append(_record("holo-curvature", k, u, rep.terms[k],
-                                rep.targets[k], tol))
-        recs.append(_record("holo-curvature", "g1-sum", u, rep.total,
-                            rep.total_target, tol))
+            recs.append(_check(cfg, k, u, rep.terms[k], rep.targets[k],
+                               key="g1-terms", us=us))
+        recs.append(_check(cfg, "g1-sum", u, rep.total, rep.total_target,
+                           key="g1-terms", us=us))
         p2 = ws.P2((0, 0, 0), (0, 0, 0))
-        recs.append(_record("holo-curvature", "t-pairing", u, p2 / u**7,
-                            3.0 / (256.0 * PI**4),
-                            cfg.tol("t-pairing", 0.15) if strict else math.inf))
+        recs.append(_check(cfg, "t-pairing", u, p2 / u**7, t_pairing, us=us))
     return recs
 
 
@@ -449,49 +441,44 @@ def _suite_perturbed(cfg: RunConfig) -> list:
     us = cfg.sweep_values()
     for u in us:
         ws = CurvatureWorkspace.single_collar(u, c=cfg.c, n_tau=cfg.n_tau)
-        strict = u == us[-1]
         for C in cfg.perturbation_C:
             val = ws.perturbed_curvature(0, 0, 0, 0, C)
-            pred = asym.perturbed_prediction(u, C)
-            tol = cfg.tol("perturbed-diag", 0.15) if strict else math.inf
-            recs.append(_record("perturbed", f"perturbed-diag-C{C:g}", u, val,
-                                pred, tol))
-            recs.append(_record("perturbed", f"perturbed-positive-C{C:g}", u,
+            recs.append(_check(cfg, f"perturbed-diag-C{C:g}", u, val,
+                               asym.perturbed_prediction(u, C),
+                               key="perturbed-diag", us=us))
+            recs.append(_record(f"perturbed-positive-C{C:g}", u,
                                 1.0 if val.real > 0 else 0.0, 1.0, 0.0,
                                 mode="band"))
             t_up = ws.tau_upper()[0, 0].real
             tt_up = upper_index(ws.perturbed_metric(C).values)[0, 0].real
             ok = 0.0 < tt_up < t_up
-            recs.append(_record("perturbed", f"inverse-dominance-C{C:g}", u,
+            recs.append(_record(f"inverse-dominance-C{C:g}", u,
                                 1.0 if ok else 0.0, 1.0, 0.0, mode="band"))
     # determinant structure on a two-collar model with a nondegenerate block
     A = np.array([[2.0, 0.3], [0.3, 1.5]], dtype=complex)
     B = np.array([[1.0, 0.1], [0.1, 1.2]], dtype=complex)
     C = cfg.perturbation_C[0]
+    ricci = asym.target("ricci-diag").constant
     for u in us:
         ws = CurvatureWorkspace.from_u_values([u, u], c=cfg.c,
                                               n_tau=cfg.n_tau)
         tt = ws.perturbed_metric(C).values
         full = np.block([[tt, np.zeros((2, 2))], [np.zeros((2, 2)), A + C * B]])
-        pred = (np.prod([u**2 * (3.0 / (4 * PI**2) + C * u / 2)
-                         for _ in range(2)])
+        pred = (np.prod([u**2 * (ricci + C * u / 2) for _ in range(2)])
                 * np.linalg.det(A + C * B))
         ratio = np.linalg.det(full).real / pred.real
-        tol = cfg.tol("det-structure", 0.15) if u == us[-1] else math.inf
-        recs.append(_record("perturbed", "det-structure", u, ratio, 1.0, tol))
+        recs.append(_check(cfg, "det-structure", u, ratio, 1.0, us=us))
     return recs
 
 
 def _suite_lengths(cfg: RunConfig) -> list:
     recs = []
     for rec in asym.length_derivative_check(cfg.sweep_values()):
-        recs.append(_record("lengths", "length-derivative", rec["u"],
-                            rec["fd"], rec["predicted"],
-                            cfg.tol("length-derivative", 3 * rec["u"])))
+        recs.append(_check(cfg, "length-derivative", rec["u"], rec["fd"],
+                           rec["predicted"]))
     u_spot = PI / 10.0  # t = e^(-10)
     fd = asym.length_derivative_fd(math.exp(-10.0))
-    recs.append(_record("lengths", "length-spot", u_spot, fd, 2174.0,
-                        cfg.tol("length-spot", 0.01)))
+    recs.append(_check(cfg, "length-spot", u_spot, fd, 2174.0))
     return recs
 
 
@@ -503,15 +490,14 @@ def _suite_equivalence(cfg: RunConfig) -> list:
         r = asym.equivalence_ratios(u, c=cfg.c, n_tau=cfg.n_tau)
         vals[u] = r
         for key, (lo, hi, limit) in bands.items():
-            rec = _record("equivalence", f"{key}-band", u, r[key], limit,
-                          math.inf)
+            rec = _record(f"{key}-band", u, r[key], limit, math.inf)
             rec.passed = lo <= r[key] <= hi
             recs.append(rec)
     for key in ("poincare", "mcmullen"):
         a, b = vals[0.05][key], vals[0.025][key]
         var = abs(a - b) / max(abs(a), abs(b))
-        recs.append(_record("equivalence", f"{key}-variation", 0.025, var,
-                            0.0, cfg.tol(f"{key}-variation", 0.10), mode="abs"))
+        recs.append(_check(cfg, f"{key}-variation", 0.025, var, 0.0,
+                           mode="abs"))
     return recs
 
 
@@ -521,19 +507,12 @@ def _suite_g2_bounds(cfg: RunConfig) -> list:
     out = asym.g2_spotcheck(u_values=us, kappa=cfg.kappa, c=cfg.c,
                             n_tau=cfg.n_tau)
     for case, rec in sorted(out.items()):
-        fit = rec["fit"]
-        if fit is None:
-            r = _record("g2-bounds", f"{case}-exponent", us[-1], math.nan,
-                        4.7, 0.0, mode="floor")
-            r.passed = False
-            recs.append(r)
-        else:
-            recs.append(_record("g2-bounds", f"{case}-exponent", us[-1],
-                                fit.exponent, 4.7,
-                                cfg.tol(f"{case}-exponent", 0.0), mode="floor"))
+        # a failed fit reports NaN, which no floor passes
+        exponent = math.nan if rec["fit"] is None else rec["fit"].exponent
+        recs.append(_check(cfg, f"{case}-exponent", us[-1], exponent, 4.7,
+                           mode="floor"))
     resid = asym.zero_coupling_residual(0.05, c=cfg.c, n_tau=cfg.n_tau)
-    recs.append(_record("g2-bounds", "zero-coupling", 0.05, resid, 0.0,
-                        cfg.tol("zero-coupling", 1e-14), mode="abs"))
+    recs.append(_check(cfg, "zero-coupling", 0.05, resid, 0.0, mode="abs"))
     return recs
 
 
@@ -556,6 +535,8 @@ def run_suite(cfg: RunConfig, suite: str) -> SuiteReport:
         raise ConfigError(f"unknown suite {suite!r}")
     t0 = time.perf_counter()
     records = _SUITE_FUNCS[suite](cfg)
+    for r in records:
+        r.suite = suite
     return SuiteReport(suite, records, time.perf_counter() - t0)
 
 

@@ -20,6 +20,7 @@ quantified by the boundary-cut sensitivity check.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,10 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .fields import CollarField
 from .operators import box
+
+# a right-hand side with max|b| below this is solved scaled up to unit size;
+# far above the subnormal range (2**-1022), far below any field of a model
+_TINY = 2.0**-900
 
 
 class SolverError(RuntimeError):
@@ -105,6 +110,12 @@ def _band_matvec(band, diag, bl, bu, x):
     return buf[: rows * width].reshape(rows, width).sum(axis=0)[bu : bu + n]
 
 
+def _ldexp(z, k):
+    """z * 2**k for a complex array, rounded once."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return np.ldexp(z.view(float), k).view(complex)
+
+
 def apply_box1(f: CollarField) -> CollarField:
     """(box + 1) f with free (one-sided near the ends) stencils."""
     g = box(f)
@@ -118,7 +129,8 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     divided by max over modes of max|b|, for each mode's band matrix A:
     linear-algebra error, not discretisation error.  A residual above
     ``config.rtol`` (or NaN) raises SolverError; NaN or inf in f raises
-    ValueError.
+    ValueError.  A right-hand side near the underflow range is solved
+    scaled up by a power of two, so subnormal ones solve as well.
     """
     cfg = config or SolverConfig()
     grid = f.grid
@@ -140,13 +152,19 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         lu, piv = _mode_factor(grid, n_mode)
+        f_sups.append(np.abs(rhs).max())
+        k = 0
+        if f_sups[-1] < _TINY:
+            # solved at unit scale: scaling up by 2**-k is exact, and it
+            # keeps the solve out of subnormal arithmetic
+            k = math.frexp(f_sups[-1])[1]
+            rhs = _ldexp(rhs, -k)
         sol, _ = zgbtrs(lu, bl, bu, rhs, piv)
-        out[n_mode] = sol
+        out[n_mode] = _ldexp(sol, k) if k else sol
         # residual against the defining discrete forward operator
         res = _band_matvec(band, _mode_diag(grid, band, bu, n_mode),
                            bl, bu, sol) - rhs
-        res_sups.append(np.abs(res).max())
-        f_sups.append(np.abs(rhs).max())
+        res_sups.append(math.ldexp(np.abs(res).max(), k))
     # np.max, unlike max(), carries a NaN residual through to the gate
     res_sup, f_sup = float(np.max(res_sups)), float(np.max(f_sups))
     g = CollarField(f.collar, f.grid, out, f.bandwidth, f.truncated,

@@ -2,10 +2,12 @@
 
 import collections
 import concurrent.futures
+import importlib.util
 import json
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from collarlab import (CurvatureWorkspace, RunConfig, TauGrid, emit_report,
                        main, run_suite)
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
                            run_all)
+
+ROOT = pathlib.Path(__file__).parents[1]
 
 
 def write_config(path, **overrides):
@@ -55,15 +59,16 @@ def test_runconfig_rejects_bad_input():
 
 
 def test_readme_example_config_is_valid():
-    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    readme = ROOT / "README.md"
     block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1)
     cfg = RunConfig.from_dict(json.loads(block))
     assert cfg.tolerances == {"t-pairing": 0.15}
 
 
 @pytest.fixture(scope="module")
-def default_run(clear_models):
-    """One default run_all on cold memos: models built, tolerance keys read."""
+def default_run_all(clear_models):
+    """One default run_all on cold memos: its reports, the models it built
+    and the tolerance keys it read."""
     built = collections.Counter()
     keys = set()
     with pytest.MonkeyPatch.context() as mp:
@@ -80,7 +85,13 @@ def default_run(clear_models):
             return tol(self, key, default)
         mp.setattr(RunConfig, "tol", recorded)
         clear_models()
-        run_all(RunConfig.from_dict({}))
+        reports = run_all(RunConfig.from_dict({}))
+    return reports, built, keys
+
+
+@pytest.fixture(scope="module")
+def default_run(default_run_all):
+    _, built, keys = default_run_all
     return built, keys
 
 
@@ -94,6 +105,42 @@ def test_tolerance_keys_are_the_keys_a_run_reads(default_run):
     _, keys = default_run
     assert len(set(TOLERANCE_KEYS)) == len(TOLERANCE_KEYS)
     assert set(TOLERANCE_KEYS) == keys
+
+
+def test_default_run_matches_the_benchmark_reference(default_run_all,
+                                                     tmp_path, monkeypatch):
+    # same suites, check ids, u values, order and verdicts; numbers within
+    # the benchmark's drift bound of its stored full-run reference
+    reports, _, _ = default_run_all
+    emit_report(reports, str(tmp_path), ("json",))
+    payload = json.loads((tmp_path / "report.json").read_text())
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
+    spec.loader.exec_module(bench)
+    ref = json.loads((ROOT / "perfbench" / "reference" / "full-run.json")
+                     .read_text())
+    assert ref["cli_seed"] == RunConfig.from_dict({}).seed
+    assert ([(s["suite"], s["status"]) for s in payload["suites"]]
+            == [(s["suite"], s["status"]) for s in ref["suites"]])
+    assert bench.check_report(payload, ref, exact=True) is None
+
+
+def test_sweep_checks_gate_only_the_smallest_u():
+    # with a zero tolerance, these checks fail at the smallest sweep u only
+    gated = ("ricci-diag", "g1-terms", "t-pairing", "perturbed-diag",
+             "det-structure")
+    cfg = RunConfig.from_dict({
+        "suites": ["ricci-asymptotics", "holo-curvature", "perturbed"],
+        "tolerances": dict.fromkeys(gated, 0.0)})
+    us = cfg.sweep_values()
+    families = ("ricci-diag", "g1-", "t-pairing", "perturbed-diag",
+                "det-structure")
+    recs = [r for rep in run_all(cfg) for r in rep.records
+            if r.check_id.startswith(families)]
+    assert len(recs) == len(us) * (8 + len(cfg.perturbation_C))
+    assert [r.passed for r in recs] == [r.u != us[-1] for r in recs]
 
 
 def test_shared_models_do_not_depend_on_suite_order(tmp_path, clear_models):

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from collarlab import (CurvatureWorkspace, collar_from_u, hermitian_defect,
+import collarlab.collar
+from collarlab import (CollarSystem, CurvatureWorkspace, collar_from_u,
+                       coupled_family, hermitian_defect,
                        make_grid, perturbed_prediction, upper_index)
 
 PI = math.pi
@@ -169,3 +173,24 @@ def test_hermitian_defect_detects_asymmetry():
     t = np.zeros((1, 1, 1, 1), dtype=complex)
     t[0, 0, 0, 0] = 1j
     assert hermitian_defect(t) > 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(kappa=st.floats(0.0, 2.0),
+       us=st.tuples(st.floats(0.03, 0.1), st.floats(0.03, 0.1)))
+@example(kappa=2.2e-311, us=(0.0625, 0.0625))  # subnormal couplings
+@example(kappa=1e-155, us=(0.0625, 0.0625))    # subnormal squared couplings
+def test_property_coupled_metrics_hermitian_positive(kappa, us):
+    # h and tau are MetricMatrix, which rejects a non-Hermitian matrix; the
+    # curvature tensor tau contracts is checked unsymmetrised
+    before = set(collarlab.collar._GRIDS)
+    try:
+        collars = [collar_from_u(u) for u in us]
+        system = CollarSystem(collars, [make_grid(col, 512) for col in collars])
+        ws = CurvatureWorkspace(system, coupled_family(system, kappa)[0])
+        assert hermitian_defect(ws.wp_tensor()) < 1e-10
+        ws.h().require_positive()
+        ws.tau().require_positive()
+    finally:  # keep the shared grid memo at its size
+        for key in set(collarlab.collar._GRIDS) - before:
+            del collarlab.collar._GRIDS[key]

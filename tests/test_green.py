@@ -248,6 +248,23 @@ def test_overflowing_residual_fails_the_gate(cg):
             solve_T(f, QUIET)
 
 
+@pytest.mark.parametrize("k, ulps", [(-950, 0), (-1060, 2)],
+                         ids=["tiny", "subnormal"])
+def test_small_right_hand_sides_solve_at_unit_scale(cg, k, ulps):
+    # f * 2**k solves to (T f) * 2**k: exactly while the values stay normal,
+    # and within rounding of the input once they are subnormal
+    col, grid = cg
+    f = random_compact(col, grid, np.random.default_rng(4))
+    half = 2.0 ** (k // 2)
+    small = CollarField(col, grid, {n: v * half * half
+                                    for n, v in f.modes.items()})
+    g, g_small = solve_T(f, QUIET), solve_T(small, QUIET)
+    assert g_small.residual_sup <= 1e-6
+    for n, v in g.modes.items():
+        want = v * half * half
+        assert np.abs(g_small.modes[n] - want).max() <= ulps * 2.0**-1074
+
+
 # -- spectral properties on random compactly supported fields --------------
 
 terms = st.dictionaries(
