@@ -4,8 +4,7 @@ their leading-order asymptotics.
 """
 
 from .collar import (CollarError, CollarParams, TauGrid, collar_from_t,
-                     collar_from_u, geodesic_circle, make_grid,
-                     metric_density)
+                     collar_from_u, make_grid)
 from .fields import (BandwidthWarning, CollarField, UnderResolvedError,
                      constant_field, integral_product, pairing_l2,
                      volume_integral, wirtinger)
@@ -14,8 +13,8 @@ from .differentials import (BeltramiEntry, BeltramiSpec, CollarSystem,
                             beltrami_field, coupled_family, diagonal_family,
                             duality_check, qdiff_field, wp_cometric,
                             wp_metric)
-from .operators import (IndexTuple, box, ck_norm, maass, op_P, op_P_bar,
-                        q_operator, symmetrize_terms, xi)
+from .operators import (box, ck_norm, maass, op_P, op_P_bar, q_operator,
+                        symmetrize_terms, xi)
 from .green import (SolverConfig, SolverError, SupportWarning, apply_box1,
                     bc_sensitivity, solve_T)
 from .curvature import CurvatureWorkspace, hermitian_defect, upper_index
@@ -31,18 +30,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthWarning", "BeltramiEntry", "BeltramiSpec", "CollarError",
     "CollarField", "CollarParams", "CollarSystem", "CurvatureWorkspace",
-    "CutoffSpec", "DegenerateFitError", "IndexTuple", "MetricMatrix",
-    "QuadDiffEntry", "QuadDiffSpec", "RunConfig", "SolverConfig",
-    "SolverError", "SupportWarning", "TauGrid", "UnderResolvedError",
-    "apply_box1", "approximant_errors", "bc_sensitivity", "beltrami_field",
-    "box", "build_approximants", "ck_norm", "collar_from_t",
-    "collar_from_u", "constant_field", "coupled_family", "cutoff_eval",
-    "diagonal_family", "duality_check", "emit_report",
-    "equivalence_ratios", "fit_power_law", "g2_spotcheck",
-    "geodesic_circle", "geodesic_length", "hermitian_defect",
-    "integral_product", "length_derivative_check", "maass", "main",
-    "make_grid", "metric_density", "op_P", "op_P_bar", "pairing_l2",
-    "perturbed_prediction", "q_operator", "qdiff_field", "run_suite",
-    "solve_T", "symmetrize_terms", "target", "target_table", "upper_index",
-    "volume_integral", "wirtinger", "wp_cometric", "wp_metric", "xi",
+    "CutoffSpec", "DegenerateFitError", "MetricMatrix", "QuadDiffEntry",
+    "QuadDiffSpec", "RunConfig", "SolverConfig", "SolverError",
+    "SupportWarning", "TauGrid", "UnderResolvedError", "apply_box1",
+    "approximant_errors", "bc_sensitivity", "beltrami_field", "box",
+    "build_approximants", "ck_norm", "collar_from_t", "collar_from_u",
+    "constant_field", "coupled_family", "cutoff_eval", "diagonal_family",
+    "duality_check", "emit_report", "equivalence_ratios", "fit_power_law",
+    "g2_spotcheck", "geodesic_length", "hermitian_defect", "integral_product",
+    "length_derivative_check", "maass", "main", "make_grid", "op_P",
+    "op_P_bar", "pairing_l2", "perturbed_prediction", "q_operator",
+    "qdiff_field", "run_suite", "solve_T", "symmetrize_terms", "target",
+    "target_table", "upper_index", "volume_integral", "wirtinger",
+    "wp_cometric", "wp_metric", "xi",
 ]

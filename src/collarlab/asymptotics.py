@@ -288,13 +288,13 @@ def geodesic_length(t_abs: float) -> float:
     return -2.0 * PI**2 / math.log(t_abs)
 
 
-def length_derivative_fd(t: float, rel_step: float = 1e-6) -> float:
+def length_derivative_fd(t: float) -> float:
     """Holomorphic-derivative finite difference of the length at real t.
 
-    The length depends on |t| only, so the real-axis difference quotient
-    equals twice the holomorphic derivative.
+    The length depends on |t| only, so the real-axis central difference
+    (relative step 1e-6) equals twice the holomorphic derivative.
     """
-    h = rel_step * t
+    h = 1e-6 * t
     return 0.5 * (geodesic_length(t + h) - geodesic_length(t - h)) / (2.0 * h)
 
 

@@ -91,18 +91,6 @@ def collar_from_u(u: float, c: float = 0.5) -> CollarParams:
     return CollarParams(t=complex(math.exp(-math.pi / u)), c=c)
 
 
-def metric_density(collar: CollarParams, tau):
-    """Hyperbolic density lambda = u^2 / (2 r^2 sin^2 tau) at tau."""
-    tau = np.asarray(tau, dtype=float)
-    r = collar.r_of_tau(tau)
-    return 0.5 * collar.u**2 / (r**2 * np.sin(tau) ** 2)
-
-
-def geodesic_circle(collar: CollarParams) -> tuple[float, float]:
-    """(r*, length) of the core geodesic: r* = sqrt(rho), length 2 pi u."""
-    return math.sqrt(collar.rho), 2.0 * math.pi * collar.u
-
-
 def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray:
     """Polynomial stencil weights for many stencils at once (Fornberg 1988).
 

@@ -364,7 +364,7 @@ class CurvatureWorkspace:
 def _shared_workspace(cls, collars: tuple, n_tau: int, kappa: float):
     key = (cls, collars, n_tau, kappa)
     if key not in _WORKSPACES:
-        system = CollarSystem(list(collars), [make_grid(col, n_tau) for col in collars])
+        system = CollarSystem(collars, tuple(make_grid(col, n_tau) for col in collars))
         _WORKSPACES[key] = cls(system, coupled_family(system, kappa)[0])
     return _WORKSPACES[key]
 

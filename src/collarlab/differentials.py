@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collar import CollarParams, TauGrid
-from .fields import CollarField, DEFAULT_BANDWIDTH, pairing_l2
+from .fields import CollarField, pairing_l2
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,14 @@ class CollarSystem:
         return len(self.collars)
 
 
-CASES = ("diagonal", "degenerate", "nondegenerate")
-
-
 @dataclass(frozen=True)
 class BeltramiEntry:
     """Data of A_i on one collar, |t_i|-scaled gauge."""
 
     b: complex
     a: dict[int, complex] = field(default_factory=dict)
-    case: str = "diagonal"
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}")
         if 0 in self.a:
             raise ValueError("Laurent tail excludes k = 0")
 
@@ -76,11 +70,8 @@ class QuadDiffEntry:
     prefactor: complex
     beta: complex
     alpha: dict[int, complex] = field(default_factory=dict)
-    case: str = "diagonal"
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}")
         if 0 in self.alpha:
             raise ValueError("Laurent tail excludes k = 0")
 
@@ -111,13 +102,13 @@ def _laurent_radial(collar: CollarParams, grid: TauGrid, k: int) -> np.ndarray:
     return np.exp(k * grid.nodes / u)
 
 
-def beltrami_field(spec: BeltramiSpec, i: int, j: int, system: CollarSystem,
-                   bandwidth: int = DEFAULT_BANDWIDTH) -> CollarField:
+def beltrami_field(spec: BeltramiSpec, i: int, j: int,
+                   system: CollarSystem) -> CollarField:
     """A_i restricted to collar j (scaled gauge); zero field if no entry."""
     collar = system.collars[j]
     grid = system.grids[j]
     entry = spec.entries.get((i, j))
-    out = CollarField(collar, grid, {}, bandwidth)
+    out = CollarField(collar, grid, {})
     if entry is None:
         return out
     sin2 = grid.sin_tau**2
@@ -151,13 +142,13 @@ def _qdiff_reduced(spec: QuadDiffSpec, i: int, j: int, system: CollarSystem) -> 
     return out
 
 
-def qdiff_field(spec: QuadDiffSpec, i: int, j: int, system: CollarSystem,
-                bandwidth: int = DEFAULT_BANDWIDTH) -> CollarField:
+def qdiff_field(spec: QuadDiffSpec, i: int, j: int,
+                system: CollarSystem) -> CollarField:
     """phi_i on collar j as a raw field (modes k - 2, r^(k-2) radials)."""
     red = _qdiff_reduced(spec, i, j, system)
     grid = system.grids[j]
     inv_r2 = np.exp(-2.0 * grid.nodes / system.collars[j].u)
-    out = CollarField(red.collar, grid, {}, bandwidth)
+    out = CollarField(red.collar, grid, {})
     for k, v in red.modes.items():
         out.set_mode(k - 2, v * inv_r2)
     return out
@@ -194,10 +185,6 @@ class MetricMatrix:
             raise ValueError(f"{self.kind} matrix is not positive definite "
                              f"(min eigenvalue {w.min():.3e})")
         return self
-
-    def inverse(self) -> "MetricMatrix":
-        kind = {"WP": "WP-cometric", "WP-cometric": "WP"}.get(self.kind, self.kind)
-        return MetricMatrix(np.linalg.inv(self.values), kind)
 
 
 def wp_metric(spec: BeltramiSpec, system: CollarSystem,
@@ -311,10 +298,8 @@ def diagonal_family(collars: CollarSystem) -> tuple[BeltramiSpec, QuadDiffSpec]:
         col = collars.collars[j]
         phase = col.t / abs(col.t)
         # true b = -u/(pi conj(t)); scaled by |t| this is -(u/pi) t/|t|
-        bentries[(j, j)] = BeltramiEntry(b=-(col.u / math.pi) * phase,
-                                         case="diagonal")
-        qentries[(j, j)] = QuadDiffEntry(prefactor=-phase / math.pi, beta=1.0,
-                                         case="diagonal")
+        bentries[(j, j)] = BeltramiEntry(b=-(col.u / math.pi) * phase)
+        qentries[(j, j)] = QuadDiffEntry(prefactor=-phase / math.pi, beta=1.0)
     return BeltramiSpec(m, bentries), QuadDiffSpec(m, qentries)
 
 
@@ -335,5 +320,5 @@ def coupled_family(collars: CollarSystem, kappa: float = 1.0
             u_j = collars.collars[j].u
             b = kappa * u_j * u_i**3
             if b != 0.0:
-                bentries[(i, j)] = BeltramiEntry(b=b, case="degenerate")
+                bentries[(i, j)] = BeltramiEntry(b=b)
     return BeltramiSpec(collars.m, bentries), qspec

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
 
 from .collar import STENCIL, CollarParams, TauGrid, stencil_weights
 
-DEFAULT_BANDWIDTH = 24  # modes kept: |n| <= bandwidth (2K + 8 with K = 8)
+BANDWIDTH = 24  # modes kept by products: |n| <= 24 (2K + 8 with K = 8)
 
 
 class BandwidthWarning(UserWarning):
@@ -40,7 +40,7 @@ class CollarField:
     collar: CollarParams
     grid: TauGrid
     modes: dict[int, np.ndarray] = field(default_factory=dict)
-    bandwidth: int = DEFAULT_BANDWIDTH
+    _: KW_ONLY
     truncated: bool = False
     # set by green.solve_T: max over modes of max|A x - b| divided by max
     # over modes of max|b|; linear-algebra error, not discretisation error
@@ -104,21 +104,19 @@ class CollarField:
             else:
                 out[n] = v.copy()
         return CollarField(self.collar, self.grid, out,
-                           min(self.bandwidth, other.bandwidth),
-                           self.truncated or other.truncated)
+                           truncated=self.truncated or other.truncated)
 
     def __sub__(self, other: "CollarField") -> "CollarField":
         return self + other.scale(-1.0)
 
     def __mul__(self, other: "CollarField") -> "CollarField":
         _check_same(self, other)
-        bw = min(self.bandwidth, other.bandwidth)
         out: dict[int, np.ndarray] = {}
         truncated = self.truncated or other.truncated
         for n1, v1 in self.modes.items():
             for n2, v2 in other.modes.items():
                 n = n1 + n2
-                if abs(n) > bw:
+                if abs(n) > BANDWIDTH:
                     truncated = True
                     continue
                 if n in out:
@@ -128,17 +126,17 @@ class CollarField:
         if truncated and not (self.truncated or other.truncated):
             warnings.warn("mode bandwidth exceeded; product truncated",
                           BandwidthWarning, stacklevel=2)
-        return CollarField(self.collar, self.grid, out, bw, truncated)
+        return CollarField(self.collar, self.grid, out, truncated=truncated)
 
     def scale(self, a: complex) -> "CollarField":
         return CollarField(self.collar, self.grid,
                            {n: a * v for n, v in self.modes.items()},
-                           self.bandwidth, self.truncated)
+                           truncated=self.truncated)
 
     def conj(self) -> "CollarField":
         return CollarField(self.collar, self.grid,
                            {-n: np.conj(v) for n, v in self.modes.items()},
-                           self.bandwidth, self.truncated)
+                           truncated=self.truncated)
 
 
 def _check_same(f: CollarField, g: CollarField):
@@ -147,52 +145,17 @@ def _check_same(f: CollarField, g: CollarField):
         raise ValueError("fields live on different grids")
 
 
-def constant_field(collar: CollarParams, grid: TauGrid, value: complex = 1.0,
-                   bandwidth: int = DEFAULT_BANDWIDTH) -> CollarField:
-    return CollarField(collar, grid,
-                       {0: np.full(grid.n, complex(value))}, bandwidth)
+def constant_field(collar: CollarParams, grid: TauGrid,
+                   value: complex = 1.0) -> CollarField:
+    return CollarField(collar, grid, {0: np.full(grid.n, complex(value))})
 
 
-def resolution_defect(f: CollarField) -> float:
-    """Relative disagreement between wide- and narrow-stencil derivatives.
-
-    Cheap resolution heuristic: well-resolved profiles give ~1e-10, an
-    under-resolved boundary layer gives O(1).
-    """
-    top = 0.0
-    bot = 0.0
-    g = f.grid
-    for v in f.modes.values():
-        d9 = g.dtau(v)
-        # 5-point comparison derivative
-        d5 = _dtau_narrow(g, v)
-        top = max(top, float(np.abs(d9 - d5).max()))
-        bot = max(bot, float(np.abs(d9).max()))
-    if bot == 0.0:
-        return 0.0
-    return top / bot
-
-
-def _dtau_narrow(grid: TauGrid, values: np.ndarray) -> np.ndarray:
-    key = "stencils5"
-    if key not in grid._cache:
-        n = grid.n
-        starts = np.clip(np.arange(n) - 2, 0, n - 5)
-        w = stencil_weights(grid.nodes, starts, 5, grid.nodes, 1)[:, :, 1]
-        grid._cache[key] = (starts[:, None] + np.arange(5)[None, :],
-                            np.ascontiguousarray(w))  # as in TauGrid._stencils
-    idx, w = grid._cache[key]
-    return np.einsum("ij,ij->i", w, np.asarray(values)[idx])
-
-
-def wirtinger(f: CollarField, which: str, check_resolution: bool = False) -> CollarField:
+def wirtinger(f: CollarField, which: str) -> CollarField:
     """dz or dzbar of a field; shifts each mode by -1 or +1."""
     if which not in ("dz", "dzbar"):
         raise ValueError("which must be 'dz' or 'dzbar'")
     if f.truncated:
         raise UnderResolvedError("refusing to differentiate a truncated field")
-    if check_resolution and resolution_defect(f) > 1e-4:
-        raise UnderResolvedError("field profiles not resolved on this grid")
     u = f.collar.u
     inv2r = 0.5 / f.grid.r
     sign = 1.0 if which == "dz" else -1.0
@@ -205,7 +168,7 @@ def wirtinger(f: CollarField, which: str, check_resolution: bool = False) -> Col
             out[m] = out[m] + prof
         else:
             out[m] = prof
-    return CollarField(f.collar, f.grid, out, f.bandwidth, False)
+    return CollarField(f.collar, f.grid, out)
 
 
 def volume_integral(f: CollarField) -> complex:

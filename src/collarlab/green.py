@@ -33,6 +33,10 @@ from .operators import box
 # a right-hand side with max|b| below this is solved scaled up to unit size;
 # far above the subnormal range (2**-1022), far below any field of a model
 _TINY = 2.0**-900
+# an input is well supported when its sup over the outer 10% of the tau
+# interval at either end is at most 1e-6 of its sup over the whole collar
+_SUPPORT_FRAC = 0.10
+_SUPPORT_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -46,8 +50,6 @@ class SupportWarning(UserWarning):
 @dataclass(frozen=True)
 class SolverConfig:
     rtol: float = 1e-6           # residual ceiling, relative to sup |f|
-    support_frac: float = 0.10   # outer fraction of the tau interval checked
-    support_tol: float = 1e-6    # sup|f| allowed there, relative
     warn_support: bool = True
 
 
@@ -135,13 +137,12 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     cfg = config or SolverConfig()
     grid = f.grid
     if cfg.warn_support and f.modes:
-        frac = cfg.support_frac
         tau = grid.nodes
         lo, hi = grid.collar.tau_min, grid.collar.tau_max
-        width = frac * (hi - lo)
+        width = _SUPPORT_FRAC * (hi - lo)
         outer = (tau < lo + width) | (tau > hi - width)
         sup_all = f.sup_norm()
-        if sup_all > 0 and f.sup_norm(outer) > cfg.support_tol * sup_all:
+        if sup_all > 0 and f.sup_norm(outer) > _SUPPORT_TOL * sup_all:
             warnings.warn("input not supported well inside the collar; "
                           "Dirichlet boundary bias is uncontrolled",
                           SupportWarning, stacklevel=2)
@@ -167,7 +168,7 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
         res_sups.append(math.ldexp(np.abs(res).max(), k))
     # np.max, unlike max(), carries a NaN residual through to the gate
     res_sup, f_sup = float(np.max(res_sups)), float(np.max(f_sups))
-    g = CollarField(f.collar, f.grid, out, f.bandwidth, f.truncated,
+    g = CollarField(f.collar, f.grid, out, truncated=f.truncated,
                     residual_sup=res_sup / f_sup if f_sup > 0 else 0.0)
     if f_sup > 0 and not res_sup <= cfg.rtol * f_sup:
         raise SolverError(f"solver residual {res_sup/f_sup:.3e} exceeds "

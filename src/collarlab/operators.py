@@ -23,34 +23,17 @@ which is what the Green solver discretizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import CollarField, wirtinger
 
 
-@dataclass(frozen=True)
-class IndexTuple:
-    """Curvature index quadruple (i, jbar, k, lbar), zero-based."""
-
-    i: int
-    j: int
-    k: int
-    l: int
-
-    def validate(self, n: int) -> "IndexTuple":
-        for v in (self.i, self.j, self.k, self.l):
-            if not 0 <= v < n:
-                raise IndexError(f"index {v} outside range(0, {n})")
-        return self
-
-
 def mul_radial(f: CollarField, values: np.ndarray) -> CollarField:
     """Multiply every mode profile by a radial (mode-0) factor."""
     return CollarField(f.collar, f.grid,
                        {n: v * values for n, v in f.modes.items()},
-                       f.bandwidth, f.truncated)
+                       truncated=f.truncated)
 
 
 def maass(f: CollarField, p: int, which: str) -> CollarField:
@@ -85,7 +68,7 @@ def box(f: CollarField) -> CollarField:
     out = {}
     for n, v in f.modes.items():
         out[n] = -s * (g.dtau(v, 2) - (n / u) ** 2 * v)
-    return CollarField(f.collar, f.grid, out, f.bandwidth, f.truncated)
+    return CollarField(f.collar, f.grid, out, truncated=f.truncated)
 
 
 def xi(a_field: CollarField, f: CollarField, route: str = "primary") -> CollarField:
@@ -116,15 +99,12 @@ def symmetrize_terms(kind: str, i, k, a, j, l, b) -> list[tuple]:
     """Index tuples (i, k, a, j, l, b) generated by a symmetrizer.
 
     kind 's1'   : 6 orderings of the unbarred triple (i, k, a);
-    kind 's2'   : 2 orderings of the barred pair (j, b);
-    kind 's1s2' : their 12 combinations;
+    kind 's1s2' : those times the 2 orderings of (j, b), 12 in all;
     kind 's1t'  : 6 orderings of the barred triple (j, l, b).
     """
     if kind == "s1":
         return [(vi, vk, va, j, l, b)
                 for vi, vk, va in itertools.permutations((i, k, a))]
-    if kind == "s2":
-        return [(i, k, a, vj, l, vb) for vj, vb in ((j, b), (b, j))]
     if kind == "s1s2":
         return [(vi, vk, va, vj, l, vb)
                 for vi, vk, va in itertools.permutations((i, k, a))
@@ -137,10 +117,10 @@ def symmetrize_terms(kind: str, i, k, a, j, l, b) -> list[tuple]:
 
 # -- norms ----------------------------------------------------------------
 
-def _compositions(k: int, weight: int):
-    """All Maass compositions of length <= k starting at the given weight."""
+def _compositions(k: int):
+    """All Maass compositions of length <= k starting at weight 0."""
     chains = [[]]
-    frontier = [((), weight)]
+    frontier = [((), 0)]
     for _ in range(k):
         nxt = []
         for ops, w in frontier:
@@ -152,14 +132,15 @@ def _compositions(k: int, weight: int):
     return chains
 
 
-def ck_norm(f: CollarField, k: int, weight: int = 0, region=None) -> float:
-    """C^k norm: sum of sup norms over all <= k-fold Maass compositions."""
+def ck_norm(f: CollarField, k: int) -> float:
+    """C^k norm of a function: sum of sup norms over all <= k-fold Maass
+    compositions."""
     if k < 0 or k > 2:
         raise ValueError("k must be 0, 1 or 2")
     total = 0.0
-    for chain in _compositions(k, weight):
+    for chain in _compositions(k):
         g = f
         for which, w in chain:
             g = maass(g, w, which)
-        total += g.sup_norm(region)
+        total += g.sup_norm()
     return total

@@ -1,7 +1,6 @@
 """Run configs, suite execution, report emission, and exit codes."""
 
 import collections
-import concurrent.futures
 import importlib.util
 import json
 import math
@@ -52,6 +51,7 @@ def test_runconfig_rejects_bad_input():
         {"output": {"formats": ["yaml"]}},
         {"c": 1.5},
         {"tolerances": {"no-such-check": 0.2}},
+        {"tolerances": {"err-e-exponent": 0.1}},  # floor checks take no key
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -72,7 +72,6 @@ def default_run_all(clear_models):
     built = collections.Counter()
     keys = set()
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("COLLARLAB_WORKERS", raising=False)
         for cls in (TauGrid, CurvatureWorkspace):
             def counted(self, *args, _init=cls.__init__, **kwargs):
                 built[type(self).__name__] += 1
@@ -268,12 +267,17 @@ def test_main_config_errors(tmp_path):
     {"coupling": {"kapa": 1.0}},
     {"output": {"dir": "elsewhere"}},
     {"perturbation": {"C": []}},
+    {"coupling": {"kappa": math.nan}},
+    {"perturbation": {"C": [math.inf]}},
+    {"seed": -1},
 ], ids=["grid", "n_modes", "sweep", "perturbation", "coupling", "output",
-        "empty-C"])
-def test_main_rejects_nested_keys_and_empty_values(tmp_path, overrides):
+        "empty-C", "kappa-nan", "C-inf", "seed-negative"])
+def test_main_rejects_nested_keys_and_empty_values(tmp_path, capsys,
+                                                   overrides):
     cfg_path = write_config(tmp_path / "cfg.json", suites=["perturbed"],
                             **overrides)
     assert main(["run", "--config", cfg_path]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_main_output_collision(tmp_path):
@@ -290,48 +294,6 @@ def test_main_empty_suites(tmp_path):
     assert main(["run", "--config", cfg_path]) == 0
     lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
-
-
-def test_parallel_workers_match_serial(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path / "cfg.json",
-                            suites=["verify-calculus", "lengths"],
-                            output={"directory": str(tmp_path / "serial")})
-    assert main(["run", "--config", cfg_path]) == 0
-    monkeypatch.setenv("COLLARLAB_WORKERS", "2")
-    cfg2 = write_config(tmp_path / "cfg2.json",
-                        suites=["verify-calculus", "lengths"],
-                        output={"directory": str(tmp_path / "par")})
-    assert main(["run", "--config", cfg2]) == 0
-    assert ((tmp_path / "serial" / "report.csv").read_bytes()
-            == (tmp_path / "par" / "report.csv").read_bytes())
-
-
-def test_run_all_uses_the_worker_pool(monkeypatch):
-    # a library call honours COLLARLAB_WORKERS, as the CLI does
-    pools = []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    cfg = RunConfig.from_dict({"suites": ["verify-calculus", "lengths"]})
-    serial = run_all(cfg)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setenv("COLLARLAB_WORKERS", "2")
-    pooled = run_all(cfg)
-    assert pools == [2]
-    assert ([r.records for r in pooled] == [r.records for r in serial])
-
-
-@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
-def test_main_rejects_malformed_worker_count(tmp_path, monkeypatch, capsys,
-                                             value):
-    monkeypatch.setenv("COLLARLAB_WORKERS", value)
-    cfg_path = write_config(tmp_path / "cfg.json",
-                            output={"directory": str(tmp_path / "out")})
-    assert main(["run", "--config", cfg_path]) == 2
-    assert "config error: COLLARLAB_WORKERS" in capsys.readouterr().err
 
 
 def test_main_out_override_on_non_object_output(tmp_path, capsys):

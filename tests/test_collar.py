@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collarlab import (CollarError, CollarParams, collar_from_t, collar_from_u,
-                       geodesic_circle, make_grid, metric_density)
+from collarlab import (CollarError, CollarParams, TauGrid, collar_from_t,
+                       collar_from_u, make_grid)
 from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
 
 PI = math.pi
@@ -55,24 +55,6 @@ def test_collar_validation_errors():
     # u = 0.5 is allowed but c = 0.04 < e^{-pi} empties the interval
     with pytest.raises(CollarError, match="cut c too small"):
         CollarParams(t=complex(math.exp(-2 * PI)), c=0.04)
-
-
-def test_geodesic_circle():
-    col = collar_from_u(0.1)
-    r_star, length = geodesic_circle(col)
-    assert r_star == pytest.approx(math.sqrt(col.rho), rel=1e-15)
-    assert length == pytest.approx(2 * PI * 0.1, rel=1e-15)
-
-
-def test_metric_density_matches_grid_lam():
-    col = collar_from_u(0.1)
-    grid = make_grid(col, 256)
-    np.testing.assert_allclose(metric_density(col, grid.nodes), grid.lam,
-                               rtol=1e-13)
-    # spot value at tau = -pi/2: lambda = u^2 / (2 r^2)
-    val = metric_density(col, -PI / 2)
-    assert val == pytest.approx(0.5 * 0.1**2 / col.r_of_tau(-PI / 2) ** 2,
-                                rel=1e-14)
 
 
 def test_make_grid_shares_one_grid_per_distinct_arguments():
@@ -141,6 +123,12 @@ def test_grid_geometry_arrays():
                                atol=1e-15)
     np.testing.assert_allclose(grid.csc2, 1.0 / grid.sin_tau**2, rtol=1e-14)
     np.testing.assert_allclose(grid.lam * grid.inv_lam, 1.0, rtol=1e-14)
+    # lambda = u^2 / (2 r^2 sin^2 tau), so u^2 / (2 rho) at tau = -pi/2
+    r = col.r_of_tau(grid.nodes)
+    np.testing.assert_allclose(
+        grid.lam, 0.5 * 0.1**2 / (r**2 * np.sin(grid.nodes) ** 2), rtol=1e-13)
+    core = TauGrid(col, np.array([-PI / 2]), np.ones(1), grid.panel_edges)
+    assert core.lam[0] == pytest.approx(0.5 * 0.1**2 / col.rho, rel=1e-14)
 
 
 def fornberg_scalar(x, x0, m):

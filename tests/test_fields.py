@@ -9,7 +9,6 @@ import pytest
 from collarlab import (BandwidthWarning, CollarField, UnderResolvedError,
                        collar_from_u, constant_field, integral_product,
                        make_grid, pairing_l2, volume_integral, wirtinger)
-from collarlab.fields import resolution_defect
 
 PI = math.pi
 
@@ -66,7 +65,7 @@ def test_product_convolves_modes(cg):
 def test_product_bandwidth_truncation(cg):
     col, grid = cg
     prof = np.ones(grid.n, dtype=complex)
-    f = CollarField(col, grid, {20: prof}, bandwidth=24)
+    f = CollarField(col, grid, {20: prof})
     with pytest.warns(BandwidthWarning):
         h = f * f  # mode 40 exceeds the bandwidth
     assert h.truncated
@@ -126,31 +125,12 @@ def test_wirtinger_on_log_r(cg):
 
 def test_wirtinger_rejects_truncated_fields(cg):
     col, grid = cg
-    f = CollarField(col, grid, {20: np.ones(grid.n, complex)}, bandwidth=24)
+    f = CollarField(col, grid, {20: np.ones(grid.n, complex)})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
         h = f * f
     with pytest.raises(UnderResolvedError):
         wirtinger(h, "dz")
-
-
-def test_wirtinger_resolution_check(cg):
-    col, grid = cg
-    rng = np.random.default_rng(11)
-    rough = CollarField(col, grid, {0: rng.normal(size=grid.n) + 0j})
-    with pytest.raises(UnderResolvedError):
-        wirtinger(rough, "dz", check_resolution=True)
-    smooth = CollarField(col, grid, {0: np.sin(grid.nodes) + 0j})
-    wirtinger(smooth, "dz", check_resolution=True)  # no raise
-
-
-def test_resolution_defect_separates_smooth_from_rough(cg):
-    col, grid = cg
-    rng = np.random.default_rng(3)
-    smooth = CollarField(col, grid, {0: np.sin(2 * grid.nodes) + 0j})
-    rough = CollarField(col, grid, {0: rng.normal(size=grid.n) + 0j})
-    assert resolution_defect(smooth) < 1e-8
-    assert resolution_defect(rough) > 1e-2
 
 
 def test_sup_norm_region_mask(cg):
