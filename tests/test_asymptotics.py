@@ -153,9 +153,6 @@ def test_fit_power_law_degenerate_inputs():
 def test_geodesic_length_and_derivative():
     t = math.exp(-10.0)
     assert geodesic_length(t) == pytest.approx(2 * PI**2 / 10, rel=1e-14)
-    # the core geodesic of a collar has length 2 pi u
-    col = collar_from_u(0.1)
-    assert geodesic_length(col.rho) == pytest.approx(2 * PI * 0.1, rel=1e-14)
     assert length_derivative_fd(t) == pytest.approx(2173.9250385627065,
                                                     rel=1e-9)
     rows = length_derivative_check([0.1, 0.05])

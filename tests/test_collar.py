@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collarlab import (CollarError, CollarParams, TauGrid, collar_from_t,
-                       collar_from_u, make_grid)
+                       collar_from_u, geodesic_length, make_grid)
 from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
 
 PI = math.pi
@@ -55,6 +55,23 @@ def test_collar_validation_errors():
     # u = 0.5 is allowed but c = 0.04 < e^{-pi} empties the interval
     with pytest.raises(CollarError, match="cut c too small"):
         CollarParams(t=complex(math.exp(-2 * PI)), c=0.04)
+
+
+def test_geodesic_circle():
+    # the core geodesic of a collar has length 2 pi u
+    col = collar_from_u(0.1)
+    assert geodesic_length(col.rho) == pytest.approx(2 * PI * 0.1, rel=1e-14)
+
+
+def test_metric_density_matches_grid_lam():
+    col = collar_from_u(0.1)
+    grid = make_grid(col, 256)
+    # lambda = u^2 / (2 r^2 sin^2 tau), so u^2 / (2 rho) at tau = -pi/2
+    r = col.r_of_tau(grid.nodes)
+    np.testing.assert_allclose(
+        grid.lam, 0.5 * 0.1**2 / (r**2 * np.sin(grid.nodes) ** 2), rtol=1e-13)
+    core = TauGrid(col, np.array([-PI / 2]), np.ones(1), grid.panel_edges)
+    assert core.lam[0] == pytest.approx(0.5 * 0.1**2 / col.rho, rel=1e-14)
 
 
 def test_make_grid_shares_one_grid_per_distinct_arguments():
@@ -123,12 +140,6 @@ def test_grid_geometry_arrays():
                                atol=1e-15)
     np.testing.assert_allclose(grid.csc2, 1.0 / grid.sin_tau**2, rtol=1e-14)
     np.testing.assert_allclose(grid.lam * grid.inv_lam, 1.0, rtol=1e-14)
-    # lambda = u^2 / (2 r^2 sin^2 tau), so u^2 / (2 rho) at tau = -pi/2
-    r = col.r_of_tau(grid.nodes)
-    np.testing.assert_allclose(
-        grid.lam, 0.5 * 0.1**2 / (r**2 * np.sin(grid.nodes) ** 2), rtol=1e-13)
-    core = TauGrid(col, np.array([-PI / 2]), np.ones(1), grid.panel_edges)
-    assert core.lam[0] == pytest.approx(0.5 * 0.1**2 / col.rho, rel=1e-14)
 
 
 def fornberg_scalar(x, x0, m):
