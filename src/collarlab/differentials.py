@@ -246,16 +246,15 @@ def wp_cometric(spec: QuadDiffSpec, system: CollarSystem) -> MetricMatrix:
     return mm
 
 
-def duality_check(bspec: BeltramiSpec, qspec: QuadDiffSpec, system: CollarSystem,
-                  h: MetricMatrix | None = None) -> dict:
+def duality_check(bspec: BeltramiSpec, qspec: QuadDiffSpec,
+                  system: CollarSystem) -> dict:
     """Sup-error of A_i against lambda^-1 sum_l h_{i lbar} conj(phi_l).
 
     Computed per (index, collar) with the r-powers cancelled analytically:
     lambda^-1 conj(phi_l) = (2 sin^2/u^2) (z/zbar) conj(P_l).
     Returns absolute and relative sup errors (relative to sup |A_i|).
     """
-    if h is None:
-        h = wp_metric(bspec, system)
+    h = wp_metric(bspec, system)
     report = {}
     for i in range(bspec.n):
         for J in range(system.m):

@@ -14,7 +14,7 @@ import pytest
 from collarlab import (CurvatureWorkspace, RunConfig, TauGrid, emit_report,
                        main, run_suite)
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
-                           run_all)
+                           SuiteReport, _record, run_all)
 
 ROOT = pathlib.Path(__file__).parents[1]
 
@@ -52,10 +52,42 @@ def test_runconfig_rejects_bad_input():
         {"c": 1.5},
         {"tolerances": {"no-such-check": 0.2}},
         {"tolerances": {"err-e-exponent": 0.1}},  # floor checks take no key
+        {"tolerances": {"length-spot": math.nan}},
+        {"tolerances": {"length-spot": -0.1}},
+        {"tolerances": {"t-pairing": "0.2"}},
+        {"tolerances": {"t-pairing": True}},
+        {"perturbation": {"C": "15"}},
+        {"grid": {"n_tau": 1024.9}},
+        {"sweep": {"points": 4.5}},
+        {"seed": True},
+        {"seed": 1.5},
+        {"sweep": {"u_min": "0.03"}},
+        {"coupling": {"kappa": True}},
+        {"output": {"directory": 5}},
+        {"suites": [1]},
+        {"sweep": {"u_min": 10**400}},  # no float holds it
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("measured, target, tol, floor, rel_err, passed", [
+    (0.25, 0.0, 0.25, False, 0.25, True),   # target 0: absolute error
+    (-0.5, 0.0, 0.25, False, 0.5, False),
+    (3.0, 2.0, 0.5, False, 0.5, True),      # nonzero target: relative
+    (3.0, 2.0, 0.25, False, 0.5, False),
+    (4.0, 2.0, 0.0, True, 1.0, True),       # floor: Re m >= Re t, any tol
+    (1.0 + 8j, 2.0, math.inf, True, math.sqrt(65) / 2, False),
+    (math.nan, 0.0, math.inf, False, math.nan, False),  # NaN never passes
+], ids=["abs-pass", "abs-fail", "rel-pass", "rel-fail", "floor-pass",
+        "floor-fail", "nan"])
+def test_record_rules(measured, target, tol, floor, rel_err, passed):
+    rec = _record("x", 0.05, measured, target, tol, floor=floor)
+    assert rec.rel_err == pytest.approx(rel_err, nan_ok=True)
+    assert rec.passed is passed
+    status = SuiteReport("s", [rec], 0.0).status
+    assert status == ("pass" if passed else "fail")
 
 
 def test_readme_example_config_is_valid():
