@@ -127,10 +127,11 @@ class RunConfig:
             raise ConfigError("sweep requires u_min < u_max <= 0.15")
         if self.u_min < U_MIN:
             raise ConfigError(f"u_min below the resolvable floor {U_MIN}")
-        if self.points < 4:
-            raise ConfigError("sweep needs at least 4 points")
-        if self.n_tau < 512:
-            raise ConfigError("n_tau must be at least 512")
+        # the caps turn a mistyped size into a config error, not an allocation
+        if not 4 <= self.points <= 64:
+            raise ConfigError("sweep needs 4 to 64 points")
+        if not 512 <= self.n_tau <= 16384:
+            raise ConfigError("n_tau must lie in [512, 16384]")
         if self.spacing != "geometric":
             raise ConfigError("only geometric sweep spacing is supported")
         bad = [s for s in self.suites if s not in SUITE_IDS]
@@ -149,8 +150,10 @@ class RunConfig:
             raise ConfigError("cutoff c must lie in (0, 1)")
         if not self.perturbation_C:
             raise ConfigError("perturbation.C needs at least one value")
-        if not all(map(math.isfinite, (*self.perturbation_C, self.kappa))):
-            raise ConfigError("perturbation.C and coupling.kappa must be finite")
+        if not (all(0 < C < math.inf for C in self.perturbation_C)
+                and math.isfinite(self.kappa)):
+            raise ConfigError("perturbation.C must be positive and finite, "
+                              "coupling.kappa finite")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self

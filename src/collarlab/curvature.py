@@ -108,77 +108,50 @@ class CurvatureWorkspace:
 
     def f_pair(self, i: int, j: int, J: int) -> CollarField:
         """Tapered product A_i conj(A_j) on collar J."""
-        def build():
-            raw = self.A(i, J) * self.A(j, J).conj()
-            return mul_radial(raw, self._taper[J])
-        return self._memo(("f", i, j, J), build)
+        return self._memo(("f", i, j, J), lambda: mul_radial(
+            self.A(i, J) * self.A(j, J).conj(), self._taper[J]))
 
     def e_pair(self, i: int, j: int, J: int) -> CollarField:
         """e_{i jbar} on collar J: resolvent solve against the tapered pair."""
-        def build():
-            f = self.f_pair(i, j, J)
-            if not f.modes:
-                return CollarField(f.collar, f.grid, {})
-            return solve_T(f, self.solver)
-        return self._memo(("e", i, j, J), build)
+        return self._memo(("e", i, j, J),
+                          lambda: solve_T(self.f_pair(i, j, J), self.solver))
 
     def xi_e(self, k: int, i: int, j: int, J: int) -> CollarField:
-        def build():
-            e = self.e_pair(i, j, J)
-            if not e.modes:
-                return CollarField(e.collar, e.grid, {})
-            return xi(self.A(k, J), e)
-        return self._memo(("xi", k, i, j, J), build)
+        return self._memo(("xi", k, i, j, J),
+                          lambda: xi(self.A(k, J), self.e_pair(i, j, J)))
 
     def T_xi(self, k: int, i: int, j: int, J: int) -> CollarField:
-        def build():
-            g = self.xi_e(k, i, j, J)
-            if not g.modes:
-                return CollarField(g.collar, g.grid, {})
-            return solve_T(g, self.solver)
-        return self._memo(("Txi", k, i, j, J), build)
+        return self._memo(("Txi", k, i, j, J),
+                          lambda: solve_T(self.xi_e(k, i, j, J), self.solver))
 
     # -- pairing caches ------------------------------------------------------
 
     def P2(self, left: tuple, right: tuple) -> complex:
         """sum_J int T(xi_{k}(e_{i jbar})) conj(xi_{l}(e_{p qbar})) dv."""
-        def build():
-            k, i, j = left
-            l, p, q = right
-            acc = 0.0 + 0.0j
-            for J in range(self.system.m):
-                acc += pairing_l2(self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))
-            return acc
-        return self._memo(("P2", left, right), build)
+        (k, i, j), (l, p, q) = left, right
+        return self._memo(("P2", left, right), lambda: self.system.collar_sum(
+            lambda J: pairing_l2(self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
 
     def XE(self, left: tuple, right: tuple) -> complex:
         """sum_J int xi_{k}(e_{i qbar}) e_{a bbar} dv, plain product."""
-        def build():
-            k, i, q = left
-            a, b = right
-            acc = 0.0 + 0.0j
-            for J in range(self.system.m):
-                acc += integral_product(self.xi_e(k, i, q, J),
-                                        self.e_pair(a, b, J))
-            return acc
-        return self._memo(("XE", left, right), build)
+        (k, i, q), (a, b) = left, right
+        return self._memo(("XE", left, right), lambda: self.system.collar_sum(
+            lambda J: integral_product(self.xi_e(k, i, q, J),
+                                       self.e_pair(a, b, J))))
 
     def QE(self, pair: tuple, arg: tuple, against: tuple) -> complex:
         """sum_J int Q_{k lbar}(e_{i jbar}) e_{a bbar} dv, plain product."""
-        def build():
-            k, l = pair
-            i, j = arg
-            a, b = against
-            acc = 0.0 + 0.0j
-            for J in range(self.system.m):
-                e_ij = self.e_pair(i, j, J)
-                e_ab = self.e_pair(a, b, J)
-                if not e_ij.modes or not e_ab.modes:
-                    continue
-                q_f = q_operator(self.e_pair(k, l, J), self.f_pair(k, l, J), e_ij)
-                acc += integral_product(q_f, e_ab)
-            return acc
-        return self._memo(("QE", pair, arg, against), build)
+        (k, l), (i, j), (a, b) = pair, arg, against
+
+        def term(J):
+            e_ij = self.e_pair(i, j, J)
+            e_ab = self.e_pair(a, b, J)
+            if not e_ij.modes or not e_ab.modes:
+                return 0.0  # the product vanishes: skip the q_operator build
+            q_f = q_operator(self.e_pair(k, l, J), self.f_pair(k, l, J), e_ij)
+            return integral_product(q_f, e_ab)
+        return self._memo(("QE", pair, arg, against),
+                          lambda: self.system.collar_sum(term))
 
     # -- metrics -------------------------------------------------------------
 
@@ -191,38 +164,24 @@ class CurvatureWorkspace:
 
     def R(self, i: int, j: int, k: int, l: int) -> complex:
         """First-metric curvature entry R_{i jbar k lbar}."""
-        def build():
-            acc = 0.0 + 0.0j
-            for J in range(self.system.m):
-                acc += integral_product(self.e_pair(i, j, J), self.f_pair(k, l, J))
-                acc += integral_product(self.e_pair(i, l, J), self.f_pair(k, j, J))
-            return acc
-        return self._memo(("R", i, j, k, l), build)
+        return self._memo(("R", i, j, k, l), lambda: self.system.collar_sum(
+            lambda J: integral_product(self.e_pair(i, j, J), self.f_pair(k, l, J)),
+            lambda J: integral_product(self.e_pair(i, l, J), self.f_pair(k, j, J))))
 
     def wp_tensor(self) -> np.ndarray:
         n = self.bspec.n
         out = np.empty((n, n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        out[i, j, k, l] = self.R(i, j, k, l)
+        for idx in np.ndindex(out.shape):
+            out[idx] = self.R(*idx)
         return out
 
     def tau(self) -> MetricMatrix:
         """Second metric: tau_{i jbar} = h^{a bbar} R_{i jbar a bbar}."""
         def build():
-            n = self.bspec.n
             G = self.h_upper()
-            vals = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    acc = 0.0 + 0.0j
-                    for a in range(n):
-                        for b in range(n):
-                            if G[a, b] != 0.0:
-                                acc += G[a, b] * self.R(i, j, a, b)
-                    vals[i, j] = acc
+            vals = np.zeros(G.shape, dtype=complex)
+            for i, j in np.ndindex(vals.shape):
+                vals[i, j] = _contract(G, lambda a, b: self.R(i, j, a, b))
             return MetricMatrix(vals, "Ricci")
         return self._memo(("tau",), build)
 
@@ -236,85 +195,52 @@ class CurvatureWorkspace:
     # -- curvature blocks ----------------------------------------------------
 
     def block_a(self, i: int, j: int, k: int, l: int) -> complex:
-        n = self.bspec.n
-        G = self.h_upper()
-        acc = 0.0 + 0.0j
-        for al in range(n):
-            for be in range(n):
-                w = G[al, be]
-                if w == 0.0:
-                    continue
-                s = 0.0 + 0.0j
-                for vi, vk, va, vj, _, vb in symmetrize_terms(
-                        "s1s2", i, k, al, j, l, be):
-                    s += self.P2((vk, vi, vj), (l, vb, va))
-                    s += self.P2((vk, vi, vj), (vb, l, va))
-                acc += w * s
-        return acc
+        def term(al, be):
+            s = 0.0 + 0.0j
+            for vi, vk, va, vj, _, vb in symmetrize_terms(
+                    "s1s2", i, k, al, j, l, be):
+                s += self.P2((vk, vi, vj), (l, vb, va))
+                s += self.P2((vk, vi, vj), (vb, l, va))
+            return s
+        return _contract(self.h_upper(), term)
 
     def block_b(self, i: int, j: int, k: int, l: int) -> complex:
-        n = self.bspec.n
-        G = self.h_upper()
-        acc = 0.0 + 0.0j
-        for al in range(n):
-            for be in range(n):
-                w = G[al, be]
-                if w == 0.0:
-                    continue
-                s = 0.0 + 0.0j
-                for vi, vk, va, _, _, _ in symmetrize_terms(
-                        "s1", i, k, al, j, l, be):
-                    s += self.QE((vk, l), (vi, j), (va, be))
-                acc += w * s
-        return acc
+        def term(al, be):
+            s = 0.0 + 0.0j
+            for vi, vk, va, _, _, _ in symmetrize_terms("s1", i, k, al, j, l, be):
+                s += self.QE((vk, l), (vi, j), (va, be))
+            return s
+        return _contract(self.h_upper(), term)
 
     def block_c(self, i: int, j: int, k: int, l: int,
                 tau_up: np.ndarray | None = None) -> complex:
-        n = self.bspec.n
         G = self.h_upper()
         T = self.tau_upper() if tau_up is None else tau_up
+        G_support = _support(G)
         F1 = {}
         F2 = {}
         acc = 0.0 + 0.0j
-        for p in range(n):
-            for q in range(n):
-                if T[p, q] == 0.0:
-                    continue
-                for al in range(n):
-                    for be in range(n):
-                        if G[al, be] == 0.0:
-                            continue
-                        k1 = (q, al, be)
-                        if k1 not in F1:
-                            F1[k1] = sum(
-                                self.XE((vk, vi, q), (va, be))
-                                for vi, vk, va, _, _, _ in symmetrize_terms(
-                                    "s1", i, k, al, j, l, be))
-                        for ga in range(n):
-                            for de in range(n):
-                                if G[ga, de] == 0.0:
-                                    continue
-                                k2 = (p, ga, de)
-                                if k2 not in F2:
-                                    F2[k2] = sum(
-                                        np.conj(self.XE((vj, vl, p), (vb, ga)))
-                                        for _, _, _, vj, vl, vb in
-                                        symmetrize_terms("s1t", i, k, al, j, l, de))
-                                acc -= (T[p, q] * G[al, be] * G[ga, de]
-                                        * F1[k1] * F2[k2])
+        for p, q in _support(T):
+            for al, be in G_support:
+                k1 = (q, al, be)
+                if k1 not in F1:
+                    F1[k1] = sum(
+                        self.XE((vk, vi, q), (va, be))
+                        for vi, vk, va, _, _, _ in symmetrize_terms(
+                            "s1", i, k, al, j, l, be))
+                for ga, de in G_support:
+                    k2 = (p, ga, de)
+                    if k2 not in F2:
+                        F2[k2] = sum(
+                            np.conj(self.XE((vj, vl, p), (vb, ga)))
+                            for _, _, _, vj, vl, vb in
+                            symmetrize_terms("s1t", i, k, al, j, l, de))
+                    acc -= T[p, q] * G[al, be] * G[ga, de] * F1[k1] * F2[k2]
         return acc
 
     def block_d(self, i: int, j: int, k: int, l: int) -> complex:
-        n = self.bspec.n
-        tv = self.tau().values
-        G = self.h_upper()
-        acc = 0.0 + 0.0j
-        for p in range(n):
-            for q in range(n):
-                w = tv[p, j] * G[p, q]
-                if w != 0.0:
-                    acc += w * self.R(i, q, k, l)
-        return acc
+        weights = self.tau().values[:, j, None] * self.h_upper()
+        return _contract(weights, lambda p, q: self.R(i, q, k, l))
 
     def ricci_curvature(self, i: int, j: int, k: int, l: int) -> complex:
         """Curvature entry of the second metric."""
@@ -343,22 +269,29 @@ class CurvatureWorkspace:
         leading coefficients of u^4 for each block.
         """
         u = self.system.collars[i].u
-        terms = {
-            "g1-term-1": self.block_a(i, i, i, i),
-            "g1-term-2": self.block_b(i, i, i, i),
-            "g1-term-3": self.block_c(i, i, i, i),
-            "g1-term-4": self.block_d(i, i, i, i),
-        }
         base = u**4 / (16.0 * PI**4)
-        targets = {
-            "g1-term-1": 9.0 * base,
-            "g1-term-2": -9.0 * base,
-            "g1-term-3": -3.0 * base,
-            "g1-term-4": 9.0 * base,
-        }
+        coeffs = {"g1-term-1": 9.0, "g1-term-2": -9.0, "g1-term-3": -3.0,
+                  "g1-term-4": 9.0}
+        blocks = (self.block_a, self.block_b, self.block_c, self.block_d)
+        terms = {name: block(i, i, i, i) for name, block in zip(coeffs, blocks)}
+        targets = {name: c * base for name, c in coeffs.items()}
         total = sum(terms.values())
         return G1Report(u=u, terms=terms, targets=targets, total=total,
                         total_target=6.0 * base)
+
+
+def _support(W: np.ndarray) -> list:
+    """Index pairs (a, b) of W in row-major order whose weight is not
+    exactly zero (a NaN weight is kept)."""
+    return [(a, b) for a, b in np.ndindex(W.shape) if W[a, b] != 0.0]
+
+
+def _contract(W: np.ndarray, term) -> complex:
+    """sum of W[a, b] term(a, b) over the support of W, in row-major order."""
+    acc = 0.0 + 0.0j
+    for a, b in _support(W):
+        acc += W[a, b] * term(a, b)
+    return acc
 
 
 def _shared_workspace(cls, collars: tuple, n_tau: int, kappa: float):

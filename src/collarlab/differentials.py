@@ -50,6 +50,15 @@ class CollarSystem:
     def m(self) -> int:
         return len(self.collars)
 
+    def collar_sum(self, *terms) -> complex:
+        """sum over collars J of term(J) for each term, added one at a time
+        (collar by collar, terms in the order given) from 0 + 0j."""
+        acc = 0.0 + 0.0j
+        for J in range(self.m):
+            for term in terms:
+                acc += term(J)
+        return acc
+
 
 @dataclass(frozen=True)
 class BeltramiEntry:
@@ -113,14 +122,8 @@ def beltrami_field(spec: BeltramiSpec, i: int, j: int,
         return out
     sin2 = grid.sin_tau**2
     out.set_mode(2, sin2 * np.conj(entry.b))
-    for k, ak in entry.a.items():
-        rad = _laurent_radial(collar, grid, k)
-        prof = sin2 * np.conj(ak) * rad
-        mode = 2 - k
-        if mode in out.modes:
-            out.modes[mode] = out.modes[mode] + prof
-        else:
-            out.set_mode(mode, prof)
+    for k, ak in entry.a.items():  # k != 0, so each term has a mode of its own
+        out.set_mode(2 - k, sin2 * np.conj(ak) * _laurent_radial(collar, grid, k))
     return out
 
 
@@ -197,15 +200,11 @@ def wp_metric(spec: BeltramiSpec, system: CollarSystem,
         for i in range(n) for j in range(system.m)
         if (i, j) in spec.entries
     }
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for J in range(system.m):
-                fi = fields.get((i, J))
-                fj = fields.get((j, J))
-                if fi is not None and fj is not None:
-                    acc += pairing_l2(fi, fj)
-            h[i, j] = acc
+    for i, j in np.ndindex(n, n):
+        def pair(J):
+            fi, fj = fields.get((i, J)), fields.get((j, J))
+            return 0.0 if fi is None or fj is None else pairing_l2(fi, fj)
+        h[i, j] = system.collar_sum(pair)
     if compact_part is not None:
         h = h + np.asarray(compact_part, dtype=complex)
     return MetricMatrix(h, "WP")
@@ -224,23 +223,17 @@ def wp_cometric(spec: QuadDiffSpec, system: CollarSystem) -> MetricMatrix:
         for i in range(n) for j in range(system.m)
         if (i, j) in spec.entries
     }
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for J in range(system.m):
-                pi_ = reduced.get((i, J))
-                pj = reduced.get((j, J))
-                if pi_ is None or pj is None:
-                    continue
-                grid = system.grids[J]
-                u = system.collars[J].u
-                sin2 = grid.sin_tau**2
-                for k, v in pi_.modes.items():
-                    w = pj.modes.get(k)
-                    if w is not None:
-                        acc += (4.0 * math.pi / u**3) * grid.integrate(
-                            v * np.conj(w) * sin2)
-            out[i, j] = acc
+    for i, j in np.ndindex(n, n):
+        def pair(J):
+            pi_, pj = reduced.get((i, J)), reduced.get((j, J))
+            if pi_ is None or pj is None:
+                return 0.0
+            grid = system.grids[J]
+            c = 4.0 * math.pi / system.collars[J].u**3
+            sin2 = grid.sin_tau**2
+            return sum(c * grid.integrate(v * np.conj(pj.modes[k]) * sin2)
+                       for k, v in pi_.modes.items() if k in pj.modes)
+        out[i, j] = system.collar_sum(pair)
     mm = MetricMatrix(out, "WP-cometric")
     mm.require_positive()
     return mm
@@ -268,15 +261,10 @@ def duality_check(bspec: BeltramiSpec, qspec: QuadDiffSpec,
             for l in range(qspec.n):
                 red = _qdiff_reduced(qspec, l, J, system)
                 coeff = h.values[i, l]
-                if not red.modes or coeff == 0:
-                    continue
-                for k, v in red.modes.items():
-                    prof = coeff * w * np.conj(v)
-                    mode = 2 - k  # (z/zbar) conj(z^k reduced term)
-                    if mode in dual.modes:
-                        dual.modes[mode] = dual.modes[mode] + prof
-                    else:
-                        dual.set_mode(mode, prof)
+                if red.modes and coeff != 0:
+                    # (z/zbar) conj(z^k reduced term) sits in mode 2 - k
+                    dual = dual + CollarField(collar, grid, {
+                        2 - k: coeff * w * np.conj(v) for k, v in red.modes.items()})
             diff = a_field - dual
             sup_a = a_field.sup_norm()
             report[(i, J)] = {
@@ -311,13 +299,9 @@ def coupled_family(collars: CollarSystem, kappa: float = 1.0
     """
     bspec, qspec = diagonal_family(collars)
     bentries = dict(bspec.entries)
-    for i in range(collars.m):
-        for j in range(collars.m):
-            if i == j:
-                continue
-            u_i = collars.collars[i].u
-            u_j = collars.collars[j].u
-            b = kappa * u_j * u_i**3
-            if b != 0.0:
-                bentries[(i, j)] = BeltramiEntry(b=b)
+    us = [col.u for col in collars.collars]
+    for i, j in np.ndindex(collars.m, collars.m):
+        b = kappa * us[j] * us[i]**3
+        if i != j and b != 0.0:
+            bentries[(i, j)] = BeltramiEntry(b=b)
     return BeltramiSpec(collars.m, bentries), qspec

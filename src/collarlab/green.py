@@ -49,7 +49,9 @@ class SupportWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    rtol: float = 1e-6           # residual ceiling, relative to sup |f|
+    # ceiling on residual_sup: max over modes of max|A x - b| divided by
+    # max over modes of max|b| (not by CollarField.sup_norm, a sum over modes)
+    rtol: float = 1e-6
     warn_support: bool = True
 
 

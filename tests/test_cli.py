@@ -1,12 +1,10 @@
 """Run configs, suite execution, report emission, and exit codes."""
 
 import collections
-import importlib.util
 import json
 import math
 import pathlib
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -66,10 +64,18 @@ def test_runconfig_rejects_bad_input():
         {"output": {"directory": 5}},
         {"suites": [1]},
         {"sweep": {"u_min": 10**400}},  # no float holds it
+        {"grid": {"n_tau": 16385}},
+        {"sweep": {"points": 65}},
+        {"perturbation": {"C": [0]}},
+        {"perturbation": {"C": [-1]}},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
+    # the caps themselves are accepted (validated only, nothing is run)
+    cfg = RunConfig.from_dict({"grid": {"n_tau": 16384},
+                               "sweep": {"points": 64}})
+    assert (cfg.n_tau, cfg.points) == (16384, 64)
 
 
 @pytest.mark.parametrize("measured, target, tol, floor, rel_err, passed", [
@@ -139,23 +145,18 @@ def test_tolerance_keys_are_the_keys_a_run_reads(default_run):
 
 
 def test_default_run_matches_the_benchmark_reference(default_run_all,
-                                                     tmp_path, monkeypatch):
+                                                     tmp_path, perfbench_run):
     # same suites, check ids, u values, order and verdicts; numbers within
     # the benchmark's drift bound of its stored full-run reference
     reports, _, _ = default_run_all
     emit_report(reports, str(tmp_path), ("json",))
     payload = json.loads((tmp_path / "report.json").read_text())
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
-    spec.loader.exec_module(bench)
     ref = json.loads((ROOT / "perfbench" / "reference" / "full-run.json")
                      .read_text())
     assert ref["cli_seed"] == RunConfig.from_dict({}).seed
     assert ([(s["suite"], s["status"]) for s in payload["suites"]]
             == [(s["suite"], s["status"]) for s in ref["suites"]])
-    assert bench.check_report(payload, ref, exact=True) is None
+    assert perfbench_run.check_report(payload, ref, exact=True) is None
 
 
 def test_sweep_checks_gate_only_the_smallest_u():
@@ -301,9 +302,10 @@ def test_main_config_errors(tmp_path):
     {"perturbation": {"C": []}},
     {"coupling": {"kappa": math.nan}},
     {"perturbation": {"C": [math.inf]}},
+    {"perturbation": {"C": [0]}},
     {"seed": -1},
 ], ids=["grid", "n_modes", "sweep", "perturbation", "coupling", "output",
-        "empty-C", "kappa-nan", "C-inf", "seed-negative"])
+        "empty-C", "kappa-nan", "C-inf", "C-zero", "seed-negative"])
 def test_main_rejects_nested_keys_and_empty_values(tmp_path, capsys,
                                                    overrides):
     cfg_path = write_config(tmp_path / "cfg.json", suites=["perturbed"],

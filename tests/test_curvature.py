@@ -59,6 +59,30 @@ def test_wp_tensor_is_hermitian(ws2):
     assert hermitian_defect(ws2.wp_tensor()) <= 1e-12
 
 
+def test_weighted_contractions_match_einsum(ws2):
+    # an oracle that does not depend on the order of summation
+    G = ws2.h_upper()
+    R = ws2.wp_tensor()
+    tau = ws2.tau().values
+    np.testing.assert_allclose(tau, np.einsum("ab,ijab->ij", G, R),
+                               rtol=1e-13, atol=0)
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        want = np.einsum("p,pq,q->", tau[:, j], G, R[i, :, k, l])
+        assert ws2.block_d(i, j, k, l) == pytest.approx(want, rel=1e-13)
+
+
+def test_three_collar_curvature_matches_the_benchmark_reference(
+        tmp_path, perfbench_run):
+    # n = 3 with coupling: contraction paths a default run never takes.
+    # The check compares tau and all 81 entries with the stored reference
+    # and checks the Hermitian defect and that tau is positive definite.
+    op = perfbench_run.Curvature3Collar()
+    ctx = perfbench_run.Context("curvature-3collar", 0, tmp_path)
+    op.setup(ctx)
+    order = op.prepare(ctx, 0)
+    assert op.check(ctx, order, op.call(ctx, order)) is None
+
+
 def test_tau_matches_leading_order(ws1):
     tau = ws1.tau()
     assert tau.kind == "Ricci"
