@@ -168,6 +168,12 @@ class TauGrid:
         u = self.collar.u
         return 2.0 * np.exp(2 * self.nodes / u) * np.sin(self.nodes) ** 2 / u**2
 
+    @functools.cached_property
+    def complex_quadrature(self):
+        """weights and csc2 as complex arrays, the operands of the pairings'
+        complex products and dot (numpy casts real ones on every call)."""
+        return self.weights.astype(complex), self.csc2.astype(complex)
+
     # -- quadrature ------------------------------------------------------
     def integrate(self, values) -> complex:
         """Integral over the tau interval of a sampled profile."""

@@ -6,13 +6,15 @@ Each angular mode solves the radial two-point problem
 
 on the collar's TauGrid, using the same high-order stencils as the field
 derivatives (endpoints enter as ghost nodes pinned to zero).  Each
-(grid, mode) matrix is LU-factored once (LAPACK zgbtrf) and every later
-solve on it is a zgbtrs call.  The factors live in ``grid._cache``:
+(grid, |mode|) matrix is LU-factored once (LAPACK zgbtrf) and every later
+solve on it is a zgbtrs call; modes n and -n share it, since the matrix
+depends on n only through n^2.  The factors live in ``grid._cache``:
 
     "box_band"           -(sin^2 tau / 2) D2, (bl + bu + 1, n) float64,
-                         one per grid; a mode adds its diagonal on use
-    ("box1_lu", mode)    lu.real, (2 bl + bu + 1, n) float64, and int32
-                         pivots: 25 n * 8 + 4 n bytes, 208 KB at n_tau 1024
+                         one per grid, without the mode diagonal
+    ("box1_lu", |mode|)  lu.real, (2 bl + bu + 1, n) float64, int32 pivots
+                         and the mode's main diagonal, n float64:
+                         25 n * 8 + 4 n + 8 n bytes, 216 KB at n_tau 1024
 
 The Dirichlet truncation replaces the closed-surface solve; its bias is
 quantified by the boundary-cut sensitivity check.
@@ -72,45 +74,44 @@ def _box_band(grid):
     return grid._cache["box_band"]
 
 
-def _mode_diag(grid, band, bu, n_mode):
-    """Main diagonal of the mode-n (box + 1) matrix."""
-    s = 0.5 * grid.sin_tau**2
-    return band[bu] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
-
-
 def _mode_factor(grid, n_mode):
-    """Banded LU of the mode-n (box + 1) matrix, factored once per grid.
+    """Banded LU and main diagonal of the mode-n (box + 1) matrix.
 
-    The matrix is real, so the complex factors zgbtrf returns have zero
-    imaginary part: only lu.real (Fortran order) and the pivots are kept.
+    Factored once per grid and |n|.  The matrix is real, so the complex
+    factors zgbtrf returns have zero imaginary part: only lu.real (Fortran
+    order) and the pivots are kept, next to the diagonal the residual uses.
     """
-    key = ("box1_lu", n_mode)
+    key = ("box1_lu", abs(n_mode))
     if key not in grid._cache:
         band, bl, bu = _box_band(grid)
+        s = 0.5 * grid.sin_tau**2
+        diag = band[bu] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
         work = np.zeros((2 * bl + bu + 1, grid.n), dtype=complex)
         work[bl:] = band
-        work[bl + bu] = _mode_diag(grid, band, bu, n_mode)
+        work[bl + bu] = diag
         lu, piv, info = zgbtrf(work, bl, bu, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"mode {n_mode} matrix is singular")
-        grid._cache[key] = (np.array(lu.real, order="F"), piv)
+        grid._cache[key] = (np.array(lu.real, order="F"), piv, diag)
     return grid._cache[key]
 
 
 def _band_matvec(band, diag, bl, bu, x):
     """A x for the band matrix A with main diagonal diag.
 
-    Each diagonal's products are skewed into their own row of a zeroed
-    buffer and the rows summed in order, diagonal by diagonal.
+    Each diagonal's products are written skewed into their own row of a
+    buffer whose padding is zeroed, and the rows summed in order, diagonal
+    by diagonal.
     """
     n = len(x)
-    prod = band * x
-    prod[bu] = diag * x
     rows = bl + bu + 1
     width = n + rows - 1
-    buf = np.zeros(rows * (width + 1), dtype=prod.dtype)
+    buf = np.empty(rows * (width + 1), dtype=complex)
     # entry (r, j) lands at column r + j of the (rows, width) view
-    buf.reshape(rows, width + 1)[:, :n] = prod
+    skew = buf.reshape(rows, width + 1)
+    np.multiply(band, x, out=skew[:, :n])
+    np.multiply(diag, x, out=skew[bu, :n])
+    skew[:, n:] = 0.0
     return buf[: rows * width].reshape(rows, width).sum(axis=0)[bu : bu + n]
 
 
@@ -138,35 +139,41 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     """
     cfg = config or SolverConfig()
     grid = f.grid
+    # one pass over the input: |f_n| gives the finite check (a NaN or inf
+    # makes its max NaN or inf), max|f_n| and the support test's sum_n |f_n|
+    f_sups, acc = [0.0], np.zeros(grid.n)
+    for rhs in f.modes.values():
+        mag = np.abs(rhs)
+        f_sups.append(mag.max())
+        if not np.isfinite(f_sups[-1]):
+            raise ValueError("array must not contain infs or NaNs")
+        acc += mag
     if cfg.warn_support and f.modes:
         tau = grid.nodes
         lo, hi = grid.collar.tau_min, grid.collar.tau_max
         width = _SUPPORT_FRAC * (hi - lo)
         outer = (tau < lo + width) | (tau > hi - width)
-        sup_all = f.sup_norm()
-        if sup_all > 0 and f.sup_norm(outer) > _SUPPORT_TOL * sup_all:
+        sup_all = float(acc.max())
+        sup_outer = float(acc[outer].max()) if outer.any() else 0.0
+        if sup_all > 0 and sup_outer > _SUPPORT_TOL * sup_all:
             warnings.warn("input not supported well inside the collar; "
                           "Dirichlet boundary bias is uncontrolled",
                           SupportWarning, stacklevel=2)
     band, bl, bu = _box_band(grid)
     out = {}
-    res_sups, f_sups = [0.0], [0.0]
-    for n_mode, rhs in f.modes.items():
-        if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
-        lu, piv = _mode_factor(grid, n_mode)
-        f_sups.append(np.abs(rhs).max())
+    res_sups = [0.0]
+    for (n_mode, rhs), rhs_sup in zip(f.modes.items(), f_sups[1:]):
+        lu, piv, diag = _mode_factor(grid, n_mode)
         k = 0
-        if f_sups[-1] < _TINY:
+        if rhs_sup < _TINY:
             # solved at unit scale: scaling up by 2**-k is exact, and it
             # keeps the solve out of subnormal arithmetic
-            k = math.frexp(f_sups[-1])[1]
+            k = math.frexp(rhs_sup)[1]
             rhs = _ldexp(rhs, -k)
         sol, _ = zgbtrs(lu, bl, bu, rhs, piv)
         out[n_mode] = _ldexp(sol, k) if k else sol
         # residual against the defining discrete forward operator
-        res = _band_matvec(band, _mode_diag(grid, band, bu, n_mode),
-                           bl, bu, sol) - rhs
+        res = _band_matvec(band, diag, bl, bu, sol) - rhs
         res_sups.append(math.ldexp(np.abs(res).max(), k))
     # np.max, unlike max(), carries a NaN residual through to the gate
     res_sup, f_sup = float(np.max(res_sups)), float(np.max(f_sups))

@@ -93,6 +93,41 @@ def test_integral_product_vs_pairing(cg):
                                                           rel=1e-14)
 
 
+def mode_sum(f, g, partner):
+    """pi u * sum_n of grid.integrate(F_n * partner(g, n) * csc^2)."""
+    grid = f.grid
+    acc = 0.0 + 0.0j
+    for n, v in f.modes.items():
+        w = partner(g, n)
+        if w is not None:
+            acc += grid.integrate(v * w * grid.csc2)
+    return PI * f.collar.u * acc
+
+
+def conj_same(g, n):
+    w = g.modes.get(n)
+    return None if w is None else np.conj(w)
+
+
+def opposite(g, n):
+    return g.modes.get(-n)
+
+
+@pytest.mark.parametrize("modes_f, modes_g", [
+    ((0,), (0,)), ((2,), (-2,)), ((1,), (3,)),
+    ((-1, 0, 2), (0, 1, -2)), ((-1, 0, 1), (2, 3, -3)),
+    ((-2, -1, 0, 1, 2), (-4, -1, 0, 2, 4)), ((0, 1, 2, 3, 4), (-4, 5, 6, 7, 8)),
+])
+def test_pairings_match_the_per_mode_integrals_bitwise(cg, modes_f, modes_g):
+    col, grid = cg
+    rng = np.random.default_rng([abs(n) for n in modes_f + modes_g])
+    draw = lambda: rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    f = CollarField(col, grid, {n: draw() for n in modes_f})
+    g = CollarField(col, grid, {n: draw() for n in modes_g})
+    assert pairing_l2(f, g) == mode_sum(f, g, conj_same)
+    assert integral_product(f, g) == mode_sum(f, g, opposite)
+
+
 def test_volume_integral_quadrature(cg):
     col, grid = cg
     prof = np.sin(grid.nodes).astype(complex) ** 2

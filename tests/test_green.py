@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import collarlab.green
+from collarlab.green import _band_matvec, _box_band, _mode_factor
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
                        apply_box1, bc_sensitivity, collar_from_u,
@@ -145,7 +146,7 @@ def test_bc_sensitivity_helpers():
     assert 0.0 < val < 5e-2
 
 
-# -- factor once per (grid, mode) ------------------------------------------
+# -- factor once per (grid, |mode|) ----------------------------------------
 
 def oracle_solve(f):
     """The unfactored path: solve_banded per call, scalar diagonal matvec."""
@@ -191,7 +192,9 @@ def test_factored_solve_matches_unfactored_bitwise(u, clear_models):
         assert g.residual_sup == want_res
 
 
-def test_each_grid_mode_is_factored_once(monkeypatch, clear_models):
+@pytest.fixture
+def zgbtrf_calls(monkeypatch):
+    """A list that grows by one at every zgbtrf call solve_T makes."""
     calls = []
     real_zgbtrf = collarlab.green.zgbtrf
 
@@ -200,16 +203,52 @@ def test_each_grid_mode_is_factored_once(monkeypatch, clear_models):
         return real_zgbtrf(*args, **kwargs)
 
     monkeypatch.setattr(collarlab.green, "zgbtrf", counting)
+    return calls
+
+
+def test_each_grid_mode_is_factored_once(zgbtrf_calls, clear_models):
     clear_models()
     col = collar_from_u(0.05)
     grid = make_grid(col, 512)
     window = compact_window(col, grid) + 0j
+    # the mode-n matrix depends on n^2 only: modes 3 and -3 share a factor
     solve_T(CollarField(col, grid, {0: window, 3: window, -3: window}), QUIET)
-    assert len(calls) == 3
+    assert len(zgbtrf_calls) == 2
     solve_T(CollarField(col, grid, {0: window, 3: window, -3: window}), QUIET)
-    assert len(calls) == 3
+    assert len(zgbtrf_calls) == 2
     solve_T(CollarField(col, grid, {3: 2 * window, 5: window}), QUIET)
-    assert len(calls) == 4
+    assert len(zgbtrf_calls) == 3
+    assert _mode_factor(grid, -3) is _mode_factor(grid, 3)
+
+
+def dense_band(band, diag, bu):
+    """The dense matrix of banded storage ab[bu + i - j, j] = A[i, j]."""
+    rows, n = band.shape
+    a = np.zeros((n, n))
+    for r in range(rows):
+        j = np.arange(max(0, bu - r), min(n, n + bu - r))
+        a[j + r - bu, j] = diag[j] if r == bu else band[r, j]
+    return a
+
+
+@pytest.mark.parametrize("n_tau", [512, 1024])
+@pytest.mark.parametrize("u", [0.1, 0.01])
+def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
+    col = collar_from_u(u)
+    grid = make_grid(col, n_tau)
+    band, bl, bu = _box_band(grid)
+    rng = np.random.default_rng(n_tau)
+    x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    for n_mode in (0, 4, 24):
+        diag = _mode_factor(grid, n_mode)[2]
+        got = _band_matvec(band, diag, bl, bu, x)
+        # diagonal r of the storage adds its products to y[j + r - bu]
+        acc = np.zeros(grid.n + bl + bu, dtype=complex)
+        for r in range(bl + bu + 1):
+            acc[r : r + grid.n] += (diag if r == bu else band[r]) * x
+        assert np.array_equal(got, acc[bu : bu + grid.n])
+        want = dense_band(band, diag, bu) @ x
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_singular_factor_raises(monkeypatch, clear_models):
@@ -229,14 +268,27 @@ def test_singular_factor_raises(monkeypatch, clear_models):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_input_is_rejected(cg, bad):
+def test_non_finite_input_is_rejected(cg, bad, zgbtrf_calls, clear_models):
     col, grid = cg
     f = random_compact(col, grid, np.random.default_rng(6))
-    last = list(f.modes)[-1]  # earlier modes solve before the bad one
+    last = list(f.modes)[-1]
     f.modes[last] = f.modes[last].copy()
     f.modes[last][grid.n // 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_T(f, QUIET)
+    # on a fresh grid, a bad last mode is found before any mode is factored,
+    # and before the support test of an input that would fail it
+    clear_models()
+    grid = make_grid(col, 512)
+    full = np.ones(grid.n, dtype=complex)
+    f = CollarField(col, grid, {0: full, 2: full, -2: full.copy()})
+    f.modes[-2][grid.n // 2] = bad
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_T(f)
+    assert zgbtrf_calls == []
+    assert not [w for w in seen if issubclass(w.category, SupportWarning)]
 
 
 def test_overflowing_residual_fails_the_gate(cg):
