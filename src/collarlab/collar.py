@@ -169,14 +169,18 @@ class TauGrid:
         return 2.0 * np.exp(2 * self.nodes / u) * np.sin(self.nodes) ** 2 / u**2
 
     @functools.cached_property
-    def complex_quadrature(self):
-        """weights and csc2 as complex arrays, the operands of the pairings'
-        complex products and dot (numpy casts real ones on every call)."""
-        return self.weights.astype(complex), self.csc2.astype(complex)
+    def _complex_weights(self):
+        return self.weights.astype(complex)
 
     # -- quadrature ------------------------------------------------------
     def integrate(self, values) -> complex:
-        """Integral over the tau interval of a sampled profile."""
+        """Integral over the tau interval of a sampled profile.
+
+        A complex profile is dotted with a cached complex copy of the
+        weights: the same zdotu numpy would call after casting them anew.
+        """
+        if np.iscomplexobj(values):
+            return np.dot(self._complex_weights, values)
         return np.dot(self.weights, values)
 
     # -- differentiation -------------------------------------------------

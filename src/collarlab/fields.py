@@ -180,32 +180,25 @@ def volume_integral(f: CollarField) -> complex:
     return math.pi * u * f.grid.integrate(v0 * f.grid.csc2)
 
 
-def _mode_pairing(f: CollarField, g: CollarField, conj: bool) -> complex:
-    """pi u * sum_n integral F_n G csc^2 dtau, G = conj(G_n) or G_{-n}.
-
-    Each integrand is built in one buffer, in the order F_n * G * csc^2,
-    and integrated by the same dot as ``TauGrid.integrate``.
-    """
-    _check_same(f, g)
-    weights, csc2 = f.grid.complex_quadrature
-    buf = np.empty(f.grid.n, dtype=complex)
-    acc = 0.0 + 0.0j
-    for n, v in f.modes.items():
-        w = g.modes.get(n if conj else -n)
-        if w is not None:
-            if conj:
-                w = np.conjugate(w, out=buf)
-            np.multiply(v, w, out=buf)
-            np.multiply(buf, csc2, out=buf)
-            acc += np.dot(weights, buf)
-    return math.pi * f.collar.u * acc
-
-
 def pairing_l2(f: CollarField, g: CollarField) -> complex:
     """L2 pairing integral of f * conj(g) dv (mode-orthogonal sum)."""
-    return _mode_pairing(f, g, conj=True)
+    _check_same(f, g)
+    u = f.collar.u
+    acc = 0.0 + 0.0j
+    for n, v in f.modes.items():
+        w = g.modes.get(n)
+        if w is not None:
+            acc += f.grid.integrate(v * np.conj(w) * f.grid.csc2)
+    return math.pi * u * acc
 
 
 def integral_product(f: CollarField, g: CollarField) -> complex:
     """Integral of f * g dv with no conjugation (modes n and -n pair up)."""
-    return _mode_pairing(f, g, conj=False)
+    _check_same(f, g)
+    u = f.collar.u
+    acc = 0.0 + 0.0j
+    for n, v in f.modes.items():
+        w = g.modes.get(-n)
+        if w is not None:
+            acc += f.grid.integrate(v * w * f.grid.csc2)
+    return math.pi * u * acc

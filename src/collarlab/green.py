@@ -139,13 +139,14 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     """
     cfg = config or SolverConfig()
     grid = f.grid
-    # one pass over the input: |f_n| gives the finite check (a NaN or inf
-    # makes its max NaN or inf), max|f_n| and the support test's sum_n |f_n|
+    # one pass over the input: |f_n| gives max|f_n|, the support test's
+    # sum_n |f_n| and the finite check (a NaN or inf makes the max NaN or
+    # inf; so does a finite value whose modulus overflows, hence the recheck)
     f_sups, acc = [0.0], np.zeros(grid.n)
     for rhs in f.modes.values():
         mag = np.abs(rhs)
         f_sups.append(mag.max())
-        if not np.isfinite(f_sups[-1]):
+        if not np.isfinite(f_sups[-1]) and not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         acc += mag
     if cfg.warn_support and f.modes:

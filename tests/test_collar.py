@@ -112,6 +112,20 @@ def test_quadrature_closed_forms():
     assert grid.integrate(grid.sin_tau**2) == pytest.approx(closed, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_tau", [512, 1024])
+def test_integrate_is_the_weights_dot_bitwise(n_tau):
+    # complex profiles use a cached complex copy of the weights: the same
+    # dot numpy makes when it casts the real weights itself
+    grid = make_grid(collar_from_u(0.05), n_tau)
+    rng = np.random.default_rng(n_tau)
+    real = rng.normal(size=grid.n)
+    prof = real + 1j * rng.normal(size=grid.n)
+    for values in (real, prof, prof * grid.csc2, np.conj(prof)):
+        got = grid.integrate(values)
+        assert got == np.dot(grid.weights, values)
+        assert type(got) is type(np.dot(grid.weights, values))
+
+
 def test_dtau_accuracy_on_trig():
     col = collar_from_u(0.1)
     grid = make_grid(col, 1024)

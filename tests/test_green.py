@@ -300,6 +300,18 @@ def test_overflowing_residual_fails_the_gate(cg):
             solve_T(f, QUIET)
 
 
+def test_overflowing_modulus_fails_the_gate(cg):
+    # finite input whose modulus |f| overflows to inf is not NaN or inf
+    # input: it goes through to the solve and the residual gate
+    col, grid = cg
+    big = (1.5e308 + 1.5e308j) * compact_window(col, grid)
+    assert np.isfinite(big).all() and not np.isfinite(np.abs(big).max())
+    f = CollarField(col, grid, {0: big})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="nan"):
+            solve_T(f, QUIET)
+
+
 @pytest.mark.parametrize("k, ulps", [(-950, 0), (-1060, 2)],
                          ids=["tiny", "subnormal"])
 def test_small_right_hand_sides_solve_at_unit_scale(cg, k, ulps):

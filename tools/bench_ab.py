@@ -1,14 +1,15 @@
 """A/B benchmark of the working tree against a base commit.
 
-    python3 tools/bench_ab.py --label NAME --change "what changed" \
-        [--base REV] [--pairs 10] [--seconds 45] [--workloads W ...]
+    python3 tools/bench_ab.py --label NAME --change "what changed" [--base REV]
 
 Run from the root of a collarlab checkout.  The base commit (default HEAD)
 is exported with `git archive` into a temporary directory; the working
-tree is the change.  For each workload, pair k (k = 0 .. pairs-1) runs
+tree is the change.  For each workload W that BENCHMARK.json declares,
+pair k (k = 0 .. 9) runs
 `python3 perfbench/run.py --workload W --seed k --seconds S --trace 0` in
-both checkouts, one after the other, the base first when k is even.  Seed
-0 is the one perfbench checks against its stored references.  Then the
+both checkouts, one after the other, the base first when k is even; S is
+BENCHMARK.json's run_seconds.  Seed 0 is the one perfbench checks against
+its stored references.  Then the
 default `collarlab run` is made in both checkouts and `cmp` compares their
 report.csv and report.json.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
@@ -32,6 +33,7 @@ from pathlib import Path
 ROOT = Path.cwd()
 REPORTS = ("report.csv", "report.json")
 RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:]))"
+PAIRS = 10
 
 
 def git(*args) -> str:
@@ -111,14 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True,
                         help="one sentence saying what the change does")
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=45.0)
-    parser.add_argument("--workloads", nargs="+",
-                        default=["full-run", "resolvent-batch"])
     args = parser.parse_args(argv)
-    if args.pairs < 5:
-        parser.error("--pairs must be at least 5")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         tmp = Path(tmp)
@@ -126,20 +122,21 @@ def main(argv=None) -> int:
         trees["parent"].mkdir()
         export(args.base, trees["parent"])
         end_to_end, ok = {}, True
-        for workload in args.workloads:
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = []
-            for seed in range(args.pairs):
+            for seed in range(PAIRS):
                 order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = {"side": side, **bench(trees[side], workload, seed,
-                                                 args.seconds)}
+                    run = {"side": side,
+                           **bench(trees[side], workload, seed,
+                                   declared["run_seconds"])}
                     print(json.dumps(run), file=sys.stderr)
                     ok &= run["failed"] == 0
                     runs.append(run)
             end_to_end[workload] = {
-                "pairs": args.pairs, "runs": runs,
+                "pairs": PAIRS, "runs": runs,
                 "metrics": {m["name"]: summary(runs, m["name"], m["better"])
-                            for m in declared}}
+                            for m in declared["end_to_end"]}}
         codes, reports = {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
@@ -177,7 +174,7 @@ def main(argv=None) -> int:
         for name, m in data["metrics"].items():
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} "
-                  f"wins {m['change_wins']}/{args.pairs}")
+                  f"wins {m['change_wins']}/{PAIRS}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
