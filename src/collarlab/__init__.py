@@ -3,8 +3,8 @@ surfaces: explicit metrics, mode-wise Green solves, curvature tensors, and
 their leading-order asymptotics.
 """
 
-from .collar import (CollarError, CollarParams, TauGrid, collar_from_t,
-                     collar_from_u, make_grid)
+from .collar import (CollarError, CollarParams, CutoffSpec, TauGrid,
+                     collar_from_t, collar_from_u, cutoff_eval, make_grid)
 from .fields import (BandwidthWarning, CollarField, UnderResolvedError,
                      constant_field, integral_product, pairing_l2,
                      volume_integral, wirtinger)
@@ -13,13 +13,12 @@ from .differentials import (BeltramiEntry, BeltramiSpec, CollarSystem,
                             beltrami_field, coupled_family, diagonal_family,
                             duality_check, qdiff_field, wp_cometric,
                             wp_metric)
-from .operators import (box, ck_norm, maass, op_P, op_P_bar, q_operator,
-                        symmetrize_terms, xi)
+from .operators import box, ck_norm, maass, op_P, op_P_bar, q_operator, xi
 from .green import (SolverConfig, SolverError, SupportWarning, apply_box1,
                     bc_sensitivity, solve_T)
 from .curvature import CurvatureWorkspace, hermitian_defect, upper_index
-from .asymptotics import (CutoffSpec, DegenerateFitError, approximant_errors,
-                          build_approximants, cutoff_eval, equivalence_ratios,
+from .asymptotics import (DegenerateFitError, approximant_errors,
+                          build_approximants, equivalence_ratios,
                           fit_power_law, g2_spotcheck, geodesic_length,
                           length_derivative_check, perturbed_prediction,
                           target, target_table)
@@ -40,7 +39,7 @@ __all__ = [
     "g2_spotcheck", "geodesic_length", "hermitian_defect", "integral_product",
     "length_derivative_check", "maass", "main", "make_grid", "op_P",
     "op_P_bar", "pairing_l2", "perturbed_prediction", "q_operator",
-    "qdiff_field", "run_suite", "solve_T", "symmetrize_terms", "target",
+    "qdiff_field", "run_suite", "solve_T", "target",
     "target_table", "upper_index", "volume_integral", "wirtinger",
     "wp_cometric", "wp_metric", "xi",
 ]

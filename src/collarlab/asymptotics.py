@@ -1,117 +1,32 @@
-"""Cutoff approximants, asymptotic targets, power-law fits, length checks.
+"""Tapered approximants, asymptotic targets, power-law fits, length checks.
 
 The model's leading-order laws are all of the form
 
     value(u) = constant * u**exponent * (1 + O(u))
 
 after dividing out the exact |t|-power (automatic in the scaled gauge,
-|t| = exp(-pi/u)).  This module owns the frozen target table, the C-infty
-cutoffs and closed-form approximant fields, the power-law fitting used to
-verify decay orders, and the geodesic-length derivative check.
+|t| = exp(-pi/u)).  This module owns the frozen target table, the
+closed-form approximant fields (tapered by the cutoffs of
+``collarlab.collar``), the power-law fitting used to verify decay orders,
+the geodesic-length derivative check, and the composite checks that run
+the curvature workspace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .collar import CollarParams, TauGrid, collar_from_u, make_grid
+from .collar import (CollarParams, CutoffSpec, TauGrid, collar_from_u,
+                     make_grid, taper_weights)
+from .curvature import CurvatureWorkspace
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, bc_sensitivity, solve_T
+from .operators import maass
 
 PI = math.pi
-
-
-# -- cutoffs ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial cutoff levels c2 < c1 < c (in units of |z|).
-
-    eta  drops smoothly from 1 at log c1 to 0 at log c;
-    eta1 drops smoothly from 1 at log c2 to 0 at log c1.
-    Transitions are exp(-1/x) smoothsteps, infinitely flat at both ends,
-    with two analytic derivatives available for box applications.
-    """
-
-    c: float = 0.5
-    c1: float = 0.35
-    c2: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 < self.c2 < self.c1 < self.c < 1.0:
-            raise ValueError("need 0 < c2 < c1 < c < 1")
-
-
-def _smoothstep(y: np.ndarray):
-    """S, S', S'' of the exp(-1/y) smoothstep; S(0)=0, S(1)=1."""
-    y = np.asarray(y, dtype=float)
-    S = np.where(y >= 1.0, 1.0, 0.0)
-    S1 = np.zeros_like(y)
-    S2 = np.zeros_like(y)
-    m = (y > 0.0) & (y < 1.0)
-    if np.any(m):
-        ym = y[m]
-        a = np.exp(-1.0 / ym)
-        b = np.exp(-1.0 / (1.0 - ym))
-        a1 = a / ym**2
-        b1 = -b / (1.0 - ym) ** 2
-        a2 = a / ym**4 - 2.0 * a / ym**3
-        b2 = b / (1.0 - ym) ** 4 - 2.0 * b / (1.0 - ym) ** 3
-        den = a + b
-        num = a1 * b - a * b1
-        S[m] = a / den
-        S1[m] = num / den**2
-        num1 = a2 * b - a * b2
-        S2[m] = (num1 * den - 2.0 * num * (a1 + b1)) / den**3
-    return S, S1, S2
-
-
-def cutoff_eval(spec: CutoffSpec, x, which: str = "eta", order: int = 0):
-    """Cutoff value / derivative at x = log r.
-
-    which = 'eta' uses levels (c1, c); 'eta1' uses (c2, c1).
-    """
-    if which == "eta":
-        hi, lo = math.log(spec.c), math.log(spec.c1)
-    elif which == "eta1":
-        hi, lo = math.log(spec.c1), math.log(spec.c2)
-    else:
-        raise ValueError("which must be 'eta' or 'eta1'")
-    width = hi - lo
-    y = (hi - np.asarray(x, dtype=float)) / width
-    S, S1, S2 = _smoothstep(y)
-    if order == 0:
-        return S
-    if order == 1:
-        return -S1 / width
-    if order == 2:
-        return S2 / width**2
-    raise ValueError("order must be 0, 1 or 2")
-
-
-def taper_weights(collar: CollarParams, grid: TauGrid, spec: CutoffSpec,
-                  which: str = "eta"):
-    """(w, w', w'') of the two-sided taper in tau.
-
-    Outer factor eta(log r) = eta(tau/u); inner factor eta(log rho - log r)
-    mirrors it at the other end.  Primes are tau-derivatives.
-    """
-    u = collar.u
-    x_out = grid.nodes / u
-    x_in = -PI / u - grid.nodes / u  # log rho - log r
-    o0 = cutoff_eval(spec, x_out, which, 0)
-    o1 = cutoff_eval(spec, x_out, which, 1) / u
-    o2 = cutoff_eval(spec, x_out, which, 2) / u**2
-    i0 = cutoff_eval(spec, x_in, which, 0)
-    i1 = -cutoff_eval(spec, x_in, which, 1) / u
-    i2 = cutoff_eval(spec, x_in, which, 2) / u**2
-    w = o0 * i0
-    w1 = o1 * i0 + o0 * i1
-    w2 = o2 * i0 + 2.0 * o1 * i1 + o0 * i2
-    return w, w1, w2
 
 
 # -- approximant fields ----------------------------------------------------
@@ -189,8 +104,8 @@ def target_table() -> list[AsymptoticTarget]:
                          "h_{ii} -> u^3/(2 |t|^2)"),
         AsymptoticTarget("ricci-diag", 3.0 / (4.0 * PI**2), 2.0,
                          "tau_{ii} -> 3 u^2/(4 pi^2 |t|^2)"),
-        AsymptoticTarget("wp-curv-diag", 3.0 / (8.0 * PI**4), 4.0,
-                         "R_{iiii}-curvature of Ricci metric -> 3 u^4/(8 pi^4 |t|^4)"),
+        AsymptoticTarget("wp-curv-diag", 3.0 / (8.0 * PI**2), 5.0,
+                         "R_{iiii} of the WP metric -> 3 u^5/(8 pi^2 |t|^4)"),
         AsymptoticTarget("g1-term-1", 9.0 / (16.0 * PI**4), 4.0,
                          "24 h^{ii} int T(xi(e)) conj(xi(e))"),
         AsymptoticTarget("g1-term-2", -9.0 / (16.0 * PI**4), 4.0,
@@ -238,14 +153,14 @@ class FitResult:
     residuals: tuple[float, ...]
 
 
-def fit_power_law(samples, declared_exponent: float | None = None) -> FitResult:
+def fit_power_law(samples) -> FitResult:
     """Fit value ~ C u^p from (u, value) samples, u strictly decreasing.
 
     The exponent comes from tail-weighted log-log least squares (smaller u
     weighted harder, since the laws hold as u -> 0).  The constant is
     Richardson-extrapolated from the last two points of value/u^p, using
-    the declared exponent when given, else the fitted exponent rounded to
-    the nearest half-integer when within 0.25.
+    the fitted exponent rounded to the nearest half-integer when within
+    0.25.
     """
     us = np.array([s[0] for s in samples], dtype=float)
     vs = np.array([abs(s[1]) for s in samples], dtype=float)
@@ -270,10 +185,8 @@ def fit_power_law(samples, declared_exponent: float | None = None) -> FitResult:
     if r2 < 0.9:
         raise DegenerateFitError(f"degenerate fit (r^2 = {r2:.3f})")
 
-    p_use = declared_exponent
-    if p_use is None:
-        half = round(2.0 * p) / 2.0
-        p_use = half if abs(half - p) <= 0.25 else p
+    half = round(2.0 * p) / 2.0
+    p_use = half if abs(half - p) <= 0.25 else p
     c_seq = vs / us**p_use
     # linear-in-u Richardson step on the last two (smallest-u) points
     c_star = c_seq[-1] + (c_seq[-1] - c_seq[-2]) * us[-1] / (us[-2] - us[-1])
@@ -312,7 +225,7 @@ def length_derivative_check(u_values) -> list[dict]:
     return out
 
 
-# -- composite checks (lazy curvature imports to avoid cycles) -------------
+# -- composite checks ------------------------------------------------------
 
 def perturbed_prediction(u: float, C: float) -> float:
     """Closed-form diagonal curvature of the perturbed family, scaled.
@@ -336,8 +249,6 @@ def approximant_errors(u: float, c: float = 0.5, n_tau: int = 1024) -> dict:
     k0    : int |K_0 etilde|^2 (2 etilde - 4 ftilde) dv;
     xi_e  : int xi(etilde) etilde dv.
     """
-    from .curvature import CurvatureWorkspace
-    from .operators import maass
     ws = CurvatureWorkspace.single_collar(u, c=c, n_tau=n_tau)
     col, grid = ws.system.collars[0], ws.system.grids[0]
     b_hat = ws.bspec.entries[(0, 0)].b
@@ -367,7 +278,6 @@ def g2_spotcheck(u_values=(0.1, 0.07, 0.05, 0.035, 0.025), kappa: float = 1.0,
     All four vanish identically at kappa = 0 and decay faster than the
     diagonal u^4 law; fits use |entry| against u.
     """
-    from .curvature import CurvatureWorkspace
     cases = {f"case-{k}": [] for k in (1, 2, 3, 4)}
     for u in u_values:
         ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau,
@@ -392,7 +302,6 @@ def g2_spotcheck(u_values=(0.1, 0.07, 0.05, 0.035, 0.025), kappa: float = 1.0,
 def zero_coupling_residual(u: float = 0.05, c: float = 0.5,
                            n_tau: int = 768) -> float:
     """Largest mixed curvature entry of the two-collar family at kappa = 0."""
-    from .curvature import CurvatureWorkspace
     ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau, kappa=0.0)
     vals = [abs(ws.ricci_curvature(0, 0, 0, 1)),
             abs(ws.ricci_curvature(0, 0, 1, 1)),
@@ -409,7 +318,6 @@ def equivalence_ratios(u: float, c: float = 0.5, n_tau: int = 1024,
     mcmullen: [h_{ii} + (1/4)|b_i|^2] / tau_{ii} -> 1/3,
     both computed in the scaled gauge where the |t| powers cancel.
     """
-    from .curvature import CurvatureWorkspace
     if workspace is None:
         workspace = CurvatureWorkspace.single_collar(u, c=c, n_tau=n_tau)
     tau_ii = workspace.tau().values[0, 0].real
@@ -420,15 +328,16 @@ def equivalence_ratios(u: float, c: float = 0.5, n_tau: int = 1024,
     return {"poincare": poincare, "mcmullen": mcmullen}
 
 
-def bc_sensitivity_check(u: float, n_tau: int = 1024) -> float:
+def bc_sensitivity_check(u: float, c: float = 0.5, n_tau: int = 1024) -> float:
     """Relative change of int (T ftilde) etilde dv under the c -> 0.9c re-cut.
 
-    Uses an inner cutoff spec (c = 0.45) so the input vanishes smoothly at
-    both walls; quantifies the Dirichlet-truncation bias of the solver.
+    Uses an inner cutoff spec (its c at 0.9c) so the input vanishes smoothly
+    at both walls of both cuts; quantifies the Dirichlet-truncation bias of
+    the solver.
     """
-    spec = CutoffSpec(c=0.45, c1=0.35, c2=0.25)
+    spec = CutoffSpec(c=0.9 * c, c1=0.35, c2=0.25)
     vals = []
-    for cut in (0.5, 0.45):
+    for cut in (c, 0.9 * c):
         col = collar_from_u(u, c=cut)
         grid = make_grid(col, n_tau)
         b_hat = -u / PI

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics as asym
-from .collar import CollarError, U_MIN, collar_from_u, make_grid
+from .collar import (CollarError, CutoffSpec, U_MIN, collar_from_u,
+                     cutoff_eval, make_grid)
 from .curvature import CurvatureWorkspace, upper_index
 from .differentials import diagonal_family, wp_cometric
 from .fields import CollarField, constant_field, pairing_l2, volume_integral
@@ -146,8 +147,9 @@ class RunConfig:
                if f not in ("csv", "json", "markdown", "svg-lines")]
         if bad:
             raise ConfigError(f"unknown formats: {', '.join(bad)}")
-        if not 0.0 < self.c < 1.0:
-            raise ConfigError("cutoff c must lie in (0, 1)")
+        # below the taper's outer level eta never reaches 0 on the collar
+        if not CutoffSpec().c <= self.c < 1.0:
+            raise ConfigError(f"cutoff c must lie in [{CutoffSpec().c}, 1)")
         if not self.perturbation_C:
             raise ConfigError("perturbation.C needs at least one value")
         if not (all(0 < C < math.inf for C in self.perturbation_C)
@@ -389,7 +391,8 @@ def _suite_green_props(cfg: RunConfig) -> list:
                             ck_norm(g, 2) / ck_norm(ap.ftilde, 1), 0.0,
                             math.inf))
     recs.append(_check(cfg, "bc-sensitivity", 0.05,
-                       asym.bc_sensitivity_check(0.05, cfg.n_tau), 0.0))
+                       asym.bc_sensitivity_check(0.05, c=cfg.c,
+                                                 n_tau=cfg.n_tau), 0.0))
     return recs
 
 
@@ -400,7 +403,7 @@ def _suite_approximants(cfg: RunConfig) -> list:
     for u in us:
         errs.append(asym.approximant_errors(u, c=cfg.c, n_tau=cfg.n_tau))
         grid = make_grid(collar_from_u(u, cfg.c), cfg.n_tau)
-        d2 = asym.cutoff_eval(asym.CutoffSpec(), grid.nodes / u, "eta", 2)
+        d2 = cutoff_eval(CutoffSpec(), grid.nodes / u, "eta")[2]
         eta2.append(grid.integrate(np.abs(d2)) / u)
     u = us[-1]
     for tid in ("err-e", "err-xi", "err-T"):

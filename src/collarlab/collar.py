@@ -15,6 +15,8 @@ has length ``2 pi u``.  All radial samplings live on a ``TauGrid``:
 composite Gauss-Legendre panels in tau with geometric refinement toward
 both ends, so that boundary layers of width ``O(u)`` (cutoff transition
 zones, ``r**k`` factors) stay resolved at every supported ``u``.
+The C-infinity cutoffs eta and eta1 that taper fields toward the collar
+ends are set by radii in ``|z|`` as well, so they live here too.
 """
 
 from __future__ import annotations
@@ -89,6 +91,90 @@ def collar_from_u(u: float, c: float = 0.5) -> CollarParams:
     if not U_MIN <= u <= U_MAX:
         raise CollarError(f"u = {u} outside supported range [{U_MIN}, {U_MAX}]")
     return CollarParams(t=complex(math.exp(-math.pi / u)), c=c)
+
+
+# -- cutoffs ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CutoffSpec:
+    """Radial cutoff levels c2 < c1 < c (in units of |z|).
+
+    eta  drops smoothly from 1 at log c1 to 0 at log c;
+    eta1 drops smoothly from 1 at log c2 to 0 at log c1.
+    Transitions are exp(-1/x) smoothsteps, infinitely flat at both ends,
+    with two analytic derivatives available for box applications.
+    """
+
+    c: float = 0.5
+    c1: float = 0.35
+    c2: float = 0.25
+
+    def __post_init__(self):
+        if not 0.0 < self.c2 < self.c1 < self.c < 1.0:
+            raise ValueError("need 0 < c2 < c1 < c < 1")
+
+
+def _smoothstep(y: np.ndarray):
+    """S, S', S'' of the exp(-1/y) smoothstep; S(0)=0, S(1)=1."""
+    y = np.asarray(y, dtype=float)
+    S = np.where(y >= 1.0, 1.0, 0.0)
+    S1 = np.zeros_like(y)
+    S2 = np.zeros_like(y)
+    m = (y > 0.0) & (y < 1.0)
+    if np.any(m):
+        ym = y[m]
+        a = np.exp(-1.0 / ym)
+        b = np.exp(-1.0 / (1.0 - ym))
+        a1 = a / ym**2
+        b1 = -b / (1.0 - ym) ** 2
+        a2 = a / ym**4 - 2.0 * a / ym**3
+        b2 = b / (1.0 - ym) ** 4 - 2.0 * b / (1.0 - ym) ** 3
+        den = a + b
+        num = a1 * b - a * b1
+        S[m] = a / den
+        S1[m] = num / den**2
+        num1 = a2 * b - a * b2
+        S2[m] = (num1 * den - 2.0 * num * (a1 + b1)) / den**3
+    return S, S1, S2
+
+
+def cutoff_eval(spec: CutoffSpec, x, which: str = "eta"):
+    """(eta, eta', eta'') at x = log r; primes are x-derivatives.
+
+    which = 'eta' uses levels (c1, c); 'eta1' uses (c2, c1).
+    """
+    if which == "eta":
+        hi, lo = math.log(spec.c), math.log(spec.c1)
+    elif which == "eta1":
+        hi, lo = math.log(spec.c1), math.log(spec.c2)
+    else:
+        raise ValueError("which must be 'eta' or 'eta1'")
+    width = hi - lo
+    y = (hi - np.asarray(x, dtype=float)) / width
+    S, S1, S2 = _smoothstep(y)
+    return S, -S1 / width, S2 / width**2
+
+
+def taper_weights(collar: CollarParams, grid: TauGrid, spec: CutoffSpec,
+                  which: str = "eta"):
+    """(w, w', w'') of the two-sided taper in tau.
+
+    Outer factor eta(log r) = eta(tau/u); inner factor eta(log rho - log r)
+    mirrors it at the other end.  Primes are tau-derivatives.
+    """
+    u = collar.u
+    x_out = grid.nodes / u
+    x_in = -math.pi / u - grid.nodes / u  # log rho - log r
+    o0, d1, d2 = cutoff_eval(spec, x_out, which)
+    o1 = d1 / u
+    o2 = d2 / u**2
+    i0, d1, d2 = cutoff_eval(spec, x_in, which)
+    i1 = -d1 / u
+    i2 = d2 / u**2
+    w = o0 * i0
+    w1 = o1 * i0 + o0 * i1
+    w2 = o2 * i0 + 2.0 * o1 * i1 + o0 * i2
+    return w, w1, w2
 
 
 def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray:
@@ -211,9 +297,8 @@ class TauGrid:
         Stencils near the interval ends include the endpoints as ghost
         nodes pinned to zero (their columns are dropped).  Returned in
         scipy banded storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].
+        Built afresh on each call; the resolvent keeps the band it derives.
         """
-        if "d2_dirichlet" in self._cache:
-            return self._cache["d2_dirichlet"]
         n = self.n
         xe = np.concatenate(([self.collar.tau_min], self.nodes,
                              [self.collar.tau_max]))
@@ -226,9 +311,7 @@ class TauGrid:
         keep = (j >= 0) & (j < n)
         ab = np.zeros((2 * bw + 1, n))
         ab[(bw + i[:, None] - j)[keep], j[keep]] = c[keep]
-        out = (ab, (bw, bw))
-        self._cache["d2_dirichlet"] = out
-        return out
+        return ab, (bw, bw)
 
 
 def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10) -> TauGrid:

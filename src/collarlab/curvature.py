@@ -15,18 +15,19 @@ sum_j h^{i jbar} h_{k jbar} = delta_{ik}.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import CutoffSpec, taper_weights
-from .collar import CollarParams, collar_from_u, make_grid
+from .collar import (CollarParams, CutoffSpec, collar_from_u, make_grid,
+                     taper_weights)
 from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
                             beltrami_field, coupled_family, wp_metric)
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
-from .operators import mul_radial, q_operator, symmetrize_terms, xi
+from .operators import mul_radial, q_operator, xi
 
 PI = math.pi
 _WORKSPACES: dict = {}  # (cls, collars, n_tau, kappa) -> its shared workspace
@@ -197,17 +198,17 @@ class CurvatureWorkspace:
     def block_a(self, i: int, j: int, k: int, l: int) -> complex:
         def term(al, be):
             s = 0.0 + 0.0j
-            for vi, vk, va, vj, _, vb in symmetrize_terms(
-                    "s1s2", i, k, al, j, l, be):
-                s += self.P2((vk, vi, vj), (l, vb, va))
-                s += self.P2((vk, vi, vj), (vb, l, va))
+            for vi, vk, va in itertools.permutations((i, k, al)):
+                for vj, vb in ((j, be), (be, j)):
+                    s += self.P2((vk, vi, vj), (l, vb, va))
+                    s += self.P2((vk, vi, vj), (vb, l, va))
             return s
         return _contract(self.h_upper(), term)
 
     def block_b(self, i: int, j: int, k: int, l: int) -> complex:
         def term(al, be):
             s = 0.0 + 0.0j
-            for vi, vk, va, _, _, _ in symmetrize_terms("s1", i, k, al, j, l, be):
+            for vi, vk, va in itertools.permutations((i, k, al)):
                 s += self.QE((vk, l), (vi, j), (va, be))
             return s
         return _contract(self.h_upper(), term)
@@ -226,15 +227,13 @@ class CurvatureWorkspace:
                 if k1 not in F1:
                     F1[k1] = sum(
                         self.XE((vk, vi, q), (va, be))
-                        for vi, vk, va, _, _, _ in symmetrize_terms(
-                            "s1", i, k, al, j, l, be))
+                        for vi, vk, va in itertools.permutations((i, k, al)))
                 for ga, de in G_support:
                     k2 = (p, ga, de)
                     if k2 not in F2:
                         F2[k2] = sum(
                             np.conj(self.XE((vj, vl, p), (vb, ga)))
-                            for _, _, _, vj, vl, vb in
-                            symmetrize_terms("s1t", i, k, al, j, l, de))
+                            for vj, vl, vb in itertools.permutations((j, l, de)))
                     acc -= T[p, q] * G[al, be] * G[ga, de] * F1[k1] * F2[k2]
         return acc
 

@@ -76,22 +76,17 @@ class CollarField:
             val += np.dot(w, prof[s : s + STENCIL]) * np.exp(1j * n * theta)
         return val
 
-    def sup_norm(self, region=None) -> float:
+    def sup_norm(self) -> float:
         """Sup over grid nodes of |f|; crude angular max via mode moduli.
 
         The triangle-inequality bound sum_n |F_n| is exact for fields with
-        a single mode and a sharp upper envelope otherwise; region is an
-        optional boolean mask over tau nodes.
+        a single mode and a sharp upper envelope otherwise.
         """
         if not self.modes:
             return 0.0
         acc = np.zeros(self.grid.n)
         for v in self.modes.values():
             acc += np.abs(v)
-        if region is not None:
-            if not np.any(region):
-                return 0.0
-            acc = acc[region]
         return float(acc.max())
 
     # -- arithmetic -------------------------------------------------------

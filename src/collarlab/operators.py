@@ -1,4 +1,4 @@
-"""Maass-type operators, the xi and Q operators, symmetrizers, C^k norms.
+"""Maass-type operators, the xi and Q operators, C^k norms.
 
 Weight-p sections of the relative (anti)canonical powers are carried by
 their local coefficient functions; their invariant absolute value equals
@@ -21,8 +21,6 @@ which is what the Green solver discretizes.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -91,28 +89,6 @@ def q_operator(e_kl: CollarField, f_kl: CollarField, f: CollarField) -> CollarFi
     t2 = (f_kl * box(f)).scale(-2.0)
     t3 = mul_radial(wirtinger(f_kl, "dz") * wirtinger(f, "dzbar"), f.grid.inv_lam)
     return t1 + t2 + t3
-
-
-# -- symmetrizers ----------------------------------------------------------
-
-def symmetrize_terms(kind: str, i, k, a, j, l, b) -> list[tuple]:
-    """Index tuples (i, k, a, j, l, b) generated by a symmetrizer.
-
-    kind 's1'   : 6 orderings of the unbarred triple (i, k, a);
-    kind 's1s2' : those times the 2 orderings of (j, b), 12 in all;
-    kind 's1t'  : 6 orderings of the barred triple (j, l, b).
-    """
-    if kind == "s1":
-        return [(vi, vk, va, j, l, b)
-                for vi, vk, va in itertools.permutations((i, k, a))]
-    if kind == "s1s2":
-        return [(vi, vk, va, vj, l, vb)
-                for vi, vk, va in itertools.permutations((i, k, a))
-                for vj, vb in ((j, b), (b, j))]
-    if kind == "s1t":
-        return [(i, k, a, vj, vl, vb)
-                for vj, vl, vb in itertools.permutations((j, l, b))]
-    raise ValueError(f"unknown symmetrizer {kind!r}")
 
 
 # -- norms ----------------------------------------------------------------

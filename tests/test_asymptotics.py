@@ -1,10 +1,13 @@
 """Cutoffs, approximants, power-law fits, and comparison metrics."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import collarlab
 from collarlab import (CollarSystem, CurvatureWorkspace, CutoffSpec,
                        DegenerateFitError, apply_box1, approximant_errors,
                        beltrami_field, build_approximants, collar_from_u,
@@ -13,10 +16,34 @@ from collarlab import (CollarSystem, CurvatureWorkspace, CutoffSpec,
                        make_grid, perturbed_prediction, target, target_table,
                        xi)
 from collarlab.asymptotics import (bc_sensitivity_check, length_derivative_check,
-                                   length_derivative_fd, taper_weights,
-                                   zero_coupling_residual)
+                                   length_derivative_fd, zero_coupling_residual)
+from collarlab.collar import _smoothstep, taper_weights
 
 PI = math.pi
+
+
+def _imported_names(node):
+    """Module names an import statement reads, relative ones without dots."""
+    if isinstance(node, ast.ImportFrom):
+        return {node.module} | {a.name for a in node.names}
+    return {a.name for a in node.names}
+
+
+def test_imports_are_module_level_and_acyclic():
+    src = pathlib.Path(collarlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(fn)
+                         if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, (f"{path.name}:{inner[0].lineno} imports "
+                                   f"inside {fn.name}")
+    # asymptotics imports curvature, so curvature must not import it back
+    tree = ast.parse((src / "curvature.py").read_text())
+    read = set().union(*(_imported_names(n) for n in ast.walk(tree)
+                         if isinstance(n, (ast.Import, ast.ImportFrom))))
+    assert not any("asymptotics" in (name or "") for name in read)
 
 
 def test_cutoff_spec_validation():
@@ -32,18 +59,58 @@ def test_cutoff_spec_validation():
 def test_cutoff_eval_levels_and_derivatives():
     spec = CutoffSpec(0.5, 0.35, 0.25)
     for which, hi, lo in (("eta", 0.35, 0.5), ("eta1", 0.25, 0.35)):
-        assert cutoff_eval(spec, np.array([math.log(lo)]), which)[0] == 0.0
-        assert cutoff_eval(spec, np.array([math.log(hi)]), which)[0] == 1.0
+        assert cutoff_eval(spec, np.array([math.log(lo)]), which)[0][0] == 0.0
+        assert cutoff_eval(spec, np.array([math.log(hi)]), which)[0][0] == 1.0
         mid = np.array([(math.log(lo) + math.log(hi)) / 2])
-        assert 0.0 < cutoff_eval(spec, mid, which)[0] < 1.0
-    # derivative orders agree with finite differences of order 0
+        assert 0.0 < cutoff_eval(spec, mid, which)[0][0] < 1.0
+    # each derivative agrees with a finite difference of the one before
     x = np.linspace(math.log(0.5), math.log(0.35), 9)[1:-1]
     h = 1e-6
-    for order, width in ((1, h), (2, h)):
-        up = cutoff_eval(spec, x + h, "eta", order - 1)
-        dn = cutoff_eval(spec, x - h, "eta", order - 1)
-        got = cutoff_eval(spec, x, "eta", order)
+    for order in (1, 2):
+        up = cutoff_eval(spec, x + h, "eta")[order - 1]
+        dn = cutoff_eval(spec, x - h, "eta")[order - 1]
+        got = cutoff_eval(spec, x, "eta")[order]
         np.testing.assert_allclose(got, (up - dn) / (2 * h), rtol=0, atol=5e-3)
+
+
+def _cutoff_eval_one_order(spec, x, which, order):
+    """The earlier cutoff_eval: one smoothstep call per derivative order."""
+    if which == "eta":
+        hi, lo = math.log(spec.c), math.log(spec.c1)
+    else:
+        hi, lo = math.log(spec.c1), math.log(spec.c2)
+    width = hi - lo
+    y = (hi - np.asarray(x, dtype=float)) / width
+    S, S1, S2 = _smoothstep(y)
+    return (S, -S1 / width, S2 / width**2)[order]
+
+
+def _taper_weights_six_calls(collar, grid, spec, which):
+    u = collar.u
+    x_out = grid.nodes / u
+    x_in = -PI / u - grid.nodes / u
+    o0 = _cutoff_eval_one_order(spec, x_out, which, 0)
+    o1 = _cutoff_eval_one_order(spec, x_out, which, 1) / u
+    o2 = _cutoff_eval_one_order(spec, x_out, which, 2) / u**2
+    i0 = _cutoff_eval_one_order(spec, x_in, which, 0)
+    i1 = -_cutoff_eval_one_order(spec, x_in, which, 1) / u
+    i2 = _cutoff_eval_one_order(spec, x_in, which, 2) / u**2
+    w = o0 * i0
+    w1 = o1 * i0 + o0 * i1
+    w2 = o2 * i0 + 2.0 * o1 * i1 + o0 * i2
+    return w, w1, w2
+
+
+@pytest.mark.parametrize("u", [0.1, 0.01])
+@pytest.mark.parametrize("which", ["eta", "eta1"])
+def test_taper_weights_match_six_call_taper_bitwise(u, which):
+    col = collar_from_u(u)
+    grid = make_grid(col, 1024)
+    spec = CutoffSpec()
+    got = taper_weights(col, grid, spec, which)
+    want = _taper_weights_six_calls(col, grid, spec, which)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_taper_weights_consistency():
@@ -91,15 +158,19 @@ def test_approximants_flat_region_identities():
     v = taper_weights(col, grid, spec, "eta1")[0]
     flat = (w == 1.0) & (v == 1.0)
     assert flat.sum() > grid.n // 2
-    d_ft = (apply_box1(ap.etilde) - ap.ftilde).sup_norm(flat)
+
+    def sup_on_flat(f):
+        return sum(np.abs(p) for p in f.modes.values())[flat].max()
+
+    d_ft = sup_on_flat(apply_box1(ap.etilde) - ap.ftilde)
     assert d_ft <= 1e-9 * ap.ftilde.sup_norm()
     sys1 = CollarSystem([col], [grid])
     bspec, _ = diagonal_family(sys1)
     A = beltrami_field(bspec, 0, 0, sys1)
-    d_xi = (xi(A, ap.etilde) - ap.xi_etilde).sup_norm(flat)
+    d_xi = sup_on_flat(xi(A, ap.etilde) - ap.xi_etilde)
     assert d_xi <= 1e-8 * ap.xi_etilde.sup_norm()
     # where both tapers are idle, xi of etilde equals (box + 1) d exactly
-    assert (ap.xi_etilde - ap.box1_d).sup_norm(flat) <= 1e-15 * \
+    assert sup_on_flat(ap.xi_etilde - ap.box1_d) <= 1e-15 * \
         ap.box1_d.sup_norm()
 
 
@@ -111,7 +182,8 @@ def test_target_table_contents():
     assert target("wp-metric-diag").constant == 0.5
     assert target("wp-cometric-diag").constant == 2.0
     assert target("ricci-diag").constant == pytest.approx(3 / (4 * PI**2))
-    assert target("wp-curv-diag").constant == pytest.approx(3 / (8 * PI**4))
+    assert target("wp-curv-diag").constant == pytest.approx(3 / (8 * PI**2))
+    assert target("wp-curv-diag").exponent == 5.0
     assert target("t-pairing").constant == pytest.approx(3 / (256 * PI**4))
     assert target("k0-pairing").constant == pytest.approx(-3 / (64 * PI**4))
     assert target("xi-pairing").constant == pytest.approx(-1 / (32 * PI**3))
@@ -132,7 +204,8 @@ def test_fit_power_law_exact_data():
 def test_fit_power_law_richardson_removes_linear_correction():
     us = np.geomspace(0.1, 0.02, 6)
     samples = [(u, 2.5 * u**3 * (1 + u)) for u in us]
-    fit = fit_power_law(samples, declared_exponent=3.0)
+    fit = fit_power_law(samples)
+    assert round(fit.exponent, 1) == 3.0
     assert fit.constant == pytest.approx(2.5, rel=1e-9)
 
 
@@ -202,3 +275,19 @@ def test_g2_spotcheck_shape_without_fit():
 
 def test_bc_sensitivity_check_is_small():
     assert bc_sensitivity_check(0.05, n_tau=512) < 5e-2
+
+
+def test_bc_sensitivity_check_honours_c():
+    # the default cut re-cuts 0.5 -> 0.45: the green-props record's value
+    assert bc_sensitivity_check(0.05, c=0.5) == 3.2606408001995178e-05
+    moved = bc_sensitivity_check(0.05, c=0.6)
+    assert moved != 3.2606408001995178e-05
+    assert moved < 5e-2
+
+
+def test_wp_curvature_diagonal_law():
+    u = 0.025
+    ws = CurvatureWorkspace.single_collar(u)
+    t = target("wp-curv-diag")
+    assert ws.R(0, 0, 0, 0).real / u**t.exponent == pytest.approx(
+        t.constant, rel=1e-5)

@@ -48,6 +48,8 @@ def test_runconfig_rejects_bad_input():
         {"suites": ["no-such-suite"]},
         {"output": {"formats": ["yaml"]}},
         {"c": 1.5},
+        {"c": 0.3},  # below the taper's outer level 0.5
+        {"c": 0.4},
         {"tolerances": {"no-such-check": 0.2}},
         {"tolerances": {"err-e-exponent": 0.1}},  # floor checks take no key
         {"tolerances": {"length-spot": math.nan}},
@@ -304,8 +306,11 @@ def test_main_config_errors(tmp_path):
     {"perturbation": {"C": [math.inf]}},
     {"perturbation": {"C": [0]}},
     {"seed": -1},
+    {"c": 0.3},
+    {"c": 0.4},
 ], ids=["grid", "n_modes", "sweep", "perturbation", "coupling", "output",
-        "empty-C", "kappa-nan", "C-inf", "C-zero", "seed-negative"])
+        "empty-C", "kappa-nan", "C-inf", "C-zero", "seed-negative", "c-0.3",
+        "c-0.4"])
 def test_main_rejects_nested_keys_and_empty_values(tmp_path, capsys,
                                                    overrides):
     cfg_path = write_config(tmp_path / "cfg.json", suites=["perturbed"],

@@ -168,16 +168,6 @@ def test_wirtinger_rejects_truncated_fields(cg):
         wirtinger(h, "dz")
 
 
-def test_sup_norm_region_mask(cg):
-    col, grid = cg
-    prof = np.zeros(grid.n, dtype=complex)
-    prof[grid.n // 2] = 3.0
-    f = CollarField(col, grid, {0: prof})
-    left = grid.nodes < grid.nodes[grid.n // 2]
-    assert f.sup_norm() == 3.0
-    assert f.sup_norm(left) == 0.0
-
-
 def test_at_interpolates_single_mode(cg):
     col, grid = cg
     f = CollarField(col, grid, {2: np.cos(grid.nodes).astype(complex)})

@@ -1,5 +1,6 @@
 """Maass calculus, the box operator, xi, and symmetrizer bookkeeping."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 from collarlab import (CollarField, CollarSystem, beltrami_field, box,
                        ck_norm, collar_from_u, constant_field,
                        diagonal_family, maass, make_grid, op_P, op_P_bar,
-                       symmetrize_terms, wirtinger, xi)
+                       wirtinger, xi)
 from collarlab.operators import mul_radial
 
 PI = math.pi
@@ -92,38 +93,22 @@ def test_xi_vanishes_for_zero_coefficient(cg):
     assert xi(zero, f).sup_norm() == 0.0
 
 
-def test_symmetrizer_term_counts():
-    assert len(symmetrize_terms("s1", 0, 1, 2, 3, 4, 5)) == 6
-    assert len(symmetrize_terms("s1s2", 0, 1, 2, 3, 4, 5)) == 12
-    assert len(symmetrize_terms("s1t", 0, 1, 2, 3, 4, 5)) == 6
-    with pytest.raises(ValueError):
-        symmetrize_terms("s9", 0, 1, 2, 3, 4, 5)
-
-
-def test_symmetrize_sums_invariant_function():
-    def sym_sum(U, kind, *ix):
-        return sum(U(*tup) for tup in symmetrize_terms(kind, *ix))
-
-    assert sym_sum(lambda *ix: 1.0, "s1s2", 0, 0, 1, 0, 0, 2) == 12.0
-    # function symmetric in the permuted slots: each orbit term is equal
-    sym = sym_sum(lambda i, k, a, j, l, b: i + k + a + 10 * (j + b),
-                  "s1", 0, 1, 2, 3, 4, 5)
-    assert sym == 6 * (0 + 1 + 2 + 10 * (3 + 5))
-
-
 def test_pairing_key_multiplicities_at_coincident_indices():
     """Expansion bookkeeping of the first curvature block.
 
-    At (i, k, a, j, l, b) = (0, 0, 1, 0, 0, 2) the twelve s1s2 orderings,
-    each contributing two pairings, collapse onto nine distinct pairing
+    At (i, k, a, j, l, b) = (0, 0, 1, 0, 0, 2) the twelve orderings that
+    block_a sums (6 of (i, k, a) times 2 of (j, b)), each contributing two
+    pairings, collapse onto nine distinct pairing
     keys.  The reference grouping lists ten terms with multiplicities
     (2, 4, 2, 2, 4, 2, 2, 2, 2, 2); two of those ten denote the same
     pairing, so the merged counts are six 2s and three 4s.
     """
+    i, k, a, j, l, b = 0, 0, 1, 0, 0, 2
     keys = []
-    for vi, vk, va, vj, vl, vb in symmetrize_terms("s1s2", 0, 0, 1, 0, 0, 2):
-        keys.append(((vk, vi, vj), (vl, vb, va)))
-        keys.append(((vk, vi, vj), (vb, vl, va)))
+    for vi, vk, va in itertools.permutations((i, k, a)):
+        for vj, vb in ((j, b), (b, j)):
+            keys.append(((vk, vi, vj), (l, vb, va)))
+            keys.append(((vk, vi, vj), (vb, l, va)))
     got = Counter(keys)
 
     listing = [
