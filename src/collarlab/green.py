@@ -8,7 +8,10 @@ on the collar's TauGrid, using the same high-order stencils as the field
 derivatives (endpoints enter as ghost nodes pinned to zero).  Each
 (grid, |mode|) matrix is LU-factored once (LAPACK zgbtrf) and every later
 solve on it is a zgbtrs call; modes n and -n share it, since the matrix
-depends on n only through n^2.  The factors live in ``grid._cache``:
+depends on n only through n^2.  The matrix is also real, so for a real
+field (f_-n = conj f_n) the solution's mode -n is the conjugate of its
+mode n: each such +-n pair costs one solve and one residual.  The factors
+live in ``grid._cache``:
 
     "box_band"           -(sin^2 tau / 2) D2, (bl + bu + 1, n) float64,
                          one per grid, without the mode diagonal
@@ -109,8 +112,9 @@ def _band_matvec(band, diag, bl, bu, x):
     buf = np.empty(rows * (width + 1), dtype=complex)
     # entry (r, j) lands at column r + j of the (rows, width) view
     skew = buf.reshape(rows, width + 1)
-    np.multiply(band, x, out=skew[:, :n])
+    np.multiply(band[:bu], x, out=skew[:bu, :n])
     np.multiply(diag, x, out=skew[bu, :n])
+    np.multiply(band[bu + 1 :], x, out=skew[bu + 1 :, :n])
     skew[:, n:] = 0.0
     return buf[: rows * width].reshape(rows, width).sum(axis=0)[bu : bu + n]
 
@@ -135,7 +139,10 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     linear-algebra error, not discretisation error.  A residual above
     ``config.rtol`` (or NaN) raises SolverError; NaN or inf in f raises
     ValueError.  A right-hand side near the underflow range is solved
-    scaled up by a power of two, so subnormal ones solve as well.
+    scaled up by a power of two, so subnormal ones solve as well.  Mode n
+    whose input equals the conjugate of an already solved mode -n (a real
+    field's pair) is not solved again: the mode matrix is real, so its
+    solution is that mode's conjugate, with the same residual.
     """
     cfg = config or SolverConfig()
     grid = f.grid
@@ -164,6 +171,12 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     out = {}
     res_sups = [0.0]
     for (n_mode, rhs), rhs_sup in zip(f.modes.items(), f_sups[1:]):
+        if -n_mode in out and np.array_equal(rhs, np.conj(f.modes[-n_mode])):
+            # a real field's pair, f_n = conj f_-n by value (zero signs may
+            # differ): the mode matrix is real, so (T f)_n = conj (T f)_-n,
+            # and its residual is the twin's, already in res_sups
+            out[n_mode] = np.conj(out[-n_mode])
+            continue
         lu, piv, diag = _mode_factor(grid, n_mode)
         k = 0
         if rhs_sup < _TINY:

@@ -172,8 +172,39 @@ def oracle_solve(f):
     return out, res_sup / f_sup
 
 
+def count_calls(monkeypatch, name):
+    """A list that grows by one at every call solve_T makes to green.<name>."""
+    calls = []
+    real = getattr(collarlab.green, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(collarlab.green, name, counting)
+    return calls
+
+
+@pytest.fixture
+def zgbtrf_calls(monkeypatch):
+    return count_calls(monkeypatch, "zgbtrf")
+
+
+@pytest.fixture
+def zgbtrs_calls(monkeypatch):
+    return count_calls(monkeypatch, "zgbtrs")
+
+
+def flip_zero_signs(z):
+    """z with the sign bit of every zero real or imaginary part flipped."""
+    re = np.where(z.real == 0, np.copysign(0.0, -np.copysign(1.0, z.real)), z.real)
+    im = np.where(z.imag == 0, np.copysign(0.0, -np.copysign(1.0, z.imag)), z.imag)
+    return re + 1j * im
+
+
 @pytest.mark.parametrize("u", [0.1, 0.03, 0.012, 0.01])
-def test_factored_solve_matches_unfactored_bitwise(u, clear_models):
+def test_factored_solve_matches_unfactored_bitwise(u, clear_models,
+                                                   zgbtrs_calls):
     clear_models()
     col = collar_from_u(u)
     grid = make_grid(col, 1024)
@@ -182,28 +213,50 @@ def test_factored_solve_matches_unfactored_bitwise(u, clear_models):
     modes = {n: window * (rng.standard_normal(grid.n)
                           + 1j * rng.standard_normal(grid.n))
              for n in (0, 1, -1, 4, -4, 24, -24)}
-    f = CollarField(col, grid, modes)
-    want, want_res = oracle_solve(f)
-    for _ in range(2):  # the first call factors, the second reuses
-        g = solve_T(f, QUIET)
-        assert g.modes.keys() == want.keys()
-        for n, sol in want.items():
-            assert np.array_equal(g.modes[n], sol)
-        assert g.residual_sup == want_res
+    # real fields, f_-n = conj f_n, with n before -n and -n before n
+    real = {0: window * rng.standard_normal(grid.n) + 0j}
+    for n in (1, 4, 24):
+        real[n], real[-n] = modes[n], np.conj(modes[n])
+    swapped = {n: real[n] for n in (0, -1, 1, -4, 4, -24, 24)}
+    a = modes[1]
+    zeros = flip_zero_signs(np.conj(a))
+    assert np.array_equal(zeros, np.conj(a))
+    assert zeros.tobytes() != np.conj(a).tobytes()
+    broken = np.conj(a)
+    j = np.flatnonzero(window)[len(np.flatnonzero(window)) // 2]
+    broken[j] = complex(np.nextafter(broken[j].real, np.inf), broken[j].imag)
+    # below 2**-900, solved at unit scale; the oracle's values stay normal
+    tiny = a * 2.0**-902
+    # (field, zgbtrs calls per solve): a twin that equals the conjugate by
+    # value takes the shortcut, one ulp off it is solved directly
+    cases = [(modes, 7), (real, 4), (swapped, 4),
+             ({1: a, -1: zeros}, 1), ({1: a, -1: broken}, 2),
+             ({-1: tiny, 1: np.conj(tiny)}, 1)]
+    for modes, solves in cases:
+        f = CollarField(col, grid, modes)
+        want, want_res = oracle_solve(f)
+        for _ in range(2):  # the first call factors, the second reuses
+            zgbtrs_calls.clear()
+            g = solve_T(f, QUIET)
+            assert len(zgbtrs_calls) == solves
+            assert list(g.modes) == list(want)
+            for n, sol in want.items():
+                assert np.array_equal(g.modes[n], sol)
+            assert g.residual_sup == want_res
 
 
-@pytest.fixture
-def zgbtrf_calls(monkeypatch):
-    """A list that grows by one at every zgbtrf call solve_T makes."""
-    calls = []
-    real_zgbtrf = collarlab.green.zgbtrf
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real_zgbtrf(*args, **kwargs)
-
-    monkeypatch.setattr(collarlab.green, "zgbtrf", counting)
-    return calls
+def test_real_field_pairs_cost_one_solve(cg, zgbtrs_calls):
+    col, grid = cg
+    f = random_compact(col, grid, np.random.default_rng(3), n_extra=0)
+    prof = compact_window(col, grid) * np.cos(PI * grid.nodes)
+    for n, z in ((1, 0.3 - 0.4j), (3, -0.2 + 0.7j)):
+        f.modes[n], f.modes[-n] = z * prof, np.conj(z) * prof
+    solve_T(f, QUIET)
+    assert len(zgbtrs_calls) == 3
+    # the broken pair is solved mode by mode; the +-1 pair still shares
+    f.modes[-3] = f.modes[-3] * (1 + 1e-12)
+    solve_T(f, QUIET)
+    assert len(zgbtrs_calls) == 3 + 4
 
 
 def test_each_grid_mode_is_factored_once(zgbtrf_calls, clear_models):
@@ -247,6 +300,9 @@ def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
         for r in range(bl + bu + 1):
             acc[r : r + grid.n] += (diag if r == bu else band[r]) * x
         assert np.array_equal(got, acc[bu : bu + grid.n])
+        # the band is real: conj(x) maps to conj(A x), sign bits included
+        got_conj = _band_matvec(band, diag, bl, bu, np.conj(x))
+        assert got_conj.tobytes() == np.conj(got).tobytes()
         want = dense_band(band, diag, bu) @ x
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -291,13 +347,21 @@ def test_non_finite_input_is_rejected(cg, bad, zgbtrf_calls, clear_models):
     assert not [w for w in seen if issubclass(w.category, SupportWarning)]
 
 
-def test_overflowing_residual_fails_the_gate(cg):
+def test_overflowing_residual_fails_the_gate(cg, zgbtrs_calls):
     # finite input whose residual overflows to NaN must not pass as 0
     col, grid = cg
-    f = CollarField(col, grid, {0: 1e305 * compact_window(col, grid) + 0j})
+    big = 1e305 * compact_window(col, grid) + 0j
+    f = CollarField(col, grid, {0: big})
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="nan"):
             solve_T(f, QUIET)
+    # a real pair is solved once, and its NaN residual still reaches the gate
+    zgbtrs_calls.clear()
+    f = CollarField(col, grid, {1: big, -1: big.copy()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="nan"):
+            solve_T(f, QUIET)
+    assert len(zgbtrs_calls) == 1
 
 
 def test_overflowing_modulus_fails_the_gate(cg):
