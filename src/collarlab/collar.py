@@ -219,6 +219,9 @@ class TauGrid:
 
     nodes/weights: composite Gauss-Legendre panels (no endpoint nodes).
     Derivatives use sliding 9-node polynomial stencils on the same nodes.
+    The pairings multiply complex profiles by ``_complex_csc2``, a cached
+    complex copy of csc2 (16 n bytes): the same complex multiply numpy
+    makes after casting csc2 anew on every call.
     """
 
     collar: CollarParams
@@ -257,6 +260,10 @@ class TauGrid:
     @functools.cached_property
     def _complex_weights(self):
         return self.weights.astype(complex)
+
+    @functools.cached_property
+    def _complex_csc2(self):
+        return self.csc2.astype(complex)
 
     # -- quadrature ------------------------------------------------------
     def integrate(self, values) -> complex:

@@ -172,28 +172,33 @@ def volume_integral(f: CollarField) -> complex:
     if v0 is None:
         return 0.0 + 0.0j
     u = f.collar.u
-    return math.pi * u * f.grid.integrate(v0 * f.grid.csc2)
+    return math.pi * u * f.grid.integrate(v0 * f.grid._complex_csc2)
+
+
+def _mode_pairs(f: CollarField, g: CollarField, conj: bool) -> complex:
+    """pi u * sum_n integral F_n P_n csc^2 dtau over the modes n of f, with
+    P_n = conj G_n if conj, else G_-n (absent modes are skipped).
+
+    Each integrand is formed in one buffer, multiplied in the order
+    (F_n P_n) csc^2 by the grid's complex copy of csc^2.
+    """
+    _check_same(f, g)
+    grid = f.grid
+    csc2, buf = grid._complex_csc2, np.empty(grid.n, dtype=complex)
+    acc = 0.0 + 0.0j
+    for n, v in f.modes.items():
+        w = g.modes.get(n if conj else -n)
+        if w is not None:
+            np.multiply(v, np.conjugate(w, out=buf) if conj else w, out=buf)
+            acc += grid.integrate(np.multiply(buf, csc2, out=buf))
+    return math.pi * f.collar.u * acc
 
 
 def pairing_l2(f: CollarField, g: CollarField) -> complex:
     """L2 pairing integral of f * conj(g) dv (mode-orthogonal sum)."""
-    _check_same(f, g)
-    u = f.collar.u
-    acc = 0.0 + 0.0j
-    for n, v in f.modes.items():
-        w = g.modes.get(n)
-        if w is not None:
-            acc += f.grid.integrate(v * np.conj(w) * f.grid.csc2)
-    return math.pi * u * acc
+    return _mode_pairs(f, g, conj=True)
 
 
 def integral_product(f: CollarField, g: CollarField) -> complex:
     """Integral of f * g dv with no conjugation (modes n and -n pair up)."""
-    _check_same(f, g)
-    u = f.collar.u
-    acc = 0.0 + 0.0j
-    for n, v in f.modes.items():
-        w = g.modes.get(-n)
-        if w is not None:
-            acc += f.grid.integrate(v * w * f.grid.csc2)
-    return math.pi * u * acc
+    return _mode_pairs(f, g, conj=False)

@@ -10,14 +10,25 @@ derivatives (endpoints enter as ghost nodes pinned to zero).  Each
 solve on it is a zgbtrs call; modes n and -n share it, since the matrix
 depends on n only through n^2.  The matrix is also real, so for a real
 field (f_-n = conj f_n) the solution's mode -n is the conjugate of its
-mode n: each such +-n pair costs one solve and one residual.  The factors
-live in ``grid._cache``:
+mode n: each such +-n pair costs one solve and one residual.
+
+The residual A x - b sums only the band's core rows at interior outputs:
+the 9 diagonals of the centred stencil.  The other rows are nonzero only
+at a few end outputs (3 at each end), and those outputs are recomputed
+over every row.  Both sets are read off the band's nonzero pattern.  The
+factors, these blocks and the support test's mask live in ``grid._cache``:
 
     "box_band"           -(sin^2 tau / 2) D2, (bl + bu + 1, n) float64,
-                         one per grid, without the mode diagonal
-    ("box1_lu", |mode|)  lu.real, (2 bl + bu + 1, n) float64, int32 pivots
-                         and the mode's main diagonal, n float64:
-                         25 n * 8 + 4 n + 8 n bytes, 216 KB at n_tau 1024
+                         one per grid, without the mode diagonal; beside
+                         it the end outputs' columns, (17, 6) int64, and
+                         entries, (17, 6) float64: 1.6 KB
+    ("box1_lu", |mode|)  lu.real, (2 bl + bu + 1, n) float64, int32 pivots,
+                         the mode's main diagonal, n float64, and its end
+                         block, the entries with that diagonal, (17, 6)
+                         float64: 25 n * 8 + 4 n + 8 n + 816 bytes, 217 KB
+                         at n_tau 1024
+    "support_outer"      n bool, one per grid: the nodes in the outer 10%
+                         of the tau interval at either end
 
 The Dirichlet truncation replaces the closed-surface solve; its bias is
 quantified by the boundary-cut sensitivity check.
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
@@ -60,7 +72,19 @@ class SolverConfig:
     warn_support: bool = True
 
 
-def _box_band(grid):
+class _BoxBand(NamedTuple):
+    """A grid's box band, and the layout of its residual."""
+
+    ab: np.ndarray  # ab[bu + i - j, j] = M[i, j], without the mode diagonal
+    bl: int
+    bu: int
+    core: slice  # the rows nonzero at the middle output
+    ends: np.ndarray  # the outputs where another row is nonzero
+    end_cols: np.ndarray  # (rows, ends): the column feeding each end output
+    end_ab: np.ndarray  # (rows, ends): its entry, 0 outside the matrix
+
+
+def _box_band(grid) -> _BoxBand:
     """-(sin^2 tau / 2) D2 in banded storage, shared by every mode of a grid.
 
     Storage is ab[bu + i - j, j] = M[i, j]; the corners outside the matrix
@@ -73,50 +97,75 @@ def _box_band(grid):
         i = np.arange(n) + np.arange(-bu, bl + 1)[:, None]  # row of each entry
         inside = (i >= 0) & (i < n)
         band = np.where(inside, -s[np.clip(i, 0, n - 1)] * ab_d2, 0.0)
-        grid._cache["box_band"] = (band, bl, bu)
+        r, j = np.nonzero(band)
+        core = r[i[r, j] == n // 2]
+        lo, hi = int(core.min()), int(core.max()) + 1
+        outer = (r < lo) | (r >= hi)
+        ends = np.unique(i[r[outer], j[outer]])
+        # the core holds the mode diagonal, and rows outside it are nonzero
+        # only at the first and last few outputs
+        head = np.count_nonzero(ends < n // 2)
+        assert lo <= bu < hi and np.array_equal(
+            ends, np.r_[:head, n - len(ends) + head : n])
+        rows = np.arange(bl + bu + 1)[:, None]
+        cols = ends + bu - rows
+        inside = (cols >= 0) & (cols < n)
+        cols = np.clip(cols, 0, n - 1)
+        grid._cache["box_band"] = _BoxBand(
+            band, bl, bu, slice(lo, hi), ends, cols,
+            np.where(inside, band[rows, cols], 0.0))
     return grid._cache["box_band"]
 
 
 def _mode_factor(grid, n_mode):
-    """Banded LU and main diagonal of the mode-n (box + 1) matrix.
+    """Banded LU, main diagonal and end block of the mode-n (box + 1) matrix.
 
     Factored once per grid and |n|.  The matrix is real, so the complex
     factors zgbtrf returns have zero imaginary part: only lu.real (Fortran
-    order) and the pivots are kept, next to the diagonal the residual uses.
+    order) and the pivots are kept, next to the diagonal and the end block
+    (the band's end entries with that diagonal) the residual uses.
     """
     key = ("box1_lu", abs(n_mode))
     if key not in grid._cache:
-        band, bl, bu = _box_band(grid)
+        band = _box_band(grid)
+        bl, bu = band.bl, band.bu
         s = 0.5 * grid.sin_tau**2
-        diag = band[bu] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
+        diag = band.ab[bu] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
         work = np.zeros((2 * bl + bu + 1, grid.n), dtype=complex)
-        work[bl:] = band
+        work[bl:] = band.ab
         work[bl + bu] = diag
         lu, piv, info = zgbtrf(work, bl, bu, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"mode {n_mode} matrix is singular")
-        grid._cache[key] = (np.array(lu.real, order="F"), piv, diag)
+        end_ab = band.end_ab.copy()
+        end_ab[bu] = diag[band.ends]
+        grid._cache[key] = (np.array(lu.real, order="F"), piv, diag, end_ab)
     return grid._cache[key]
 
 
-def _band_matvec(band, diag, bl, bu, x):
-    """A x for the band matrix A with main diagonal diag.
+def _band_matvec(band, diag, end_ab, x):
+    """A x for the band matrix A of band with main diagonal diag.
 
-    Each diagonal's products are written skewed into their own row of a
-    buffer whose padding is zeroed, and the rows summed in order, diagonal
-    by diagonal.
+    Each core diagonal's products are written skewed into their own row of
+    a buffer whose padding is zeroed, and the rows summed in order,
+    diagonal by diagonal.  The rows outside the core would add only exact
+    zeros there, except at the end outputs: each is summed again over every
+    row in the same order, from end_ab, the end block with diag.
     """
+    ab, bu, lo, hi = band.ab, band.bu, band.core.start, band.core.stop
     n = len(x)
-    rows = bl + bu + 1
+    rows = hi - lo
     width = n + rows - 1
     buf = np.empty(rows * (width + 1), dtype=complex)
-    # entry (r, j) lands at column r + j of the (rows, width) view
+    # entry (r, j) lands at column r - lo + j of the (rows, width) view
     skew = buf.reshape(rows, width + 1)
-    np.multiply(band[:bu], x, out=skew[:bu, :n])
-    np.multiply(diag, x, out=skew[bu, :n])
-    np.multiply(band[bu + 1 :], x, out=skew[bu + 1 :, :n])
+    np.multiply(ab[lo:bu], x, out=skew[: bu - lo, :n])
+    np.multiply(diag, x, out=skew[bu - lo, :n])
+    np.multiply(ab[bu + 1 : hi], x, out=skew[bu - lo + 1 :, :n])
     skew[:, n:] = 0.0
-    return buf[: rows * width].reshape(rows, width).sum(axis=0)[bu : bu + n]
+    y = buf[: rows * width].reshape(rows, width).sum(axis=0)[bu - lo : bu - lo + n]
+    y[band.ends] = np.add.reduce(end_ab * x[band.end_cols], axis=0)
+    return y
 
 
 def _ldexp(z, k):
@@ -140,7 +189,7 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     ``config.rtol`` (or NaN) raises SolverError; NaN or inf in f raises
     ValueError.  A right-hand side near the underflow range is solved
     scaled up by a power of two, so subnormal ones solve as well.  Mode n
-    whose input equals the conjugate of an already solved mode -n (a real
+    whose input equals the conjugate of an earlier mode -n (a real
     field's pair) is not solved again: the mode matrix is real, so its
     solution is that mode's conjugate, with the same residual.
     """
@@ -148,46 +197,58 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     grid = f.grid
     # one pass over the input: |f_n| gives max|f_n|, the support test's
     # sum_n |f_n| and the finite check (a NaN or inf makes the max NaN or
-    # inf; so does a finite value whose modulus overflows, hence the recheck)
-    f_sups, acc = [0.0], np.zeros(grid.n)
-    for rhs in f.modes.values():
-        mag = np.abs(rhs)
-        f_sups.append(mag.max())
-        if not np.isfinite(f_sups[-1]) and not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
+    # inf; so does a finite value whose modulus overflows, hence the recheck).
+    # Mode n equal by value to the conjugate of an earlier mode -n (a real
+    # field's pair; zero signs may differ) is a twin, not solved below; as
+    # |conj z| = |z| exactly, it takes mode -n's modulus and max
+    f_sups, acc, mags, twins = [0.0], np.zeros(grid.n), {}, set()
+    for n_mode, rhs in f.modes.items():
+        if -n_mode in mags and np.array_equal(rhs, np.conj(f.modes[-n_mode])):
+            twins.add(n_mode)
+            mag, sup = mags[-n_mode]
+        else:
+            mag = np.abs(rhs)
+            sup = mag.max()
+            if not np.isfinite(sup) and not np.isfinite(rhs).all():
+                raise ValueError("array must not contain infs or NaNs")
+        mags[n_mode] = mag, sup
+        f_sups.append(sup)
         acc += mag
     if cfg.warn_support and f.modes:
-        tau = grid.nodes
-        lo, hi = grid.collar.tau_min, grid.collar.tau_max
-        width = _SUPPORT_FRAC * (hi - lo)
-        outer = (tau < lo + width) | (tau > hi - width)
+        if "support_outer" not in grid._cache:
+            tau = grid.nodes
+            lo, hi = grid.collar.tau_min, grid.collar.tau_max
+            width = _SUPPORT_FRAC * (hi - lo)
+            grid._cache["support_outer"] = ((tau < lo + width)
+                                            | (tau > hi - width))
+        outer = grid._cache["support_outer"]
         sup_all = float(acc.max())
         sup_outer = float(acc[outer].max()) if outer.any() else 0.0
         if sup_all > 0 and sup_outer > _SUPPORT_TOL * sup_all:
             warnings.warn("input not supported well inside the collar; "
                           "Dirichlet boundary bias is uncontrolled",
                           SupportWarning, stacklevel=2)
-    band, bl, bu = _box_band(grid)
+    band = _box_band(grid)
     out = {}
     res_sups = [0.0]
     for (n_mode, rhs), rhs_sup in zip(f.modes.items(), f_sups[1:]):
-        if -n_mode in out and np.array_equal(rhs, np.conj(f.modes[-n_mode])):
-            # a real field's pair, f_n = conj f_-n by value (zero signs may
-            # differ): the mode matrix is real, so (T f)_n = conj (T f)_-n,
-            # and its residual is the twin's, already in res_sups
+        if n_mode in twins:
+            # the mode matrix is real, so (T f)_n = conj (T f)_-n, and its
+            # residual is the twin's, already in res_sups
             out[n_mode] = np.conj(out[-n_mode])
             continue
-        lu, piv, diag = _mode_factor(grid, n_mode)
+        lu, piv, diag, end_ab = _mode_factor(grid, n_mode)
         k = 0
         if rhs_sup < _TINY:
             # solved at unit scale: scaling up by 2**-k is exact, and it
             # keeps the solve out of subnormal arithmetic
             k = math.frexp(rhs_sup)[1]
             rhs = _ldexp(rhs, -k)
-        sol, _ = zgbtrs(lu, bl, bu, rhs, piv)
+        sol, _ = zgbtrs(lu, band.bl, band.bu, rhs, piv)
         out[n_mode] = _ldexp(sol, k) if k else sol
         # residual against the defining discrete forward operator
-        res = _band_matvec(band, diag, bl, bu, sol) - rhs
+        res = _band_matvec(band, diag, end_ab, sol)
+        res -= rhs
         res_sups.append(math.ldexp(np.abs(res).max(), k))
     # np.max, unlike max(), carries a NaN residual through to the gate
     res_sup, f_sup = float(np.max(res_sups)), float(np.max(f_sups))

@@ -124,8 +124,14 @@ def test_pairings_match_the_per_mode_integrals_bitwise(cg, modes_f, modes_g):
     draw = lambda: rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     f = CollarField(col, grid, {n: draw() for n in modes_f})
     g = CollarField(col, grid, {n: draw() for n in modes_g})
+    csc2 = grid._complex_csc2
+    assert csc2.tobytes() == grid.csc2.astype(complex).tobytes()
     assert pairing_l2(f, g) == mode_sum(f, g, conj_same)
     assert integral_product(f, g) == mode_sum(f, g, opposite)
+    want = (PI * col.u * grid.integrate(f.modes[0] * grid.csc2)
+            if 0 in f.modes else 0.0)
+    assert volume_integral(f) == want
+    assert grid._complex_csc2 is csc2  # built once per grid
 
 
 def test_volume_integral_quadrature(cg):

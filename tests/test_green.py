@@ -273,27 +273,36 @@ def dense_band(band, diag, bu):
     return a
 
 
-@pytest.mark.parametrize("n_tau", [512, 1024])
-@pytest.mark.parametrize("u", [0.1, 0.01])
+@pytest.mark.parametrize("n_tau", [512, 1024, 2048])
+@pytest.mark.parametrize("u", [0.1, 0.012, 0.01])
 def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
     col = collar_from_u(u)
     grid = make_grid(col, n_tau)
-    band, bl, bu = _box_band(grid)
+    band = _box_band(grid)
+    ab, bl, bu = band.ab, band.bl, band.bu
+    # every nonzero of the band sits in a core row or reaches an end output
+    r, j = np.nonzero(ab)
+    outside = (r < band.core.start) | (r >= band.core.stop)
+    assert np.isin(j[outside] + r[outside] - bu, band.ends).all()
     rng = np.random.default_rng(n_tau)
     x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    # supported on the first and last 12 nodes: the end outputs carry it
+    at_ends = np.where(np.isin(np.arange(grid.n), np.r_[:12, -12:0]), x, 0)
     for n_mode in (0, 4, 24):
-        diag = _mode_factor(grid, n_mode)[2]
-        got = _band_matvec(band, diag, bl, bu, x)
-        # diagonal r of the storage adds its products to y[j + r - bu]
-        acc = np.zeros(grid.n + bl + bu, dtype=complex)
-        for r in range(bl + bu + 1):
-            acc[r : r + grid.n] += (diag if r == bu else band[r]) * x
-        assert np.array_equal(got, acc[bu : bu + grid.n])
+        _, _, diag, end_ab = _mode_factor(grid, n_mode)
+        for v in (x, at_ends):
+            got = _band_matvec(band, diag, end_ab, v)
+            # diagonal r of the storage adds its products to y[j + r - bu]
+            acc = np.zeros(grid.n + bl + bu, dtype=complex)
+            for r in range(bl + bu + 1):
+                acc[r : r + grid.n] += (diag if r == bu else ab[r]) * v
+            assert np.array_equal(got, acc[bu : bu + grid.n])
+            want = dense_band(ab, diag, bu) @ v
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # the band is real: conj(x) maps to conj(A x), sign bits included
-        got_conj = _band_matvec(band, diag, bl, bu, np.conj(x))
-        assert got_conj.tobytes() == np.conj(got).tobytes()
-        want = dense_band(band, diag, bu) @ x
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got_conj = _band_matvec(band, diag, end_ab, np.conj(x))
+        assert got_conj.tobytes() == np.conj(
+            _band_matvec(band, diag, end_ab, x)).tobytes()
 
 
 def test_singular_factor_raises(monkeypatch, clear_models):
@@ -322,11 +331,13 @@ def test_non_finite_input_is_rejected(cg, bad, zgbtrf_calls, clear_models):
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_T(f, QUIET)
     # on a fresh grid, a bad last mode is found before any mode is factored,
-    # and before the support test of an input that would fail it
+    # and before the support test of an input that would fail it; here the
+    # bad mode is the second member of a real pair, so the twin test meets
+    # it first and must not take it for its partner's conjugate
     clear_models()
     grid = make_grid(col, 512)
-    full = np.ones(grid.n, dtype=complex)
-    f = CollarField(col, grid, {0: full, 2: full, -2: full.copy()})
+    full = np.full(grid.n, 1 + 1j)
+    f = CollarField(col, grid, {0: full, 2: full, -2: np.conj(full)})
     f.modes[-2][grid.n // 2] = bad
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
@@ -351,6 +362,30 @@ def test_overflowing_residual_fails_the_gate(cg, zgbtrs_calls):
         with pytest.raises(SolverError, match="nan"):
             solve_T(f, QUIET)
     assert len(zgbtrs_calls) == 1
+
+
+@pytest.mark.parametrize("node, bad, message", [
+    ("interior", np.inf, "inf"), ("interior", np.nan, "nan"),
+    ("end", np.inf, "nan"), ("end", np.nan, "nan")])
+def test_non_finite_solution_fails_the_gate(cg, monkeypatch, node, bad,
+                                            message):
+    # the residual skips the band's zero rows at interior outputs, so an
+    # inf there meets no 0 * inf = NaN and the residual reads inf; at an
+    # end output every row is summed.  Either way the gate must fire
+    col, grid = cg
+    j = grid.n // 2 if node == "interior" else 0
+    real_zgbtrs = collarlab.green.zgbtrs
+
+    def poisoned(*args, **kwargs):
+        sol, info = real_zgbtrs(*args, **kwargs)
+        sol[j] = bad
+        return sol, info
+
+    monkeypatch.setattr(collarlab.green, "zgbtrs", poisoned)
+    f = CollarField(col, grid, {0: compact_window(col, grid) + 0j})
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverError, match=f"residual {message} "):
+            solve_T(f, QUIET)
 
 
 def test_overflowing_modulus_fails_the_gate(cg):

@@ -14,7 +14,11 @@ default `collarlab run` is made in both checkouts and `cmp` compares their
 report.csv and report.json.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
 change wins and loses, the reports' comparison and `wc -l` of
-src/collarlab/*.py on both sides.  Exits 1 when a run fails an operation
+src/collarlab/*.py on both sides.  Beside the peak_rss_mb medians goes a
+least-squares fit of peak_rss_mb against attempted operations over all
+the workload's runs, with one slope and an intercept per side: perfbench
+keeps a record per operation, so a side that completes more operations
+in the fixed run time reads higher peak RSS without holding more data.  Exits 1 when a run fails an operation
 or a report differs.
 """
 
@@ -83,6 +87,28 @@ def summary(runs: list, metric: str, better: str) -> dict:
     return out
 
 
+def rss_fit(runs: list) -> dict | None:
+    """peak_rss_mb = intercept[side] + slope * attempted, by least squares.
+
+    The common slope pools each side's deviations from its own means; None
+    when no side's attempted counts vary.
+    """
+    means, sxx, sxy = {}, 0.0, 0.0
+    for s in ("parent", "change"):
+        xs = [r["attempted"] for r in runs if r["side"] == s]
+        ys = [r["peak_rss_mb"] for r in runs if r["side"] == s]
+        mx, my = statistics.fmean(xs), statistics.fmean(ys)
+        means[s] = mx, my
+        sxx += sum((x - mx) ** 2 for x in xs)
+        sxy += sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    if not sxx:
+        return None
+    slope = sxy / sxx
+    return {"slope_mb_per_op": slope, "slope_bytes_per_op": slope * 2**20,
+            "intercept_mb": {s: my - slope * mx
+                             for s, (mx, my) in means.items()}}
+
+
 def default_run(tree: Path, out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, "-c", RUN_CLI, "run", "--out",
@@ -133,10 +159,11 @@ def main(argv=None) -> int:
                     print(json.dumps(run), file=sys.stderr)
                     ok &= run["failed"] == 0
                     runs.append(run)
-            end_to_end[workload] = {
-                "pairs": PAIRS, "runs": runs,
-                "metrics": {m["name"]: summary(runs, m["name"], m["better"])
-                            for m in declared["end_to_end"]}}
+            metrics = {m["name"]: summary(runs, m["name"], m["better"])
+                       for m in declared["end_to_end"]}
+            metrics["peak_rss_mb"]["fit_on_attempted"] = rss_fit(runs)
+            end_to_end[workload] = {"pairs": PAIRS, "runs": runs,
+                                    "metrics": metrics}
         codes, reports = {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
@@ -175,6 +202,12 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} "
                   f"wins {m['change_wins']}/{PAIRS}")
+        fit = data["metrics"]["peak_rss_mb"]["fit_on_attempted"]
+        if fit:
+            print(f"{workload} peak_rss_mb fit: "
+                  f"{fit['slope_bytes_per_op']:.0f} B per operation, "
+                  f"intercepts parent {fit['intercept_mb']['parent']:.6g} "
+                  f"change {fit['intercept_mb']['change']:.6g}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
