@@ -49,7 +49,6 @@ class Approximants:
     d: CollarField
     box1_d: CollarField
     xi_etilde: CollarField
-    b_hat: complex
 
 
 def build_approximants(collar: CollarParams, grid: TauGrid, b_hat: complex,
@@ -80,9 +79,9 @@ def build_approximants(collar: CollarParams, grid: TauGrid, b_hat: complex,
     d2 = coef * (h2 * v + 2.0 * h1 * v1 + h * v2)
     box1_d = -0.5 * sin2 * d2 + d0
 
-    mk = lambda prof: CollarField(collar, grid, {0: prof.astype(complex)})
+    mk = lambda prof: CollarField(collar, grid, {0: prof})
     return Approximants(etilde=mk(e0), ftilde=mk(ftl), d=mk(d0),
-                        box1_d=mk(box1_d), xi_etilde=mk(xi_prof), b_hat=b_hat)
+                        box1_d=mk(box1_d), xi_etilde=mk(xi_prof))
 
 
 # -- target table ----------------------------------------------------------
@@ -150,7 +149,6 @@ class FitResult:
     constant: float
     exponent: float
     r2: float
-    residuals: tuple[float, ...]
 
 
 def fit_power_law(samples) -> FitResult:
@@ -190,8 +188,7 @@ def fit_power_law(samples) -> FitResult:
     c_seq = vs / us**p_use
     # linear-in-u Richardson step on the last two (smallest-u) points
     c_star = c_seq[-1] + (c_seq[-1] - c_seq[-2]) * us[-1] / (us[-2] - us[-1])
-    return FitResult(constant=float(c_star), exponent=float(p),
-                     r2=float(r2), residuals=tuple(float(x) for x in resid))
+    return FitResult(constant=float(c_star), exponent=float(p), r2=float(r2))
 
 
 # -- geodesic length -------------------------------------------------------

@@ -80,7 +80,6 @@ _KEYS = {
     ("sweep", "u_min"): ("u_min", float),
     ("sweep", "u_max"): ("u_max", float),
     ("sweep", "points"): ("points", int),
-    ("sweep", "spacing"): ("spacing", str),
     ("c",): ("c", float),
     ("suites",): ("suites", [str]),
     ("tolerances",): ("tolerances", {str: float}),
@@ -113,7 +112,6 @@ class RunConfig:
     u_min: float = 0.025
     u_max: float = 0.1
     points: int = 5
-    spacing: str = "geometric"
     c: float = 0.5
     suites: tuple = field(default_factory=lambda: SUITE_IDS)
     tolerances: dict = field(default_factory=dict)
@@ -133,8 +131,6 @@ class RunConfig:
             raise ConfigError("sweep needs 4 to 64 points")
         if not 512 <= self.n_tau <= 16384:
             raise ConfigError("n_tau must lie in [512, 16384]")
-        if self.spacing != "geometric":
-            raise ConfigError("only geometric sweep spacing is supported")
         bad = [s for s in self.suites if s not in SUITE_IDS]
         if bad:
             raise ConfigError(f"unknown suites: {', '.join(bad)}")
@@ -326,7 +322,7 @@ def _random_compact_field(col, grid, rng) -> CollarField:
     modes = {}
     prof0 = window * (rng.standard_normal() * np.cos(
         rng.uniform(1, 4) * PI * x) + rng.standard_normal())
-    modes[0] = prof0.astype(complex)
+    modes[0] = prof0
     for _ in range(2):
         n = int(rng.integers(1, 5))
         z = (rng.standard_normal() + 1j * rng.standard_normal()) / 2
@@ -370,7 +366,7 @@ def _suite_green_props(cfg: RunConfig) -> list:
 
     # positivity and sup contraction on a nonnegative full-collar input;
     # the support precondition is deliberately waived here
-    pos = CollarField(col, grid, {0: (np.sin(grid.nodes) ** 4).astype(complex)})
+    pos = CollarField(col, grid, {0: np.sin(grid.nodes) ** 4})
     gp = solve_T(pos, SolverConfig(warn_support=False))
     recs.append(_record("positivity", u, float(gp.modes[0].real.min()),
                         -1e-12, 0.0, floor=True))
@@ -383,9 +379,9 @@ def _suite_green_props(cfg: RunConfig) -> list:
         grid_s = make_grid(col_s, cfg.n_tau)
         ap = asym.build_approximants(col_s, grid_s, -u_s / PI)
         g = solve_T(ap.ftilde, SolverConfig(warn_support=False))
-        num = math.sqrt(abs(pairing_l2(maass(g, 0, "K"), maass(g, 0, "K"))))
-        den = math.sqrt(abs(pairing_l2(maass(ap.ftilde, 0, "K"),
-                                       maass(ap.ftilde, 0, "K"))))
+        kg, kf = maass(g, 0, "K"), maass(ap.ftilde, 0, "K")
+        num = math.sqrt(abs(pairing_l2(kg, kg)))
+        den = math.sqrt(abs(pairing_l2(kf, kf)))
         recs.append(_record("mode-energy-ratio", u_s, num / den, 0.0, math.inf))
         recs.append(_record("schauder-ratio", u_s,
                             ck_norm(g, 2) / ck_norm(ap.ftilde, 1), 0.0,

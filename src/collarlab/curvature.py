@@ -42,7 +42,6 @@ def upper_index(values: np.ndarray) -> np.ndarray:
 class G1Report:
     """Four-block decomposition of the diagonal second-metric curvature."""
 
-    u: float
     terms: dict
     targets: dict
     total: complex
@@ -63,16 +62,14 @@ class CurvatureWorkspace:
     """
 
     def __init__(self, system: CollarSystem, bspec: BeltramiSpec,
-                 cutoff: CutoffSpec | None = None,
-                 compact_part: np.ndarray | None = None,
-                 solver: SolverConfig | None = None):
+                 compact_part: np.ndarray | None = None):
         self.system = system
         self.bspec = bspec
-        self.cutoff = cutoff or CutoffSpec()
+        self.cutoff = CutoffSpec()
         self.compact_part = compact_part
         # support warnings are expected here: solver inputs vanish at the
         # walls only through the taper, not over a full margin
-        self.solver = solver or SolverConfig(warn_support=False)
+        self.solver = SolverConfig(warn_support=False)
         self._taper = {
             J: taper_weights(system.collars[J], system.grids[J], self.cutoff)[0]
             for J in range(system.m)
@@ -275,7 +272,7 @@ class CurvatureWorkspace:
         terms = {name: block(i, i, i, i) for name, block in zip(coeffs, blocks)}
         targets = {name: c * base for name, c in coeffs.items()}
         total = sum(terms.values())
-        return G1Report(u=u, terms=terms, targets=targets, total=total,
+        return G1Report(terms=terms, targets=targets, total=total,
                         total_target=6.0 * base)
 
 

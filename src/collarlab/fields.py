@@ -46,6 +46,14 @@ class CollarField:
     # over modes of max|b|; linear-algebra error, not discretisation error
     residual_sup: float | None = None
 
+    def __post_init__(self):
+        # mode profiles are complex128 arrays: a dict of them is kept as
+        # passed, any other is copied with every mode cast
+        if not all(getattr(v, "dtype", None) == complex
+                   for v in self.modes.values()):
+            self.modes = {n: np.asarray(v, dtype=complex)
+                          for n, v in self.modes.items()}
+
     def copy(self) -> "CollarField":
         return replace(self, modes={n: v.copy() for n, v in self.modes.items()})
 

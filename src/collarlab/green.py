@@ -50,6 +50,9 @@ from .operators import box
 # a right-hand side with max|b| below this is solved scaled up to unit size;
 # far above the subnormal range (2**-1022), far below any field of a model
 _TINY = 2.0**-900
+# ceiling on residual_sup: max over modes of max|A x - b| divided by max
+# over modes of max|b| (not by CollarField.sup_norm, a sum over modes)
+_RTOL = 1e-6
 # an input is well supported when its sup over the outer 10% of the tau
 # interval at either end is at most 1e-6 of its sup over the whole collar
 _SUPPORT_FRAC = 0.10
@@ -66,9 +69,6 @@ class SupportWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # ceiling on residual_sup: max over modes of max|A x - b| divided by
-    # max over modes of max|b| (not by CollarField.sup_norm, a sum over modes)
-    rtol: float = 1e-6
     warn_support: bool = True
 
 
@@ -186,7 +186,7 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     The result's ``residual_sup`` is max over modes of max|A x - b|
     divided by max over modes of max|b|, for each mode's band matrix A:
     linear-algebra error, not discretisation error.  A residual above
-    ``config.rtol`` (or NaN) raises SolverError; NaN or inf in f raises
+    ``_RTOL`` = 1e-6 (or NaN) raises SolverError; NaN or inf in f raises
     ValueError.  A right-hand side near the underflow range is solved
     scaled up by a power of two, so subnormal ones solve as well.  Mode n
     whose input equals the conjugate of an earlier mode -n (a real
@@ -254,9 +254,9 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
     res_sup, f_sup = float(np.max(res_sups)), float(np.max(f_sups))
     g = CollarField(f.collar, f.grid, out, truncated=f.truncated,
                     residual_sup=res_sup / f_sup if f_sup > 0 else 0.0)
-    if f_sup > 0 and not res_sup <= cfg.rtol * f_sup:
+    if f_sup > 0 and not res_sup <= _RTOL * f_sup:
         raise SolverError(f"solver residual {res_sup/f_sup:.3e} exceeds "
-                          f"rtol {cfg.rtol:.1e}")
+                          f"rtol {_RTOL:.1e}")
     return g
 
 

@@ -93,30 +93,17 @@ def q_operator(e_kl: CollarField, f_kl: CollarField, f: CollarField) -> CollarFi
 
 # -- norms ----------------------------------------------------------------
 
-def _compositions(k: int):
-    """All Maass compositions of length <= k starting at weight 0."""
-    chains = [[]]
-    frontier = [((), 0)]
-    for _ in range(k):
-        nxt = []
-        for ops, w in frontier:
-            for which in ("K", "L"):
-                nw = w + 1 if which == "K" else w - 1
-                nxt.append((ops + ((which, w),), nw))
-        chains.extend(c for c, _ in nxt)
-        frontier = nxt
-    return chains
-
-
 def ck_norm(f: CollarField, k: int) -> float:
     """C^k norm of a function: sum of sup norms over all <= k-fold Maass
-    compositions."""
+    compositions, each level built from the one before, shortest first and
+    K before L."""
     if k < 0 or k > 2:
         raise ValueError("k must be 0, 1 or 2")
-    total = 0.0
-    for chain in _compositions(k):
-        g = f
-        for which, w in chain:
-            g = maass(g, w, which)
-        total += g.sup_norm()
+    level = [(f, 0)]  # the compositions of one length, with their weights
+    total = f.sup_norm()
+    for _ in range(k):
+        level = [(maass(g, w, which), w + step) for g, w in level
+                 for which, step in (("K", 1), ("L", -1))]
+        for g, _w in level:
+            total += g.sup_norm()
     return total

@@ -44,6 +44,7 @@ def test_runconfig_rejects_bad_input():
         {"sweep": {"u_min": 0.2}},
         {"sweep": {"u_min": 0.001}},
         {"sweep": {"spacing": "linear"}},
+        {"sweep": {"spacing": "geometric"}},  # the key itself is unknown
         {"grid": {"n_tau": 128}},
         {"suites": ["no-such-suite"]},
         {"output": {"formats": ["yaml"]}},

@@ -143,6 +143,20 @@ def test_volume_integral_quadrature(cg):
     assert volume_integral(f) == pytest.approx(want, rel=1e-14)
 
 
+def test_real_modes_are_cast_to_complex(cg):
+    col, grid = cg
+    prof = np.sin(grid.nodes) ** 2
+    real = CollarField(col, grid, {0: prof, 2: prof})
+    modes = {0: prof.astype(complex), 2: prof.astype(complex)}
+    cast = CollarField(col, grid, modes)
+    assert cast.modes is modes  # complex input is kept as passed
+    assert all(v.dtype == np.complex128 for v in real.modes.values())
+    for integral in (volume_integral, lambda f: pairing_l2(f, f)):
+        got, want = np.asarray(integral(real)), np.asarray(integral(cast))
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+
 def test_wirtinger_on_coordinate_monomials(cg):
     col, grid = cg
     # f = z: mode 1 with profile r; dz f = 1, dzbar f = 0

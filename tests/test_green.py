@@ -72,11 +72,21 @@ def test_residual_is_recorded_and_small(cg):
     assert 0.0 < g.residual_sup <= 1e-6 * f.sup_norm()
 
 
-def test_solver_error_on_unreachable_rtol(cg):
+def test_solver_error_on_unreachable_rtol(cg, monkeypatch):
+    # a finite solution a relative 1e-3 off at one node has a finite
+    # residual far above the 1e-6 ceiling
     col, grid = cg
     f = random_compact(col, grid, np.random.default_rng(2))
-    with pytest.raises(SolverError):
-        solve_T(f, SolverConfig(rtol=1e-16, warn_support=False))
+    real_zgbtrs = collarlab.green.zgbtrs
+
+    def perturbed(*args, **kwargs):
+        sol, info = real_zgbtrs(*args, **kwargs)
+        sol[grid.n // 2] *= 1 + 1e-3
+        return sol, info
+
+    monkeypatch.setattr(collarlab.green, "zgbtrs", perturbed)
+    with pytest.raises(SolverError, match=r"exceeds rtol 1\.0e-06$"):
+        solve_T(f, QUIET)
 
 
 def test_spectral_inequalities_on_seeded_fields(cg):

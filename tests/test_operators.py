@@ -7,10 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from collarlab import (CollarField, CollarSystem, beltrami_field, box,
-                       ck_norm, collar_from_u, constant_field,
-                       diagonal_family, maass, make_grid, op_P, op_P_bar,
-                       wirtinger, xi)
+import collarlab.operators
+from collarlab import (CollarField, CollarSystem, SolverConfig,
+                       beltrami_field, box, ck_norm, collar_from_u,
+                       constant_field, diagonal_family, maass, make_grid,
+                       op_P, op_P_bar, solve_T, wirtinger, xi)
 from collarlab.operators import mul_radial
 
 PI = math.pi
@@ -152,6 +153,59 @@ def test_ck_norm_scales_linearly(cg):
     f = smooth_field(col, grid)
     assert ck_norm(f.scale(3.0), 1) == pytest.approx(3 * ck_norm(f, 1),
                                                      rel=1e-12)
+
+
+def compositions(k):
+    """Every Maass composition of length <= k from weight 0, shortest first
+    and K before L, as (which, weight) steps."""
+    chains = [[]]
+    frontier = [((), 0)]
+    for _ in range(k):
+        nxt = []
+        for ops, w in frontier:
+            for which in ("K", "L"):
+                nw = w + 1 if which == "K" else w - 1
+                nxt.append((ops + ((which, w),), nw))
+        chains.extend(c for c, _ in nxt)
+        frontier = nxt
+    return chains
+
+
+def ck_norm_from_scratch(f, k):
+    total = 0.0
+    for chain in compositions(k):
+        g = f
+        for which, w in chain:
+            g = maass(g, w, which)
+        total += g.sup_norm()
+    return total
+
+
+def test_ck_norm_matches_compositions_from_scratch(cg, monkeypatch):
+    col, grid = cg
+    sys1 = CollarSystem([col], [grid])
+    bspec, _ = diagonal_family(sys1)
+    A = beltrami_field(bspec, 0, 0, sys1)
+    a, b = col.tau_min, col.tau_max
+    x = np.clip((grid.nodes - a) / (b - a), 0.0, 1.0)
+    window = np.sin(PI * x) ** 4
+    f = CollarField(col, grid, {0: window, 1: (0.3 + 0.2j) * window,
+                                -1: (0.3 - 0.2j) * window,
+                                3: 0.1j * np.cos(grid.nodes) * window})
+    solved = solve_T(f, SolverConfig(warn_support=False))
+    for field in (A, solved):
+        for k in (0, 1, 2):
+            assert ck_norm(field, k) == ck_norm_from_scratch(field, k)
+    # each composition extends one of the level before: 2 + 4 for k = 2
+    calls = []
+
+    def counted(g, p, which, _maass=collarlab.operators.maass):
+        calls.append((p, which))
+        return _maass(g, p, which)
+
+    monkeypatch.setattr(collarlab.operators, "maass", counted)
+    ck_norm(solved, 2)
+    assert len(calls) == 6
 
 
 def test_mul_radial_multiplies_every_mode(cg):

@@ -5,13 +5,12 @@
 Run from the root of a collarlab checkout.  The base commit (default HEAD)
 is exported with `git archive` into a temporary directory; the working
 tree is the change.  For each workload W that BENCHMARK.json declares,
-pair k (k = 0 .. 9) runs
-`python3 perfbench/run.py --workload W --seed k --seconds S --trace 0` in
-both checkouts, one after the other, the base first when k is even; S is
-BENCHMARK.json's run_seconds.  Seed 0 is the one perfbench checks against
-its stored references.  Then the
-default `collarlab run` is made in both checkouts and `cmp` compares their
-report.csv and report.json.  Everything goes to BENCH_<label>.json: every
+pair k (k = 0 .. 9) runs `CMD --workload W --seed k --seconds S --trace 0`
+in both checkouts, one after the other, the base first when k is even;
+CMD is BENCHMARK.json's command (`python3 perfbench/run.py`) and S its
+run_seconds.  Seed 0 is the one perfbench checks against its stored
+references.  Then the default `collarlab run` is made in both checkouts
+and `cmp` compares their report.csv and report.json.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
 change wins and loses, the reports' comparison and `wc -l` of
 src/collarlab/*.py on both sides.  Beside the peak_rss_mb medians goes a
@@ -56,9 +55,10 @@ def export(rev: str, dest: Path):
         raise SystemExit(f"git archive {rev} failed")
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = ["python3", "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def bench(tree: Path, command: list, workload: str, seed: int,
+          seconds: float) -> dict:
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
@@ -154,8 +154,8 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = {"side": side,
-                           **bench(trees[side], workload, seed,
-                                   declared["run_seconds"])}
+                           **bench(trees[side], declared["command"], workload,
+                                   seed, declared["run_seconds"])}
                     print(json.dumps(run), file=sys.stderr)
                     ok &= run["failed"] == 0
                     runs.append(run)
