@@ -8,38 +8,36 @@ from .collar import (CollarError, CollarParams, CutoffSpec, TauGrid,
 from .fields import (BandwidthWarning, CollarField, UnderResolvedError,
                      constant_field, integral_product, pairing_l2,
                      volume_integral, wirtinger)
-from .differentials import (BeltramiEntry, BeltramiSpec, CollarSystem,
-                            MetricMatrix, QuadDiffEntry, QuadDiffSpec,
-                            beltrami_field, coupled_family, diagonal_family,
-                            duality_check, qdiff_field, wp_cometric,
-                            wp_metric)
+from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
+                            QuadDiffSpec, beltrami_field, coupled_family,
+                            diagonal_family, duality_check, qdiff_field,
+                            wp_cometric, wp_metric)
 from .operators import box, ck_norm, maass, op_P, op_P_bar, q_operator, xi
 from .green import (SolverConfig, SolverError, SupportWarning, apply_box1,
-                    bc_sensitivity, solve_T)
+                    solve_T)
 from .curvature import CurvatureWorkspace, hermitian_defect, upper_index
 from .asymptotics import (DegenerateFitError, approximant_errors,
                           build_approximants, equivalence_ratios,
                           fit_power_law, g2_spotcheck, geodesic_length,
                           length_derivative_check, perturbed_prediction,
-                          target, target_table)
+                          relative_change, target, target_table)
 from .cli import RunConfig, emit_report, main, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthWarning", "BeltramiEntry", "BeltramiSpec", "CollarError",
-    "CollarField", "CollarParams", "CollarSystem", "CurvatureWorkspace",
-    "CutoffSpec", "DegenerateFitError", "MetricMatrix", "QuadDiffEntry",
-    "QuadDiffSpec", "RunConfig", "SolverConfig", "SolverError",
-    "SupportWarning", "TauGrid", "UnderResolvedError", "apply_box1",
-    "approximant_errors", "bc_sensitivity", "beltrami_field", "box",
-    "build_approximants", "ck_norm", "collar_from_t", "collar_from_u",
+    "BandwidthWarning", "BeltramiSpec", "CollarError", "CollarField",
+    "CollarParams", "CollarSystem", "CurvatureWorkspace", "CutoffSpec",
+    "DegenerateFitError", "MetricMatrix", "QuadDiffSpec", "RunConfig",
+    "SolverConfig", "SolverError", "SupportWarning", "TauGrid",
+    "UnderResolvedError", "apply_box1", "approximant_errors", "beltrami_field",
+    "box", "build_approximants", "ck_norm", "collar_from_t", "collar_from_u",
     "constant_field", "coupled_family", "cutoff_eval", "diagonal_family",
     "duality_check", "emit_report", "equivalence_ratios", "fit_power_law",
     "g2_spotcheck", "geodesic_length", "hermitian_defect", "integral_product",
     "length_derivative_check", "maass", "main", "make_grid", "op_P",
     "op_P_bar", "pairing_l2", "perturbed_prediction", "q_operator",
-    "qdiff_field", "run_suite", "solve_T", "target",
+    "qdiff_field", "relative_change", "run_suite", "solve_T", "target",
     "target_table", "upper_index", "volume_integral", "wirtinger",
     "wp_cometric", "wp_metric", "xi",
 ]

@@ -23,7 +23,7 @@ from .collar import (CollarParams, CutoffSpec, TauGrid, collar_from_u,
                      make_grid, taper_weights)
 from .curvature import CurvatureWorkspace
 from .fields import CollarField, integral_product, pairing_l2
-from .green import SolverConfig, bc_sensitivity, solve_T
+from .green import SolverConfig, solve_T
 from .operators import maass
 
 PI = math.pi
@@ -146,7 +146,6 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
-    constant: float
     exponent: float
     r2: float
 
@@ -155,10 +154,7 @@ def fit_power_law(samples) -> FitResult:
     """Fit value ~ C u^p from (u, value) samples, u strictly decreasing.
 
     The exponent comes from tail-weighted log-log least squares (smaller u
-    weighted harder, since the laws hold as u -> 0).  The constant is
-    Richardson-extrapolated from the last two points of value/u^p, using
-    the fitted exponent rounded to the nearest half-integer when within
-    0.25.
+    weighted harder, since the laws hold as u -> 0).
     """
     us = np.array([s[0] for s in samples], dtype=float)
     vs = np.array([abs(s[1]) for s in samples], dtype=float)
@@ -182,13 +178,7 @@ def fit_power_law(samples) -> FitResult:
     r2 = 1.0 - np.sum(wts * resid**2) / ss_tot if ss_tot > 0 else 1.0
     if r2 < 0.9:
         raise DegenerateFitError(f"degenerate fit (r^2 = {r2:.3f})")
-
-    half = round(2.0 * p) / 2.0
-    p_use = half if abs(half - p) <= 0.25 else p
-    c_seq = vs / us**p_use
-    # linear-in-u Richardson step on the last two (smallest-u) points
-    c_star = c_seq[-1] + (c_seq[-1] - c_seq[-2]) * us[-1] / (us[-2] - us[-1])
-    return FitResult(constant=float(c_star), exponent=float(p), r2=float(r2))
+    return FitResult(exponent=float(p), r2=float(r2))
 
 
 # -- geodesic length -------------------------------------------------------
@@ -248,7 +238,7 @@ def approximant_errors(u: float, c: float = 0.5, n_tau: int = 1024) -> dict:
     """
     ws = CurvatureWorkspace.single_collar(u, c=c, n_tau=n_tau)
     col, grid = ws.system.collars[0], ws.system.grids[0]
-    b_hat = ws.bspec.entries[(0, 0)].b
+    b_hat = ws.bspec.entries[(0, 0)]
     ap = build_approximants(col, grid, b_hat, ws.cutoff)
     err_e = (ws.e_pair(0, 0, 0) - ap.etilde).sup_norm()
     err_xi = (ap.xi_etilde - ap.box1_d).sup_norm()
@@ -319,10 +309,16 @@ def equivalence_ratios(u: float, c: float = 0.5, n_tau: int = 1024,
         workspace = CurvatureWorkspace.single_collar(u, c=c, n_tau=n_tau)
     tau_ii = workspace.tau().values[0, 0].real
     h_ii = workspace.h().values[0, 0].real
-    b_hat = workspace.bspec.entries[(0, 0)].b
+    b_hat = workspace.bspec.entries[(0, 0)]
     poincare = tau_ii * 4.0 * PI**2 / u**2
     mcmullen = (h_ii + 0.25 * abs(b_hat) ** 2) / tau_ii
     return {"poincare": poincare, "mcmullen": mcmullen}
+
+
+def relative_change(a: complex, b: complex) -> float:
+    """|a - b| / max(|a|, |b|); 0 when both are 0."""
+    denom = max(abs(a), abs(b))
+    return abs(a - b) / denom if denom > 0 else 0.0
 
 
 def bc_sensitivity_check(u: float, c: float = 0.5, n_tau: int = 1024) -> float:
@@ -332,7 +328,7 @@ def bc_sensitivity_check(u: float, c: float = 0.5, n_tau: int = 1024) -> float:
     at both walls of both cuts; quantifies the Dirichlet-truncation bias of
     the solver.
     """
-    spec = CutoffSpec(c=0.9 * c, c1=0.35, c2=0.25)
+    spec = CutoffSpec(c=0.9 * c)
     vals = []
     for cut in (c, 0.9 * c):
         col = collar_from_u(u, c=cut)
@@ -341,4 +337,4 @@ def bc_sensitivity_check(u: float, c: float = 0.5, n_tau: int = 1024) -> float:
         ap = build_approximants(col, grid, b_hat, spec)
         Tf = solve_T(ap.ftilde, SolverConfig(warn_support=False))
         vals.append(pairing_l2(Tf, ap.etilde))
-    return bc_sensitivity(vals[0], vals[1])
+    return relative_change(vals[0], vals[1])

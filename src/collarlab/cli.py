@@ -352,10 +352,8 @@ def _suite_green_props(cfg: RunConfig) -> list:
         worst["upper"] = min(worst["upper"], norm_ff - cross)
         worst["resid"] = max(worst["resid"], g.residual_sup / f.sup_norm())
     for f, g, f2, g2 in zip(fields[:50], solved[:50], fields[50:], solved[50:]):
-        lhs = pairing_l2(g, f2)
-        rhs = pairing_l2(f, g2)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst["selfadj"] = max(worst["selfadj"], abs(lhs - rhs) / scale)
+        worst["selfadj"] = max(worst["selfadj"], asym.relative_change(
+            pairing_l2(g, f2), pairing_l2(f, g2)))
     # the two spectral margins must be nonnegative up to slack
     for side in ("lower", "upper"):
         key = f"spectral-{side}"
@@ -491,8 +489,7 @@ def _suite_equivalence(cfg: RunConfig) -> list:
             rec.passed = lo <= r[key] <= hi
             recs.append(rec)
     for key in ("poincare", "mcmullen"):
-        a, b = vals[0.05][key], vals[0.025][key]
-        var = abs(a - b) / max(abs(a), abs(b))
+        var = asym.relative_change(vals[0.05][key], vals[0.025][key])
         recs.append(_check(cfg, f"{key}-variation", 0.025, var, 0.0))
     return recs
 

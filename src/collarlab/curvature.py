@@ -258,18 +258,18 @@ class CurvatureWorkspace:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def g1_terms(self, i: int = 0) -> G1Report:
-        """Four-block decomposition at the diagonal quadruple (i, i, i, i).
+    def g1_terms(self) -> G1Report:
+        """Four-block decomposition at the diagonal quadruple (0, 0, 0, 0).
 
         The reference targets assume the pure diagonal family; they are the
         leading coefficients of u^4 for each block.
         """
-        u = self.system.collars[i].u
+        u = self.system.collars[0].u
         base = u**4 / (16.0 * PI**4)
         coeffs = {"g1-term-1": 9.0, "g1-term-2": -9.0, "g1-term-3": -3.0,
                   "g1-term-4": 9.0}
         blocks = (self.block_a, self.block_b, self.block_c, self.block_d)
-        terms = {name: block(i, i, i, i) for name, block in zip(coeffs, blocks)}
+        terms = {name: block(0, 0, 0, 0) for name, block in zip(coeffs, blocks)}
         targets = {name: c * base for name, c in coeffs.items()}
         total = sum(terms.values())
         return G1Report(terms=terms, targets=targets, total=total,

@@ -6,7 +6,7 @@ Collar quantities scale by exact powers of |t_i| (one factor per tensor
 slot), and u**4/|t|**4-type magnitudes overflow doubles below u ~ 0.02.
 All coefficient data here is therefore stored in the |t|-scaled gauge:
 
-* Beltrami data (lower slot):  b_hat = |t_i| b,  a_hat_k = |t_i| a_k,
+* Beltrami data (lower slot):  b_hat = |t_i| b,
 * quadratic-differential data (upper slot): prefactor_hat = prefactor/|t_i|,
 
 so stored values are O(1) and every derived tensor equals the true one
@@ -14,20 +14,22 @@ times the product of |t_i| (lower slots) and 1/|t_i| (upper slots).
 Reported asymptotic constants are the |t|-normalized ones, which is what
 all the target laws state anyway.
 
-Shapes on a collar with coordinate z (diagonal entry shown):
+Shapes on a collar with coordinate z: one coefficient per (index, collar),
 
-    A_i = (z/zbar) sin(tau)^2 (conj(p) + conj(b)),   b_hat = -(u/pi) t/|t|,
-    phi_i = prefactor z^-2 (q + beta),               prefactor_hat = -(t/|t|)/pi,
+    A_i = (z/zbar) sin(tau)^2 conj(b),   stored as BeltramiSpec entry b_hat,
+    phi_i = prefactor beta z^-2,         stored as QuadDiffSpec entry
+                                         P = prefactor_hat beta,
 
-with Laurent tails p(z) = sum_{k<=-1} a_k rho^-k z^k + sum_{k>=1} a_k z^k
-and q(z) = sum_{k<0} alpha_k t^-k z^k + sum_{k>0} alpha_k z^k; the
-combinations rho^-k z^k and t^-k z^k are bounded by c^|k| on the collar.
+with b_hat = -(u/pi) t/|t| and P = -(t/|t|)/pi on the diagonal.  The Laurent
+tails of the full model (A_i carries conj(p), phi_i carries q beside
+beta) are corrections bounded by c^|k| on the collar; no family here
+sets them, so they are not represented.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,54 +63,20 @@ class CollarSystem:
 
 
 @dataclass(frozen=True)
-class BeltramiEntry:
-    """Data of A_i on one collar, |t_i|-scaled gauge."""
-
-    b: complex
-    a: dict[int, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if 0 in self.a:
-            raise ValueError("Laurent tail excludes k = 0")
-
-
-@dataclass(frozen=True)
-class QuadDiffEntry:
-    """Data of phi_i on one collar, |t_i|-scaled gauge."""
-
-    prefactor: complex
-    beta: complex
-    alpha: dict[int, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if 0 in self.alpha:
-            raise ValueError("Laurent tail excludes k = 0")
-
-
-@dataclass(frozen=True)
 class BeltramiSpec:
-    """Entries keyed by (index i, collar j); missing keys mean A_i|_j = 0."""
+    """b_hat keyed by (index i, collar j); missing keys mean A_i|_j = 0."""
 
     n: int
-    entries: dict[tuple[int, int], BeltramiEntry]
+    entries: dict[tuple[int, int], complex]
 
 
 @dataclass(frozen=True)
 class QuadDiffSpec:
+    """prefactor_hat beta keyed by (index i, collar j); missing keys mean
+    phi_i|_j = 0."""
+
     n: int
-    entries: dict[tuple[int, int], QuadDiffEntry]
-
-
-def _laurent_radial(collar: CollarParams, grid: TauGrid, k: int) -> np.ndarray:
-    """Bounded radial factor of the k-th Laurent term.
-
-    k <= -1: rho^-k z^k has modulus exp(k (tau + pi)/u) <= c^|k|;
-    k >= +1: z^k has modulus exp(k tau/u) <= c^k.
-    """
-    u = collar.u
-    if k <= -1:
-        return np.exp(k * (grid.nodes + math.pi) / u)
-    return np.exp(k * grid.nodes / u)
+    entries: dict[tuple[int, int], complex]
 
 
 def beltrami_field(spec: BeltramiSpec, i: int, j: int,
@@ -116,44 +84,31 @@ def beltrami_field(spec: BeltramiSpec, i: int, j: int,
     """A_i restricted to collar j (scaled gauge); zero field if no entry."""
     collar = system.collars[j]
     grid = system.grids[j]
-    entry = spec.entries.get((i, j))
+    b = spec.entries.get((i, j))
     out = CollarField(collar, grid, {})
-    if entry is None:
+    if b is None:
         return out
-    sin2 = grid.sin_tau**2
-    out.set_mode(2, sin2 * np.conj(entry.b))
-    for k, ak in entry.a.items():  # k != 0, so each term has a mode of its own
-        out.set_mode(2 - k, sin2 * np.conj(ak) * _laurent_radial(collar, grid, k))
+    out.set_mode(2, grid.sin_tau**2 * np.conj(b))
     return out
 
 
-def _qdiff_reduced(spec: QuadDiffSpec, i: int, j: int, system: CollarSystem) -> CollarField:
-    """The bounded part prefactor (q + beta); full phi_i = z^-2 times this."""
-    collar = system.collars[j]
-    grid = system.grids[j]
-    entry = spec.entries.get((i, j))
-    out = CollarField(collar, grid, {})
-    if entry is None:
-        return out
-    phase = collar.t / abs(collar.t)
-    out.set_mode(0, np.full(grid.n, entry.prefactor * entry.beta, dtype=complex))
-    for k, ak in entry.alpha.items():
-        rad = _laurent_radial(collar, grid, k).astype(complex)
-        if k <= -1:
-            rad = rad * phase ** (-k)  # t^-k = rho^-k (t/|t|)^-k
-        out.set_mode(k, entry.prefactor * ak * rad)
-    return out
+def _qdiff_profile(spec: QuadDiffSpec, i: int, j: int,
+                   system: CollarSystem) -> np.ndarray | None:
+    """P as a constant profile on collar j (phi_i = z^-2 P there); None if
+    phi_i vanishes on collar j."""
+    p = spec.entries.get((i, j))
+    return None if p is None else np.full(system.grids[j].n, p, dtype=complex)
 
 
 def qdiff_field(spec: QuadDiffSpec, i: int, j: int,
                 system: CollarSystem) -> CollarField:
-    """phi_i on collar j as a raw field (modes k - 2, r^(k-2) radials)."""
-    red = _qdiff_reduced(spec, i, j, system)
+    """phi_i on collar j as a raw field: mode -2 with an r^-2 radial."""
+    collar = system.collars[j]
     grid = system.grids[j]
-    inv_r2 = np.exp(-2.0 * grid.nodes / system.collars[j].u)
-    out = CollarField(red.collar, grid, {})
-    for k, v in red.modes.items():
-        out.set_mode(k - 2, v * inv_r2)
+    out = CollarField(collar, grid, {})
+    prof = _qdiff_profile(spec, i, j, system)
+    if prof is not None:
+        out.set_mode(-2, prof * np.exp(-2.0 * grid.nodes / collar.u))
     return out
 
 
@@ -211,28 +166,26 @@ def wp_metric(spec: BeltramiSpec, system: CollarSystem,
 
 
 def wp_cometric(spec: QuadDiffSpec, system: CollarSystem) -> MetricMatrix:
-    """h^{i jbar} = int phi_i conj(phi_j) lambda^-2 dv via reduced profiles.
+    """h^{i jbar} = int phi_i conj(phi_j) lambda^-2 dv via the profiles P.
 
     The z^-2 factors cancel against lambda^-1 analytically:
-    integrand = (2/u^2) P_i conj(P_j) sin^2 tau / r, P = prefactor (q + beta).
+    integrand = (2/u^2) P_i conj(P_j) sin^2 tau / r, P = prefactor beta.
     """
     n = spec.n
     out = np.zeros((n, n), dtype=complex)
-    reduced = {
-        (i, j): _qdiff_reduced(spec, i, j, system)
+    profiles = {
+        (i, j): _qdiff_profile(spec, i, j, system)
         for i in range(n) for j in range(system.m)
         if (i, j) in spec.entries
     }
     for i, j in np.ndindex(n, n):
         def pair(J):
-            pi_, pj = reduced.get((i, J)), reduced.get((j, J))
+            pi_, pj = profiles.get((i, J)), profiles.get((j, J))
             if pi_ is None or pj is None:
                 return 0.0
             grid = system.grids[J]
             c = 4.0 * math.pi / system.collars[J].u**3
-            sin2 = grid.sin_tau**2
-            return sum(c * grid.integrate(v * np.conj(pj.modes[k]) * sin2)
-                       for k, v in pi_.modes.items() if k in pj.modes)
+            return c * grid.integrate(pi_ * np.conj(pj) * grid.sin_tau**2)
         out[i, j] = system.collar_sum(pair)
     mm = MetricMatrix(out, "WP-cometric")
     mm.require_positive()
@@ -259,12 +212,12 @@ def duality_check(bspec: BeltramiSpec, qspec: QuadDiffSpec,
             dual = CollarField(collar, grid, {})
             w = 2.0 * grid.sin_tau**2 / collar.u**2
             for l in range(qspec.n):
-                red = _qdiff_reduced(qspec, l, J, system)
+                prof = _qdiff_profile(qspec, l, J, system)
                 coeff = h.values[i, l]
-                if red.modes and coeff != 0:
-                    # (z/zbar) conj(z^k reduced term) sits in mode 2 - k
-                    dual = dual + CollarField(collar, grid, {
-                        2 - k: coeff * w * np.conj(v) for k, v in red.modes.items()})
+                if prof is not None and coeff != 0:
+                    # (z/zbar) conj(P_l) sits in mode 2
+                    dual = dual + CollarField(collar, grid,
+                                              {2: coeff * w * np.conj(prof)})
             diff = a_field - dual
             sup_a = a_field.sup_norm()
             report[(i, J)] = {
@@ -285,8 +238,8 @@ def diagonal_family(collars: CollarSystem) -> tuple[BeltramiSpec, QuadDiffSpec]:
         col = collars.collars[j]
         phase = col.t / abs(col.t)
         # true b = -u/(pi conj(t)); scaled by |t| this is -(u/pi) t/|t|
-        bentries[(j, j)] = BeltramiEntry(b=-(col.u / math.pi) * phase)
-        qentries[(j, j)] = QuadDiffEntry(prefactor=-phase / math.pi, beta=1.0)
+        bentries[(j, j)] = -(col.u / math.pi) * phase
+        qentries[(j, j)] = -phase / math.pi  # prefactor_hat, times beta = 1
     return BeltramiSpec(m, bentries), QuadDiffSpec(m, qentries)
 
 
@@ -303,5 +256,5 @@ def coupled_family(collars: CollarSystem, kappa: float = 1.0
     for i, j in np.ndindex(collars.m, collars.m):
         b = kappa * us[j] * us[i]**3
         if i != j and b != 0.0:
-            bentries[(i, j)] = BeltramiEntry(b=b)
+            bentries[(i, j)] = b
     return BeltramiSpec(collars.m, bentries), qspec

@@ -258,11 +258,3 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
         raise SolverError(f"solver residual {res_sup/f_sup:.3e} exceeds "
                           f"rtol {_RTOL:.1e}")
     return g
-
-
-def bc_sensitivity(pair_wide: complex, pair_narrow: complex) -> float:
-    """Relative change of a paired integral under the c -> 0.9 c re-cut."""
-    denom = max(abs(pair_wide), abs(pair_narrow))
-    if denom == 0.0:
-        return 0.0
-    return abs(pair_wide - pair_narrow) / denom

@@ -19,12 +19,22 @@ def clear_models():
     return clear
 
 
+def _load_perfbench(monkeypatch, stem):
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def perfbench_run(monkeypatch):
     """The benchmark's `perfbench/run.py`, loaded as a module."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
-    spec.loader.exec_module(bench)
-    return bench
+    return _load_perfbench(monkeypatch, "run")
+
+
+@pytest.fixture
+def perfbench_tracer(monkeypatch):
+    """The benchmark's `perfbench/tracer.py`, loaded as a module."""
+    return _load_perfbench(monkeypatch, "tracer")

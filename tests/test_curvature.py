@@ -150,7 +150,7 @@ def test_workspace_memoizes(ws1):
 
 def test_single_collar_phase_rotates_family():
     ws = CurvatureWorkspace.single_collar(0.1, n_tau=512, phase=0.7)
-    b = ws.bspec.entries[(0, 0)].b
+    b = ws.bspec.entries[(0, 0)]
     assert abs(b) == pytest.approx(0.1 / PI, rel=1e-12)
     assert np.angle(-b) == pytest.approx(0.7, abs=1e-12)
     # diagonal metric entries are phase-invariant

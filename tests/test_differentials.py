@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from collarlab import (BeltramiEntry, BeltramiSpec, CollarSystem,
-                       QuadDiffEntry, QuadDiffSpec, beltrami_field, ck_norm,
-                       collar_from_u, coupled_family, diagonal_family,
+from collarlab import (BeltramiSpec, CollarSystem, QuadDiffSpec,
+                       beltrami_field, ck_norm, collar_from_u, coupled_family, diagonal_family,
                        duality_check, make_grid, qdiff_field, wirtinger,
                        wp_cometric, wp_metric)
 from collarlab.curvature import upper_index
@@ -25,10 +24,9 @@ def one_collar(u, n_tau=1024):
 def test_diagonal_family_coefficients():
     sys1 = one_collar(0.1)
     bspec, qspec = diagonal_family(sys1)
-    assert bspec.entries[(0, 0)].b == pytest.approx(-0.1 / PI, rel=1e-15)
-    q = qspec.entries[(0, 0)]
-    assert q.prefactor == pytest.approx(-1.0 / PI, rel=1e-15)
-    assert q.beta == 1.0
+    assert bspec.entries[(0, 0)] == pytest.approx(-0.1 / PI, rel=1e-15)
+    # prefactor_hat times beta = 1
+    assert qspec.entries[(0, 0)] == pytest.approx(-1.0 / PI, rel=1e-15)
 
 
 def test_beltrami_field_shape_and_sup():
@@ -38,7 +36,7 @@ def test_beltrami_field_shape_and_sup():
     assert set(A.modes) == {2}
     grid = sys1.grids[0]
     np.testing.assert_allclose(A.profile(2),
-                               grid.sin_tau**2 * np.conj(bspec.entries[(0, 0)].b))
+                               grid.sin_tau**2 * np.conj(bspec.entries[(0, 0)]))
     # sup |A| = u/pi, attained where sin^2 peaks inside the interval
     assert ck_norm(A, 0) == pytest.approx(0.1 / PI, rel=1e-5)
 
@@ -51,23 +49,7 @@ def test_qdiff_field_is_pure_lowest_mode():
     assert beltrami_field(BeltramiSpec(1, {}), 0, 0, sys1).modes == {}
 
 
-def test_laurent_tail_is_bounded_by_cut():
-    sys1 = one_collar(0.1)
-    c = sys1.collars[0].c
-    spec = BeltramiSpec(1, {(0, 0): BeltramiEntry(b=0.0, a={-1: 1.0})})
-    A = beltrami_field(spec, 0, 0, sys1)
-    prof = A.profile(2 - (-1))
-    assert np.abs(prof).max() <= c + 1e-12
-    spec_up = BeltramiSpec(1, {(0, 0): BeltramiEntry(b=0.0, a={2: 1.0})})
-    prof_up = beltrami_field(spec_up, 0, 0, sys1).profile(0)
-    assert np.abs(prof_up).max() <= c**2 + 1e-12
-
-
 def test_entry_validation():
-    with pytest.raises(ValueError):
-        BeltramiEntry(b=1.0, a={0: 1.0})
-    with pytest.raises(ValueError):
-        QuadDiffEntry(prefactor=1.0, beta=1.0, alpha={0: 2.0})
     with pytest.raises(ValueError):
         CollarSystem([collar_from_u(0.1)], [])
 

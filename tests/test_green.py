@@ -13,8 +13,8 @@ import collarlab.green
 from collarlab.green import _band_matvec, _box_band, _mode_factor
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
-                       apply_box1, bc_sensitivity, collar_from_u,
-                       constant_field, make_grid, pairing_l2, solve_T)
+                       apply_box1, collar_from_u, constant_field, make_grid,
+                       pairing_l2, relative_change, solve_T)
 from collarlab.asymptotics import bc_sensitivity_check
 
 PI = math.pi
@@ -150,8 +150,9 @@ def test_compact_input_does_not_warn(cg):
 
 
 def test_bc_sensitivity_helpers():
-    assert bc_sensitivity(1.0 + 0j, 1.0 + 0j) == 0.0
-    assert bc_sensitivity(2.0 + 0j, 1.0 + 0j) == pytest.approx(0.5)
+    assert relative_change(1.0 + 0j, 1.0 + 0j) == 0.0
+    assert relative_change(2.0 + 0j, 1.0 + 0j) == pytest.approx(0.5)
+    assert relative_change(0.0, 0.0) == 0.0
     val = bc_sensitivity_check(0.05, n_tau=512)
     assert 0.0 < val < 5e-2
 
