@@ -11,6 +11,7 @@ timings appear only in the markdown summary).
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -19,6 +20,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import asymptotics as asym
 from .collar import (CollarError, CutoffSpec, U_MIN, collar_from_u,
@@ -208,6 +214,7 @@ class SuiteReport:
     suite: str
     records: list
     wall_clock: float
+    peak_rss_mb: float | None = None  # the process's, after this suite
 
     @property
     def status(self) -> str:
@@ -340,20 +347,24 @@ def _suite_green_props(cfg: RunConfig) -> list:
     grid = make_grid(col, cfg.n_tau)
     scfg = SolverConfig()
     worst = {"lower": math.inf, "upper": math.inf, "resid": 0.0, "selfadj": 0.0}
-    fields = [_random_compact_field(col, grid, rng) for _ in range(100)]
-    solved = []
-    for f in fields:
+    # one pass over 100 draws; self-adjointness pairs draw k with k + 50,
+    # so only the 50 (f, Tf) pairs not yet paired are held
+    held = collections.deque()
+    for k in range(100):
+        f = _random_compact_field(col, grid, rng)
         g = solve_T(f, scfg)
-        solved.append(g)
         norm_gg = pairing_l2(g, g).real
         cross = pairing_l2(g, f).real
         norm_ff = pairing_l2(f, f).real
         worst["lower"] = min(worst["lower"], cross - norm_gg)
         worst["upper"] = min(worst["upper"], norm_ff - cross)
         worst["resid"] = max(worst["resid"], g.residual_sup / f.sup_norm())
-    for f, g, f2, g2 in zip(fields[:50], solved[:50], fields[50:], solved[50:]):
+        if k < 50:
+            held.append((f, g))
+            continue
+        f0, g0 = held.popleft()
         worst["selfadj"] = max(worst["selfadj"], asym.relative_change(
-            pairing_l2(g, f2), pairing_l2(f, g2)))
+            pairing_l2(g0, f), pairing_l2(f0, g)))
     # the two spectral margins must be nonnegative up to slack
     for side in ("lower", "upper"):
         key = f"spectral-{side}"
@@ -531,7 +542,18 @@ def run_suite(cfg: RunConfig, suite: str) -> SuiteReport:
     records = _SUITES[suite](cfg)
     for r in records:
         r.suite = suite
-    return SuiteReport(suite, records, time.perf_counter() - t0)
+    return SuiteReport(suite, records, time.perf_counter() - t0,
+                       _peak_rss_mb())
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process so far, in MB (2**20 bytes);
+    None where the platform has no `resource` module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 def run_all(cfg: RunConfig) -> list:
@@ -608,6 +630,10 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
             lines.append(f"## {rep.suite} - {rep.status} "
                          f"({rep.wall_clock:.2f} s)")
             lines.append("")
+            if rep.peak_rss_mb is not None:
+                lines.append(f"Peak RSS after this suite: "
+                             f"{rep.peak_rss_mb:.1f} MB")
+                lines.append("")
             lines.append("| check | u | measured | target | rel_err | pass |")
             lines.append("|---|---|---|---|---|---|")
             for r in rep.records:

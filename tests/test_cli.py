@@ -5,14 +5,17 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from collarlab import (CurvatureWorkspace, RunConfig, TauGrid, emit_report,
-                       main, run_suite)
+from collarlab import (CurvatureWorkspace, RunConfig, SolverConfig, TauGrid,
+                       collar_from_u, emit_report, main, make_grid,
+                       pairing_l2, relative_change, run_suite, solve_T)
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
-                           SuiteReport, _record, run_all)
+                           SuiteReport, _random_compact_field, _record,
+                           _suite_green_props, run_all)
 
 ROOT = pathlib.Path(__file__).parents[1]
 
@@ -236,6 +239,8 @@ def test_emit_report_formats(tmp_path):
     assert "# collarlab report" in md
     assert "Overall: **pass**" in md
     assert " s)" in md  # wall clock lives in the markdown only
+    assert (len(re.findall(r"^Peak RSS after this suite: \d+\.\d MB$", md,
+                           re.M)) == len(reports))
 
     check_ids = {r.check_id for rep in reports for r in rep.records}
     svgs = {n for n in names if n.endswith(".svg")}
@@ -256,6 +261,56 @@ def test_seeded_suite_is_deterministic(tmp_path):
     emit_report(run_all(cfg), str(a), ("csv",))
     emit_report(run_all(cfg), str(b), ("csv",))
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+
+def _green_props_all_at_once(cfg):
+    """green-props' sampled margins, residual and self-adjointness with all
+    100 fields and solutions held at once, as the suite computed them
+    before it streamed its samples."""
+    rng = np.random.default_rng(cfg.seed)
+    col = collar_from_u(0.05, cfg.c)
+    grid = make_grid(col, cfg.n_tau)
+    worst = {"lower": math.inf, "upper": math.inf, "resid": 0.0, "selfadj": 0.0}
+    fields = [_random_compact_field(col, grid, rng) for _ in range(100)]
+    solved = []
+    for f in fields:
+        g = solve_T(f, SolverConfig())
+        solved.append(g)
+        norm_gg = pairing_l2(g, g).real
+        cross = pairing_l2(g, f).real
+        norm_ff = pairing_l2(f, f).real
+        worst["lower"] = min(worst["lower"], cross - norm_gg)
+        worst["upper"] = min(worst["upper"], norm_ff - cross)
+        worst["resid"] = max(worst["resid"], g.residual_sup / f.sup_norm())
+    for f, g, f2, g2 in zip(fields[:50], solved[:50], fields[50:], solved[50:]):
+        worst["selfadj"] = max(worst["selfadj"], relative_change(
+            pairing_l2(g, f2), pairing_l2(f, g2)))
+    return {"spectral-lower": worst["lower"], "spectral-upper": worst["upper"],
+            "residual": worst["resid"], "self-adjoint": worst["selfadj"]}
+
+
+def test_green_props_streaming_matches_all_at_once():
+    cfg = RunConfig()
+    oracle = _green_props_all_at_once(cfg)
+    measured = {r.check_id: r.measured for r in _suite_green_props(cfg)
+                if r.check_id in oracle}
+    assert measured == oracle
+
+
+def test_green_props_holds_few_samples():
+    # warm the grid, its factors and the sweep's memos, then trace a second
+    # call: holding all 100 (f, Tf) pairs peaks near 14.7 MiB, holding the
+    # 50 not yet paired near 8.1 MiB
+    cfg = RunConfig()
+    _suite_green_props(cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _suite_green_props(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 10 * 2**20
 
 
 def test_main_passing_run(tmp_path, capsys):

@@ -13,17 +13,22 @@ references.  Then the default `collarlab run` is made in both checkouts
 and `cmp` compares their report.csv and report.json.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
 change wins and loses, the reports' comparison and `wc -l` of
-src/collarlab/*.py on both sides.  Beside the peak_rss_mb medians goes a
-least-squares fit of peak_rss_mb against attempted operations over all
+src/collarlab/*.py on both sides.  Beside the peak_rss_mb medians of an
+in-process workload (one whose perfbench class subclasses InProcess) goes
+a least-squares fit of peak_rss_mb against attempted operations over all
 the workload's runs, with one slope and an intercept per side: perfbench
-keeps a record per operation, so a side that completes more operations
-in the fixed run time reads higher peak RSS without holding more data.  Exits 1 when a run fails an operation
-or a report differs.
+keeps a record per operation in the process whose peak RSS it reports, so
+a side that completes more operations in the fixed run time reads higher
+peak RSS without holding more data.  Any other workload (full-run) reports
+the largest peak of the child processes that ran its operations, which
+does not grow with their number, so its fit_on_attempted is null.  Exits
+1 when a run fails an operation or a report differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -109,6 +114,22 @@ def rss_fit(runs: list) -> dict | None:
                              for s, (mx, my) in means.items()}}
 
 
+def in_process_workloads(tree: Path) -> set:
+    """Names of the workloads whose class in tree's perfbench/run.py
+    subclasses InProcess: their operations are calls in the process whose
+    peak RSS the run reports."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_ab_perfbench_run", tree / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {name for name, cls in module.WORKLOADS.items()
+            if issubclass(cls, module.InProcess)}
+
+
 def default_run(tree: Path, out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, "-c", RUN_CLI, "run", "--out",
@@ -148,6 +169,7 @@ def main(argv=None) -> int:
         trees["parent"].mkdir()
         export(args.base, trees["parent"])
         end_to_end, ok = {}, True
+        fitted = in_process_workloads(ROOT)
         for workload in (w["name"] for w in declared["workloads"]):
             runs = []
             for seed in range(PAIRS):
@@ -161,7 +183,8 @@ def main(argv=None) -> int:
                     runs.append(run)
             metrics = {m["name"]: summary(runs, m["name"], m["better"])
                        for m in declared["end_to_end"]}
-            metrics["peak_rss_mb"]["fit_on_attempted"] = rss_fit(runs)
+            metrics["peak_rss_mb"]["fit_on_attempted"] = (
+                rss_fit(runs) if workload in fitted else None)
             end_to_end[workload] = {"pairs": PAIRS, "runs": runs,
                                     "metrics": metrics}
         codes, reports = {}, {}
