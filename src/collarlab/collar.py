@@ -221,7 +221,9 @@ class TauGrid:
     Derivatives use sliding 9-node polynomial stencils on the same nodes.
     The pairings multiply complex profiles by ``_complex_csc2``, a cached
     complex copy of csc2 (16 n bytes): the same complex multiply numpy
-    makes after casting csc2 anew on every call.
+    makes after casting csc2 anew on every call.  Derived arrays are
+    memoised as cached properties; ``_cache`` holds the resolvent's
+    factors and is written by ``green.py`` alone.
     """
 
     collar: CollarParams
@@ -277,23 +279,22 @@ class TauGrid:
         return np.dot(self.weights, values)
 
     # -- differentiation -------------------------------------------------
+    @functools.cached_property
     def _stencils(self):
-        if "stencils" not in self._cache:
-            x = self.nodes
-            n = self.n
-            starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
-            c = stencil_weights(x, starts, STENCIL, x, 2)
-            idx = starts[:, None] + np.arange(STENCIL)[None, :]
-            # contiguous copies: einsum sums strided rows in another order
-            self._cache["stencils"] = (idx, np.ascontiguousarray(c[:, :, 1]),
-                                       np.ascontiguousarray(c[:, :, 2]))
-        return self._cache["stencils"]
+        x = self.nodes
+        n = self.n
+        starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
+        c = stencil_weights(x, starts, STENCIL, x, 2)
+        idx = starts[:, None] + np.arange(STENCIL)[None, :]
+        # contiguous copies: einsum sums strided rows in another order
+        return (idx, np.ascontiguousarray(c[:, :, 1]),
+                np.ascontiguousarray(c[:, :, 2]))
 
     def dtau(self, values, order: int = 1):
         """order-th tau derivative of a sampled profile (order 1 or 2)."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        idx, w1, w2 = self._stencils()
+        idx, w1, w2 = self._stencils
         w = w1 if order == 1 else w2
         v = np.asarray(values)
         return np.einsum("ij,ij->i", w, v[idx])

@@ -211,9 +211,8 @@ class CurvatureWorkspace:
         return _contract(self.h_upper(), term)
 
     def block_c(self, i: int, j: int, k: int, l: int,
-                tau_up: np.ndarray | None = None) -> complex:
+                T: np.ndarray) -> complex:
         G = self.h_upper()
-        T = self.tau_upper() if tau_up is None else tau_up
         G_support = _support(G)
         F1 = {}
         F2 = {}
@@ -238,10 +237,15 @@ class CurvatureWorkspace:
         weights = self.tau().values[:, j, None] * self.h_upper()
         return _contract(weights, lambda p, q: self.R(i, q, k, l))
 
+    def _blocks(self, i: int, j: int, k: int, l: int,
+                T: np.ndarray) -> complex:
+        """a + b + c + d, with block c contracted against T."""
+        return (self.block_a(i, j, k, l) + self.block_b(i, j, k, l)
+                + self.block_c(i, j, k, l, T) + self.block_d(i, j, k, l))
+
     def ricci_curvature(self, i: int, j: int, k: int, l: int) -> complex:
         """Curvature entry of the second metric."""
-        return (self.block_a(i, j, k, l) + self.block_b(i, j, k, l)
-                + self.block_c(i, j, k, l) + self.block_d(i, j, k, l))
+        return self._blocks(i, j, k, l, self.tau_upper())
 
     def perturbed_curvature(self, i: int, j: int, k: int, l: int,
                             C: float) -> complex:
@@ -251,10 +255,7 @@ class CurvatureWorkspace:
         final term adds C times the first-metric curvature.
         """
         t_up = upper_index(self.perturbed_metric(C).values)
-        return (self.block_a(i, j, k, l) + self.block_b(i, j, k, l)
-                + self.block_c(i, j, k, l, tau_up=t_up)
-                + self.block_d(i, j, k, l)
-                + C * self.R(i, j, k, l))
+        return self._blocks(i, j, k, l, t_up) + C * self.R(i, j, k, l)
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -268,8 +269,10 @@ class CurvatureWorkspace:
         base = u**4 / (16.0 * PI**4)
         coeffs = {"g1-term-1": 9.0, "g1-term-2": -9.0, "g1-term-3": -3.0,
                   "g1-term-4": 9.0}
-        blocks = (self.block_a, self.block_b, self.block_c, self.block_d)
-        terms = {name: block(0, 0, 0, 0) for name, block in zip(coeffs, blocks)}
+        q = (0, 0, 0, 0)
+        terms = dict(zip(coeffs, (self.block_a(*q), self.block_b(*q),
+                                  self.block_c(*q, self.tau_upper()),
+                                  self.block_d(*q))))
         targets = {name: c * base for name, c in coeffs.items()}
         total = sum(terms.values())
         return G1Report(terms=terms, targets=targets, total=total,

@@ -133,10 +133,6 @@ class MetricMatrix:
             raise ValueError(f"{self.kind} matrix is not Hermitian")
         self.values = 0.5 * (v + v.conj().T)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     def require_positive(self):
         w = np.linalg.eigvalsh(self.values)
         if w.min() <= 0:
@@ -145,21 +141,23 @@ class MetricMatrix:
         return self
 
 
+def _gram(items: dict, system: CollarSystem, n: int, pair) -> np.ndarray:
+    """(n, n) matrix of sum over collars J of pair(J, items[i, J], items[j, J]);
+    the term is 0 where either item is absent."""
+    out = np.zeros((n, n), dtype=complex)
+    for i, j in np.ndindex(n, n):
+        def term(J):
+            a, b = items.get((i, J)), items.get((j, J))
+            return 0.0 if a is None or b is None else pair(J, a, b)
+        out[i, j] = system.collar_sum(term)
+    return out
+
+
 def wp_metric(spec: BeltramiSpec, system: CollarSystem,
               compact_part: np.ndarray | None = None) -> MetricMatrix:
     """h_{i jbar} = sum over collars of int A_i conj(A_j) dv (+ compact part)."""
-    n = spec.n
-    h = np.zeros((n, n), dtype=complex)
-    fields = {
-        (i, j): beltrami_field(spec, i, j, system)
-        for i in range(n) for j in range(system.m)
-        if (i, j) in spec.entries
-    }
-    for i, j in np.ndindex(n, n):
-        def pair(J):
-            fi, fj = fields.get((i, J)), fields.get((j, J))
-            return 0.0 if fi is None or fj is None else pairing_l2(fi, fj)
-        h[i, j] = system.collar_sum(pair)
+    fields = {(i, J): beltrami_field(spec, i, J, system) for i, J in spec.entries}
+    h = _gram(fields, system, spec.n, lambda J, fi, fj: pairing_l2(fi, fj))
     if compact_part is not None:
         h = h + np.asarray(compact_part, dtype=complex)
     return MetricMatrix(h, "WP")
@@ -171,23 +169,14 @@ def wp_cometric(spec: QuadDiffSpec, system: CollarSystem) -> MetricMatrix:
     The z^-2 factors cancel against lambda^-1 analytically:
     integrand = (2/u^2) P_i conj(P_j) sin^2 tau / r, P = prefactor beta.
     """
-    n = spec.n
-    out = np.zeros((n, n), dtype=complex)
-    profiles = {
-        (i, j): _qdiff_profile(spec, i, j, system)
-        for i in range(n) for j in range(system.m)
-        if (i, j) in spec.entries
-    }
-    for i, j in np.ndindex(n, n):
-        def pair(J):
-            pi_, pj = profiles.get((i, J)), profiles.get((j, J))
-            if pi_ is None or pj is None:
-                return 0.0
-            grid = system.grids[J]
-            c = 4.0 * math.pi / system.collars[J].u**3
-            return c * grid.integrate(pi_ * np.conj(pj) * grid.sin_tau**2)
-        out[i, j] = system.collar_sum(pair)
-    mm = MetricMatrix(out, "WP-cometric")
+    profiles = {(i, J): _qdiff_profile(spec, i, J, system)
+                for i, J in spec.entries}
+
+    def pair(J, pi_, pj):
+        grid = system.grids[J]
+        c = 4.0 * math.pi / system.collars[J].u**3
+        return c * grid.integrate(pi_ * np.conj(pj) * grid.sin_tau**2)
+    mm = MetricMatrix(_gram(profiles, system, spec.n, pair), "WP-cometric")
     mm.require_positive()
     return mm
 

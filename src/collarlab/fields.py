@@ -165,12 +165,7 @@ def wirtinger(f: CollarField, which: str) -> CollarField:
     shift = -1 if which == "dz" else 1
     out: dict[int, np.ndarray] = {}
     for n, v in f.modes.items():
-        prof = inv2r * (u * f.grid.dtau(v) + sign * n * v)
-        m = n + shift
-        if m in out:
-            out[m] = out[m] + prof
-        else:
-            out[m] = prof
+        out[n + shift] = inv2r * (u * f.grid.dtau(v) + sign * n * v)
     return CollarField(f.collar, f.grid, out)
 
 

@@ -12,17 +12,20 @@ depends on n only through n^2.  The matrix is also real, so for a real
 field (f_-n = conj f_n) the solution's mode -n is the conjugate of its
 mode n: each such +-n pair costs one solve and one residual.
 
-The residual A x - b sums only the band's core rows at interior outputs:
-the 9 diagonals of the centred stencil.  The other rows are nonzero only
-at a few end outputs (3 at each end), and those outputs are recomputed
-over every row.  Both sets are read off the band's nonzero pattern.  The
-factors, these blocks and the support test's mask live in ``grid._cache``:
+The band's layout follows from STENCIL and the ghost-node clipping alone.
+Its half-width is _BW = STENCIL - 1.  The 9 diagonals of the centred
+stencil, rows _CORE = _BW +- STENCIL // 2, are the only rows nonzero at
+interior outputs; the others reach only the first and last _N_END =
+STENCIL // 2 - 1 = 3 outputs (the clipped stencils).  The residual A x - b
+sums the core rows, then recomputes those end outputs over every row.  The
+factors, these blocks and the support test's mask live in ``grid._cache``,
+whose three keys green.py alone writes:
 
-    "box_band"           -(sin^2 tau / 2) D2, (bl + bu + 1, n) float64,
-                         one per grid, without the mode diagonal; beside
-                         it the end outputs' columns, (17, 6) int64, and
-                         entries, (17, 6) float64: 1.6 KB
-    ("box1_lu", |mode|)  lu.real, (2 bl + bu + 1, n) float64, int32 pivots,
+    "box_band"           -(sin^2 tau / 2) D2, (2 _BW + 1, n) float64, one
+                         per grid, without the mode diagonal; beside it
+                         the end outputs, 6 int64, their columns, (17, 6)
+                         int64, and entries, (17, 6) float64: 1.7 KB
+    ("box1_lu", |mode|)  lu.real, (3 _BW + 1, n) float64, int32 pivots,
                          the mode's main diagonal, n float64, and its end
                          block, the entries with that diagonal, (17, 6)
                          float64: 25 n * 8 + 4 n + 8 n + 816 bytes, 217 KB
@@ -44,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
+from .collar import STENCIL
 from .fields import CollarField
 from .operators import box
 
@@ -57,6 +61,10 @@ _RTOL = 1e-6
 # interval at either end is at most 1e-6 of its sup over the whole collar
 _SUPPORT_FRAC = 0.10
 _SUPPORT_TOL = 1e-6
+# the band's layout (see the module docstring)
+_BW = STENCIL - 1
+_CORE = slice(_BW - STENCIL // 2, _BW + STENCIL // 2 + 1)
+_N_END = STENCIL // 2 - 1
 
 
 class SolverError(RuntimeError):
@@ -73,13 +81,10 @@ class SolverConfig:
 
 
 class _BoxBand(NamedTuple):
-    """A grid's box band, and the layout of its residual."""
+    """A grid's box band, and the end block of its residual."""
 
-    ab: np.ndarray  # ab[bu + i - j, j] = M[i, j], without the mode diagonal
-    bl: int
-    bu: int
-    core: slice  # the rows nonzero at the middle output
-    ends: np.ndarray  # the outputs where another row is nonzero
+    ab: np.ndarray  # ab[_BW + i - j, j] = M[i, j], without the mode diagonal
+    ends: np.ndarray  # the first and last _N_END outputs
     end_cols: np.ndarray  # (rows, ends): the column feeding each end output
     end_ab: np.ndarray  # (rows, ends): its entry, 0 outside the matrix
 
@@ -87,33 +92,23 @@ class _BoxBand(NamedTuple):
 def _box_band(grid) -> _BoxBand:
     """-(sin^2 tau / 2) D2 in banded storage, shared by every mode of a grid.
 
-    Storage is ab[bu + i - j, j] = M[i, j]; the corners outside the matrix
+    Storage is ab[_BW + i - j, j] = M[i, j]; the corners outside the matrix
     are zero.
     """
     if "box_band" not in grid._cache:
-        ab_d2, (bl, bu) = grid.d2_banded_dirichlet()
+        ab_d2, _ = grid.d2_banded_dirichlet()
         n = grid.n
         s = 0.5 * grid.sin_tau**2
-        i = np.arange(n) + np.arange(-bu, bl + 1)[:, None]  # row of each entry
+        rows = np.arange(2 * _BW + 1)[:, None]
+        i = np.arange(n) + rows - _BW  # row of each entry
         inside = (i >= 0) & (i < n)
         band = np.where(inside, -s[np.clip(i, 0, n - 1)] * ab_d2, 0.0)
-        r, j = np.nonzero(band)
-        core = r[i[r, j] == n // 2]
-        lo, hi = int(core.min()), int(core.max()) + 1
-        outer = (r < lo) | (r >= hi)
-        ends = np.unique(i[r[outer], j[outer]])
-        # the core holds the mode diagonal, and rows outside it are nonzero
-        # only at the first and last few outputs
-        head = np.count_nonzero(ends < n // 2)
-        assert lo <= bu < hi and np.array_equal(
-            ends, np.r_[:head, n - len(ends) + head : n])
-        rows = np.arange(bl + bu + 1)[:, None]
-        cols = ends + bu - rows
+        ends = np.r_[:_N_END, n - _N_END : n]
+        cols = ends + _BW - rows
         inside = (cols >= 0) & (cols < n)
         cols = np.clip(cols, 0, n - 1)
         grid._cache["box_band"] = _BoxBand(
-            band, bl, bu, slice(lo, hi), ends, cols,
-            np.where(inside, band[rows, cols], 0.0))
+            band, ends, cols, np.where(inside, band[rows, cols], 0.0))
     return grid._cache["box_band"]
 
 
@@ -128,17 +123,16 @@ def _mode_factor(grid, n_mode):
     key = ("box1_lu", abs(n_mode))
     if key not in grid._cache:
         band = _box_band(grid)
-        bl, bu = band.bl, band.bu
         s = 0.5 * grid.sin_tau**2
-        diag = band.ab[bu] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
-        work = np.zeros((2 * bl + bu + 1, grid.n), dtype=complex)
-        work[bl:] = band.ab
-        work[bl + bu] = diag
-        lu, piv, info = zgbtrf(work, bl, bu, overwrite_ab=1)
+        diag = band.ab[_BW] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
+        work = np.zeros((3 * _BW + 1, grid.n), dtype=complex)
+        work[_BW:] = band.ab
+        work[2 * _BW] = diag
+        lu, piv, info = zgbtrf(work, _BW, _BW, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"mode {n_mode} matrix is singular")
         end_ab = band.end_ab.copy()
-        end_ab[bu] = diag[band.ends]
+        end_ab[_BW] = diag[band.ends]
         grid._cache[key] = (np.array(lu.real, order="F"), piv, diag, end_ab)
     return grid._cache[key]
 
@@ -152,7 +146,7 @@ def _band_matvec(band, diag, end_ab, x):
     zeros there, except at the end outputs: each is summed again over every
     row in the same order, from end_ab, the end block with diag.
     """
-    ab, bu, lo, hi = band.ab, band.bu, band.core.start, band.core.stop
+    ab, bu, lo, hi = band.ab, _BW, _CORE.start, _CORE.stop
     n = len(x)
     rows = hi - lo
     width = n + rows - 1
@@ -244,7 +238,7 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
             # keeps the solve out of subnormal arithmetic
             k = math.frexp(rhs_sup)[1]
             rhs = _ldexp(rhs, -k)
-        sol, _ = zgbtrs(lu, band.bl, band.bu, rhs, piv)
+        sol, _ = zgbtrs(lu, _BW, _BW, rhs, piv)
         out[n_mode] = _ldexp(sol, k) if k else sol
         # residual against the defining discrete forward operator
         res = _band_matvec(band, diag, end_ab, sol)

@@ -330,6 +330,21 @@ def test_main_suite_and_format_overrides(tmp_path):
     assert not (tmp_path / "o2" / "report.csv").exists()
 
 
+def test_main_seed_override(tmp_path):
+    assert main(["run", "--suite", "green-props", "--seed", "7",
+                 "--out", str(tmp_path / "cli"), "--format", "csv"]) == 0
+    seeded = run_suite(RunConfig(seed=7), "green-props")
+    emit_report([seeded], str(tmp_path / "direct"), ("csv",))
+    assert ((tmp_path / "cli" / "report.csv").read_bytes()
+            == (tmp_path / "direct" / "report.csv").read_bytes())
+    # the sampled checks draw their fields from the seed
+    default = run_suite(RunConfig(), "green-props")
+    sampled = {"spectral-lower", "spectral-upper", "residual", "self-adjoint"}
+    for a, b in zip(seeded.records, default.records):
+        assert a.check_id == b.check_id
+        assert (a.measured != b.measured) == (a.check_id in sampled)
+
+
 def test_main_reports_failing_checks(tmp_path, capsys):
     # the comparison-metric variation check fails by design at this scale
     cfg_path = write_config(tmp_path / "cfg.json", suites=["equivalence"],
@@ -348,6 +363,9 @@ def test_main_config_errors(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"nonsense": True}))
     assert main(["run", "--config", str(unknown)]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text(json.dumps([1, 2]))
+    assert main(["run", "--config", str(not_object)]) == 2
 
 
 @pytest.mark.parametrize("overrides", [

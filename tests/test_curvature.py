@@ -105,7 +105,8 @@ def test_g1_terms_at_desk_scale(ws1):
 def test_ricci_curvature_sums_blocks(ws1):
     got = ws1.ricci_curvature(0, 0, 0, 0)
     want = (ws1.block_a(0, 0, 0, 0) + ws1.block_b(0, 0, 0, 0)
-            + ws1.block_c(0, 0, 0, 0) + ws1.block_d(0, 0, 0, 0))
+            + ws1.block_c(0, 0, 0, 0, ws1.tau_upper())
+            + ws1.block_d(0, 0, 0, 0))
     assert got == pytest.approx(want, rel=1e-15)
 
 

@@ -60,6 +60,12 @@ def test_product_convolves_modes(cg):
     h = f * g
     assert set(h.modes) == {3}
     np.testing.assert_allclose(h.profile(3), a * b)
+    # modes 1 - 1 and -1 + 1 collide in mode 0, summed in iteration order
+    c, d = a + 1j * b, b - 2j * a
+    h = CollarField(col, grid, {1: a, -1: b}) * CollarField(col, grid,
+                                                           {1: c, -1: d})
+    assert set(h.modes) == {2, 0, -2}
+    assert np.array_equal(h.profile(0), a * d + b * c)
 
 
 def test_product_bandwidth_truncation(cg):
@@ -204,3 +210,9 @@ def test_mismatched_grids_rejected():
     g = constant_field(col, make_grid(col, 1024))
     with pytest.raises(ValueError):
         _ = f + g
+    # the same node count on another collar: equal n, different nodes
+    col2 = collar_from_u(0.05)
+    g2 = constant_field(col2, make_grid(col2, 512))
+    assert g2.grid.n == f.grid.n
+    with pytest.raises(ValueError):
+        _ = f + g2

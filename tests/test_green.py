@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import collarlab.green
-from collarlab.green import _band_matvec, _box_band, _mode_factor
+from collarlab.green import (_BW, _CORE, _N_END, _band_matvec, _box_band,
+                             _mode_factor)
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
                        apply_box1, collar_from_u, constant_field, make_grid,
@@ -284,17 +285,32 @@ def dense_band(band, diag, bu):
     return a
 
 
+def assert_band_layout(grid):
+    """Every nonzero of the box band sits in a core row or reaches one of
+    the first or last _N_END outputs."""
+    band = _box_band(grid)
+    assert band.ab.shape == (2 * _BW + 1, grid.n)
+    ends = np.r_[:_N_END, grid.n - _N_END : grid.n]
+    assert np.array_equal(band.ends, ends)
+    r, j = np.nonzero(band.ab)
+    outside = (r < _CORE.start) | (r >= _CORE.stop)
+    assert np.isin(j[outside] + r[outside] - _BW, ends).all()
+    return band
+
+
+@pytest.mark.parametrize("n_tau", [512, 16384])
+@pytest.mark.parametrize("u", [0.15, 0.01])
+def test_band_layout_holds_on_wide_and_fine_grids(n_tau, u):
+    assert_band_layout(make_grid(collar_from_u(u), n_tau))
+
+
 @pytest.mark.parametrize("n_tau", [512, 1024, 2048])
 @pytest.mark.parametrize("u", [0.1, 0.012, 0.01])
 def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
     col = collar_from_u(u)
     grid = make_grid(col, n_tau)
-    band = _box_band(grid)
-    ab, bl, bu = band.ab, band.bl, band.bu
-    # every nonzero of the band sits in a core row or reaches an end output
-    r, j = np.nonzero(ab)
-    outside = (r < band.core.start) | (r >= band.core.stop)
-    assert np.isin(j[outside] + r[outside] - bu, band.ends).all()
+    band = assert_band_layout(grid)
+    ab, bl, bu = band.ab, _BW, _BW
     rng = np.random.default_rng(n_tau)
     x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     # supported on the first and last 12 nodes: the end outputs carry it
