@@ -215,6 +215,7 @@ class SuiteReport:
     records: list
     wall_clock: float
     peak_rss_mb: float | None = None  # the process's, after this suite
+    rss_mb: float | None = None  # the process's current RSS, at its end
 
     @property
     def status(self) -> str:
@@ -326,10 +327,8 @@ def _random_compact_field(col, grid, rng) -> CollarField:
     lo, hi = a + 0.15 * (b - a), b - 0.15 * (b - a)
     x = np.clip((tau - lo) / (hi - lo), 0.0, 1.0)
     window = np.where((x > 0) & (x < 1), np.sin(PI * x) ** 4, 0.0)
-    modes = {}
-    prof0 = window * (rng.standard_normal() * np.cos(
-        rng.uniform(1, 4) * PI * x) + rng.standard_normal())
-    modes[0] = prof0
+    modes = {0: window * (rng.standard_normal() * np.cos(
+        rng.uniform(1, 4) * PI * x) + rng.standard_normal())}
     for _ in range(2):
         n = int(rng.integers(1, 5))
         z = (rng.standard_normal() + 1j * rng.standard_normal()) / 2
@@ -543,7 +542,7 @@ def run_suite(cfg: RunConfig, suite: str) -> SuiteReport:
     for r in records:
         r.suite = suite
     return SuiteReport(suite, records, time.perf_counter() - t0,
-                       _peak_rss_mb())
+                       _peak_rss_mb(), _rss_mb())
 
 
 def _peak_rss_mb() -> float | None:
@@ -554,6 +553,16 @@ def _peak_rss_mb() -> float | None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # kilobytes on Linux, bytes on macOS
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024
+
+
+def _rss_mb() -> float | None:
+    """This process's RSS now, in MB; None without /proc/self/statm."""
+    try:
+        with open("/proc/self/statm") as f:
+            pages = int(f.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
 def run_all(cfg: RunConfig) -> list:
@@ -585,11 +594,13 @@ def _row_dict(r: CheckRecord) -> dict:
     }
 
 
-def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+def _atomic_write(out_dir: str, name: str, text: str) -> str:
+    """Writes text to out_dir/name through a temporary file; the path."""
+    path = os.path.join(out_dir, name)
+    with open(path + ".tmp", "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    os.replace(path + ".tmp", path)
+    return path
 
 
 def emit_report(reports: list, out_dir: str, formats) -> list:
@@ -598,42 +609,30 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
     rows = [r for rep in reports for r in rep.records]
 
     if "csv" in formats:
+        # _row_dict's keys are CSV_COLUMNS, in order
         lines = [",".join(CSV_COLUMNS)]
-        for r in rows:
-            d = _row_dict(r)
-            lines.append(",".join(d[c] for c in CSV_COLUMNS))
-        path = os.path.join(out_dir, "report.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        lines += [",".join(_row_dict(r).values()) for r in rows]
+        written.append(_atomic_write(out_dir, "report.csv",
+                                     "\n".join(lines) + "\n"))
 
     if "json" in formats:
-        payload = {
-            "suites": [
-                {
-                    "suite": rep.suite,
-                    "status": rep.status,
-                    "records": [_row_dict(r) for r in rep.records],
-                }
-                for rep in reports
-            ]
-        }
-        path = os.path.join(out_dir, "report.json")
-        _atomic_write(path, json.dumps(payload, indent=2) + "\n")
-        written.append(path)
+        payload = {"suites": [{"suite": rep.suite, "status": rep.status,
+                               "records": [_row_dict(r) for r in rep.records]}
+                              for rep in reports]}
+        written.append(_atomic_write(out_dir, "report.json",
+                                     json.dumps(payload, indent=2) + "\n"))
 
     if "markdown" in formats:
-        lines = ["# collarlab report", ""]
         overall = all(rep.status == "pass" for rep in reports)
-        lines.append(f"Overall: **{'pass' if overall else 'fail'}**")
-        lines.append("")
+        lines = ["# collarlab report", "",
+                 f"Overall: **{'pass' if overall else 'fail'}**", ""]
         for rep in reports:
-            lines.append(f"## {rep.suite} - {rep.status} "
-                         f"({rep.wall_clock:.2f} s)")
-            lines.append("")
-            if rep.peak_rss_mb is not None:
-                lines.append(f"Peak RSS after this suite: "
-                             f"{rep.peak_rss_mb:.1f} MB")
-                lines.append("")
+            lines += [f"## {rep.suite} - {rep.status} "
+                      f"({rep.wall_clock:.2f} s)", ""]
+            for label, mb in (("Peak RSS after this suite", rep.peak_rss_mb),
+                              ("RSS at this suite's end", rep.rss_mb)):
+                if mb is not None:
+                    lines += [f"{label}: {mb:.1f} MB", ""]
             lines.append("| check | u | measured | target | rel_err | pass |")
             lines.append("|---|---|---|---|---|---|")
             for r in rep.records:
@@ -645,9 +644,7 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
                 lines.append(f"| {r.check_id} | {r.u:.4g} | {m} | {t} | "
                              f"{r.rel_err:.3g} | {mark} |")
             lines.append("")
-        path = os.path.join(out_dir, "report.md")
-        _atomic_write(path, "\n".join(lines))
-        written.append(path)
+        written.append(_atomic_write(out_dir, "report.md", "\n".join(lines)))
 
     if "svg-lines" in formats:
         by_check = {}
@@ -656,16 +653,14 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
         for check_id, group in sorted(by_check.items()):
             pts = sorted((math.log10(r.u),
                           math.log10(max(r.rel_err, 1e-16))) for r in group)
-            path = os.path.join(out_dir, f"{check_id}.svg")
-            _atomic_write(path, _svg_line(check_id, pts))
-            written.append(path)
+            written.append(_atomic_write(out_dir, f"{check_id}.svg",
+                                         _svg_line(check_id, pts)))
     return written
 
 
 def _svg_line(title: str, pts: list) -> str:
     w, h, pad = 480, 320, 40
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs, ys = zip(*pts)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 - x0 < 1e-12:

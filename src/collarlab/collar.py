@@ -304,7 +304,7 @@ class TauGrid:
 
         Stencils near the interval ends include the endpoints as ghost
         nodes pinned to zero (their columns are dropped).  Returned in
-        scipy banded storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].
+        LAPACK banded storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].
         Built afresh on each call; the resolvent keeps the band it derives.
         """
         n = self.n

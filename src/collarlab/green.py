@@ -12,6 +12,12 @@ depends on n only through n^2.  The matrix is also real, so for a real
 field (f_-n = conj f_n) the solution's mode -n is the conjugate of its
 mode n: each such +-n pair costs one solve and one residual.
 
+zgbtrf and zgbtrs are the compiled wrappers in scipy/linalg/_flapack, the
+very objects scipy.linalg.lapack exports.  _load_flapack loads that module
+by its full name from its file, which needs only numpy; importing
+scipy.linalg would also load scipy's array-API layer (numpy.f2py,
+numpy.testing): 0.25 s and 25 MB of each start-up.
+
 The band's layout follows from STENCIL and the ghost-node clipping alone.
 Its half-width is _BW = STENCIL - 1.  The 9 diagonals of the centred
 stencil, rows _CORE = _BW +- STENCIL // 2, are the only rows nonzero at
@@ -40,12 +46,14 @@ quantified by the boundary-cut sensitivity check.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .collar import STENCIL
 from .fields import CollarField
@@ -65,6 +73,23 @@ _SUPPORT_TOL = 1e-6
 _BW = STENCIL - 1
 _CORE = slice(_BW - STENCIL // 2, _BW + STENCIL // 2 + 1)
 _N_END = STENCIL // 2 - 1
+
+
+def _load_flapack():
+    """zgbtrf and zgbtrs from scipy's _flapack (see the module docstring)."""
+    scipy = find_spec("scipy")  # locates scipy, runs none of it
+    where = [os.path.join(d, "linalg")
+             for d in (scipy.submodule_search_locations if scipy else ())]
+    spec = PathFinder.find_spec("scipy.linalg._flapack", where)
+    if spec is None:
+        raise ImportError(f"collarlab needs scipy's compiled LAPACK module "
+                          f"_flapack; searched {where}")
+    flapack = module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zgbtrf, flapack.zgbtrs
+
+
+zgbtrf, zgbtrs = _load_flapack()
 
 
 class SolverError(RuntimeError):

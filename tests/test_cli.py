@@ -241,6 +241,10 @@ def test_emit_report_formats(tmp_path):
     assert " s)" in md  # wall clock lives in the markdown only
     assert (len(re.findall(r"^Peak RSS after this suite: \d+\.\d MB$", md,
                            re.M)) == len(reports))
+    # the current RSS, read from /proc/self/statm where the platform has it
+    if pathlib.Path("/proc/self/statm").exists():
+        assert (len(re.findall(r"^RSS at this suite's end: \d+\.\d MB$", md,
+                               re.M)) == len(reports))
 
     check_ids = {r.check_id for rep in reports for r in rep.records}
     svgs = {n for n in names if n.endswith(".svg")}

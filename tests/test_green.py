@@ -1,10 +1,16 @@
 """Mode-wise (box + 1) solves: accuracy, spectral bounds, adjointness."""
 
+import importlib.machinery
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
@@ -273,6 +279,55 @@ def test_each_grid_mode_is_factored_once(zgbtrf_calls, clear_models):
     solve_T(CollarField(col, grid, {3: 2 * window, 5: window}), QUIET)
     assert len(zgbtrf_calls) == 3
     assert _mode_factor(grid, -3) is _mode_factor(grid, 3)
+
+
+def test_import_leaves_scipy_linalg_unimported():
+    # this test process imports scipy.linalg itself, so ask a fresh one
+    src = pathlib.Path(collarlab.green.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, collarlab; print('scipy.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_loaded_lapack_matches_scipy_linalg():
+    col = collar_from_u(0.05)
+    grid = make_grid(col, 1024)
+    band = _box_band(grid)
+    s = 0.5 * grid.sin_tau**2
+    ab = np.zeros((3 * _BW + 1, grid.n), dtype=complex)
+    ab[_BW:] = band.ab
+    ab[2 * _BW] = band.ab[_BW] + ((3 / col.u) ** 2 * s + 1.0)
+    rhs = compact_window(col, grid) * (1 + 2j)
+    got, want = [], []
+    for lapack, out in ((collarlab.green, got), (scipy.linalg.lapack, want)):
+        lu, piv, info = lapack.zgbtrf(ab, _BW, _BW, overwrite_ab=0)
+        assert info == 0
+        sol, info = lapack.zgbtrs(lu, _BW, _BW, rhs, piv)
+        assert info == 0
+        out += [lu, piv, sol]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_missing_flapack_raises(monkeypatch):
+    find_spec = importlib.machinery.PathFinder.find_spec
+    searched = []
+
+    def no_flapack(name, path=None, target=None):
+        if name.endswith("_flapack"):
+            searched.extend(path)
+            return None
+        return find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_flapack)
+    with pytest.raises(ImportError, match="scipy") as err:
+        collarlab.green._load_flapack()
+    assert "_flapack" in str(err.value)
+    assert searched and all(d in str(err.value) for d in searched)
 
 
 def dense_band(band, diag, bu):

@@ -13,7 +13,12 @@ references.  Then the default `collarlab run` is made in both checkouts
 and `cmp` compares their report.csv and report.json.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
 change wins and loses, the reports' comparison and `wc -l` of
-src/collarlab/*.py on both sides.  Beside the peak_rss_mb medians of an
+src/collarlab/*.py on both sides.  In ten more alternated pairs the tier-1
+tests (`python -m pytest -q --continue-on-collection-errors` with src on
+PYTHONPATH, as ROADMAP.md gives them) are timed in both checkouts; their
+tier1_wall_s is summarised like a workload's metrics, next to pytest's
+exit codes, which do not count towards this tool's own exit code (tier-1
+fails one check by design).  Beside the peak_rss_mb medians of an
 in-process workload (one whose perfbench class subclasses InProcess) goes
 a least-squares fit of peak_rss_mb against attempted operations over all
 the workload's runs, with one slope and an intercept per side: perfbench
@@ -36,12 +41,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path.cwd()
 REPORTS = ("report.csv", "report.json")
 RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:]))"
 PAIRS = 10
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def git(*args) -> str:
@@ -72,6 +79,37 @@ def bench(tree: Path, command: list, workload: str, seed: int,
     return {"command": " ".join(cmd), "seed": seed,
             "attempted": result["attempted"], "failed": result["failed"],
             **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def paired(run_one) -> list:
+    """run_one(side, k) for pairs k = 0 .. PAIRS - 1, one side after the
+    other, the parent first when k is even; each run tagged with its side."""
+    runs = []
+    for k in range(PAIRS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            run = {"side": side, **run_one(side, k)}
+            print(json.dumps(run), file=sys.stderr)
+            runs.append(run)
+    return runs
+
+
+def tier1(tree: Path) -> dict:
+    """One timed run of the tier-1 tests in tree."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    code = subprocess.run([sys.executable, *TIER1], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True).returncode
+    return {"tier1_wall_s": time.perf_counter() - t0, "exit_code": code}
+
+
+def tier1_record(runs: list) -> dict:
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+            "pairs": PAIRS, "runs": runs,
+            "metrics": {"tier1_wall_s": summary(runs, "tier1_wall_s", "lower")},
+            "exit_codes": {s: [r["exit_code"] for r in runs if r["side"] == s]
+                           for s in ("parent", "change")}}
 
 
 def summary(runs: list, metric: str, better: str) -> dict:
@@ -171,22 +209,17 @@ def main(argv=None) -> int:
         end_to_end, ok = {}, True
         fitted = in_process_workloads(ROOT)
         for workload in (w["name"] for w in declared["workloads"]):
-            runs = []
-            for seed in range(PAIRS):
-                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-                for side in order:
-                    run = {"side": side,
-                           **bench(trees[side], declared["command"], workload,
-                                   seed, declared["run_seconds"])}
-                    print(json.dumps(run), file=sys.stderr)
-                    ok &= run["failed"] == 0
-                    runs.append(run)
+            runs = paired(lambda side, seed: bench(
+                trees[side], declared["command"], workload, seed,
+                declared["run_seconds"]))
+            ok &= all(run["failed"] == 0 for run in runs)
             metrics = {m["name"]: summary(runs, m["name"], m["better"])
                        for m in declared["end_to_end"]}
             metrics["peak_rss_mb"]["fit_on_attempted"] = (
                 rss_fit(runs) if workload in fitted else None)
             end_to_end[workload] = {"pairs": PAIRS, "runs": runs,
                                     "metrics": metrics}
+        tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
         codes, reports = {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
@@ -213,6 +246,7 @@ def main(argv=None) -> int:
                   "counts pairs where the change is better, change_losses "
                   "where it is worse.",
         "end_to_end": end_to_end,
+        "tier1": tier1_rec,
         "reports": {"command": "collarlab run (default config) in both "
                                "checkouts, then cmp of each report",
                     "exit_codes": codes, **reports},
@@ -231,6 +265,10 @@ def main(argv=None) -> int:
                   f"{fit['slope_bytes_per_op']:.0f} B per operation, "
                   f"intercepts parent {fit['intercept_mb']['parent']:.6g} "
                   f"change {fit['intercept_mb']['change']:.6g}")
+    m = tier1_rec["metrics"]["tier1_wall_s"]
+    print(f"tier1_wall_s: parent {m['parent']['median']:.6g} "
+          f"change {m['change']['median']:.6g} wins {m['change_wins']}/{PAIRS}, "
+          f"exit codes {tier1_rec['exit_codes']}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
