@@ -21,9 +21,17 @@ from .asymptotics import (DegenerateFitError, approximant_errors,
                           fit_power_law, g2_spotcheck, geodesic_length,
                           length_derivative_check, perturbed_prediction,
                           relative_change, target, target_table)
-from .cli import RunConfig, emit_report, main, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli loads on first use (PEP 562), so `python -m collarlab.cli` runs it
+    # once, as __main__, and `import collarlab` leaves it unloaded
+    if name in ("RunConfig", "emit_report", "main", "run_suite"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BandwidthWarning", "BeltramiSpec", "CollarError", "CollarField",

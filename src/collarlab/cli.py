@@ -21,11 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    import resource
-except ImportError:  # not on Windows
-    resource = None
-
 from . import asymptotics as asym
 from .collar import (CollarError, CutoffSpec, U_MIN, collar_from_u,
                      cutoff_eval, make_grid)
@@ -542,27 +537,20 @@ def run_suite(cfg: RunConfig, suite: str) -> SuiteReport:
     for r in records:
         r.suite = suite
     return SuiteReport(suite, records, time.perf_counter() - t0,
-                       _peak_rss_mb(), _rss_mb())
+                       *_rss_mb())
 
 
-def _peak_rss_mb() -> float | None:
-    """Peak resident set size of this process so far, in MB (2**20 bytes);
-    None where the platform has no `resource` module."""
-    if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # kilobytes on Linux, bytes on macOS
-    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
-
-
-def _rss_mb() -> float | None:
-    """This process's RSS now, in MB; None without /proc/self/statm."""
+def _rss_mb() -> tuple:
+    """(peak, current) resident set size of this process, in MB (2**20
+    bytes): VmHWM and VmRSS from one read of /proc/self/status, so the
+    current never reads above the peak; (None, None) without them."""
     try:
-        with open("/proc/self/statm") as f:
-            pages = int(f.read().split()[1])
-    except OSError:
-        return None
-    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+        with open("/proc/self/status") as f:
+            status = dict(line.partition(":")[::2] for line in f)
+        return tuple(int(status[k].split()[0]) / 1024
+                     for k in ("VmHWM", "VmRSS"))
+    except (OSError, KeyError):
+        return None, None
 
 
 def run_all(cfg: RunConfig) -> list:

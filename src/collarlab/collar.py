@@ -213,7 +213,7 @@ STENCIL = 9  # polynomial exactness 8; >= 6th order as required
 _GRIDS: dict = {}  # (collar, n_tau, nodes_per_panel) -> its shared TauGrid
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: memos key fields by their grid
 class TauGrid:
     """Open-interval quadrature/differentiation grid on (tau_min, tau_max).
 
@@ -363,7 +363,8 @@ def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10
     mid_lo, mid_hi = left[-1], right[0]
     n_mid = max(2, total_panels - 2 * n_casc)
     mid = np.linspace(mid_lo, mid_hi, n_mid + 1)
-    edges = np.unique(np.concatenate((left, mid, right)))
+    # linspace pins both ends, so left[-1] == mid[0] and mid[-1] == right[0]
+    edges = np.concatenate((left[:-1], mid, right[1:]))
 
     xg, wg = np.polynomial.legendre.leggauss(p)
     half_w = 0.5 * np.diff(edges)

@@ -31,6 +31,16 @@ from .operators import mul_radial, q_operator, xi
 
 PI = math.pi
 _WORKSPACES: dict = {}  # (cls, collars, n_tau, kappa) -> its shared workspace
+_FIELDS: dict = {}  # (kind, grid, [cutoff,] coefficient reprs) -> collar field
+
+
+def _memo(store: dict, key, build):
+    """store[key], built on the first request."""
+    hit = store.get(key)
+    if hit is None:
+        hit = build()
+        store[key] = hit
+    return hit
 
 
 def upper_index(values: np.ndarray) -> np.ndarray:
@@ -54,11 +64,15 @@ class G1Report:
 class CurvatureWorkspace:
     """Caching evaluator for the curvature pipeline of one model family.
 
-    Holds the collar system and the Beltrami family, and memoizes every
-    intermediate object: restricted fields A_i, tapered products f_{i jbar},
-    resolvent solves e_{i jbar}, derivative fields xi_k(e_{i jbar}) and
-    their solves, and the three pairing caches the curvature blocks
-    contract against.
+    Holds the collar system and the Beltrami family.  The collar-local
+    chain (restricted fields A_i, tapered products f_{i jbar}, resolvent
+    solves e_{i jbar}, derivative fields xi_k(e_{i jbar}) and their solves,
+    and the Q-operator fields) lives in the module memo ``_FIELDS``, keyed
+    by what each field is built from: the collar's grid object, the cutoff
+    (past the taper), and the repr of each coefficient b_{xJ} it involves.
+    Every workspace on the same grid shares it, whatever its index labels.
+    The metrics, curvature entries and the pairings the blocks contract
+    against are memoised per workspace, under index labels.
     """
 
     def __init__(self, system: CollarSystem, bspec: BeltramiSpec,
@@ -70,10 +84,6 @@ class CurvatureWorkspace:
         # support warnings are expected here: solver inputs vanish at the
         # walls only through the taper, not over a full margin
         self.solver = SolverConfig(warn_support=False)
-        self._taper = {
-            J: taper_weights(system.collars[J], system.grids[J], self.cutoff)[0]
-            for J in range(system.m)
-        }
         self._cache = {}
 
     # -- constructors ------------------------------------------------------
@@ -91,51 +101,58 @@ class CurvatureWorkspace:
         collars = tuple(collar_from_u(u, c) for u in u_values)
         return _shared_workspace(cls, collars, n_tau, kappa)
 
-    # -- cached field chain --------------------------------------------------
+    # -- shared field chain --------------------------------------------------
 
-    def _memo(self, key, build):
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = build()
-            self._cache[key] = hit
-        return hit
+    def _key(self, kind: str, J: int, *labels: int) -> tuple:
+        """Key in _FIELDS of a collar-J field: kind, grid, cutoff (but for A,
+        built before the taper) and repr(b_{xJ}) per label x, 'None' if
+        absent.  repr is bit-exact and type-aware where `==` is not: 0.0 and
+        -0.0, or a float and the equal complex, build different bytes."""
+        grid = self.system.grids[J]
+        coeffs = tuple(repr(self.bspec.entries.get((x, J))) for x in labels)
+        if kind == "A":
+            return (kind, grid, *coeffs)
+        return (kind, grid, self.cutoff, *coeffs)
 
     def A(self, i: int, J: int) -> CollarField:
-        return self._memo(("A", i, J),
-                          lambda: beltrami_field(self.bspec, i, J, self.system))
+        return _memo(_FIELDS, self._key("A", J, i),
+                     lambda: beltrami_field(self.bspec, i, J, self.system))
 
     def f_pair(self, i: int, j: int, J: int) -> CollarField:
         """Tapered product A_i conj(A_j) on collar J."""
-        return self._memo(("f", i, j, J), lambda: mul_radial(
-            self.A(i, J) * self.A(j, J).conj(), self._taper[J]))
+        taper = _memo(_FIELDS, self._key("taper", J), lambda: taper_weights(
+            self.system.collars[J], self.system.grids[J], self.cutoff)[0])
+        return _memo(_FIELDS, self._key("f", J, i, j), lambda: mul_radial(
+            self.A(i, J) * self.A(j, J).conj(), taper))
 
     def e_pair(self, i: int, j: int, J: int) -> CollarField:
         """e_{i jbar} on collar J: resolvent solve against the tapered pair."""
-        return self._memo(("e", i, j, J),
-                          lambda: solve_T(self.f_pair(i, j, J), self.solver))
+        return _memo(_FIELDS, self._key("e", J, i, j),
+                     lambda: solve_T(self.f_pair(i, j, J), self.solver))
 
     def xi_e(self, k: int, i: int, j: int, J: int) -> CollarField:
-        return self._memo(("xi", k, i, j, J),
-                          lambda: xi(self.A(k, J), self.e_pair(i, j, J)))
+        return _memo(_FIELDS, self._key("xi", J, k, i, j),
+                     lambda: xi(self.A(k, J), self.e_pair(i, j, J)))
 
     def T_xi(self, k: int, i: int, j: int, J: int) -> CollarField:
-        return self._memo(("Txi", k, i, j, J),
-                          lambda: solve_T(self.xi_e(k, i, j, J), self.solver))
+        return _memo(_FIELDS, self._key("Txi", J, k, i, j),
+                     lambda: solve_T(self.xi_e(k, i, j, J), self.solver))
 
     # -- pairing caches ------------------------------------------------------
 
     def P2(self, left: tuple, right: tuple) -> complex:
         """sum_J int T(xi_{k}(e_{i jbar})) conj(xi_{l}(e_{p qbar})) dv."""
         (k, i, j), (l, p, q) = left, right
-        return self._memo(("P2", left, right), lambda: self.system.collar_sum(
-            lambda J: pairing_l2(self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
+        return _memo(self._cache, ("P2", left, right),
+                     lambda: self.system.collar_sum(lambda J: pairing_l2(
+                         self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
 
     def XE(self, left: tuple, right: tuple) -> complex:
         """sum_J int xi_{k}(e_{i qbar}) e_{a bbar} dv, plain product."""
         (k, i, q), (a, b) = left, right
-        return self._memo(("XE", left, right), lambda: self.system.collar_sum(
-            lambda J: integral_product(self.xi_e(k, i, q, J),
-                                       self.e_pair(a, b, J))))
+        return _memo(self._cache, ("XE", left, right),
+                     lambda: self.system.collar_sum(lambda J: integral_product(
+                         self.xi_e(k, i, q, J), self.e_pair(a, b, J))))
 
     def QE(self, pair: tuple, arg: tuple, against: tuple) -> complex:
         """sum_J int Q_{k lbar}(e_{i jbar}) e_{a bbar} dv, plain product."""
@@ -146,25 +163,29 @@ class CurvatureWorkspace:
             e_ab = self.e_pair(a, b, J)
             if not e_ij.modes or not e_ab.modes:
                 return 0.0  # the product vanishes: skip the q_operator build
-            q_f = q_operator(self.e_pair(k, l, J), self.f_pair(k, l, J), e_ij)
+            q_f = _memo(_FIELDS, self._key("Q", J, k, l, i, j),
+                        lambda: q_operator(self.e_pair(k, l, J),
+                                           self.f_pair(k, l, J), e_ij))
             return integral_product(q_f, e_ab)
-        return self._memo(("QE", pair, arg, against),
-                          lambda: self.system.collar_sum(term))
+        return _memo(self._cache, ("QE", pair, arg, against),
+                     lambda: self.system.collar_sum(term))
 
     # -- metrics -------------------------------------------------------------
 
     def h(self) -> MetricMatrix:
-        return self._memo(("h",), lambda: wp_metric(
+        return _memo(self._cache, ("h",), lambda: wp_metric(
             self.bspec, self.system, self.compact_part))
 
     def h_upper(self) -> np.ndarray:
-        return self._memo(("h^",), lambda: upper_index(self.h().values))
+        return _memo(self._cache, ("h^",), lambda: upper_index(self.h().values))
 
     def R(self, i: int, j: int, k: int, l: int) -> complex:
         """First-metric curvature entry R_{i jbar k lbar}."""
-        return self._memo(("R", i, j, k, l), lambda: self.system.collar_sum(
-            lambda J: integral_product(self.e_pair(i, j, J), self.f_pair(k, l, J)),
-            lambda J: integral_product(self.e_pair(i, l, J), self.f_pair(k, j, J))))
+        e, f = self.e_pair, self.f_pair
+        return _memo(self._cache, ("R", i, j, k, l),
+                     lambda: self.system.collar_sum(
+                         lambda J: integral_product(e(i, j, J), f(k, l, J)),
+                         lambda J: integral_product(e(i, l, J), f(k, j, J))))
 
     def wp_tensor(self) -> np.ndarray:
         n = self.bspec.n
@@ -181,10 +202,10 @@ class CurvatureWorkspace:
             for i, j in np.ndindex(vals.shape):
                 vals[i, j] = _contract(G, lambda a, b: self.R(i, j, a, b))
             return MetricMatrix(vals, "Ricci")
-        return self._memo(("tau",), build)
+        return _memo(self._cache, ("tau",), build)
 
     def tau_upper(self) -> np.ndarray:
-        return self._memo(("tau^",), lambda: upper_index(self.tau().values))
+        return _memo(self._cache, ("tau^",), lambda: upper_index(self.tau().values))
 
     def perturbed_metric(self, C: float) -> MetricMatrix:
         return MetricMatrix(self.tau().values + C * self.h().values,

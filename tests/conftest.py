@@ -1,7 +1,9 @@
 """Shared fixtures."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -12,11 +14,27 @@ import collarlab.curvature
 
 @pytest.fixture(scope="session")
 def clear_models():
-    """Empties the shared grid and workspace memos when called."""
+    """Empties the shared grid, workspace and field memos when called."""
     def clear():
         collarlab.collar._GRIDS.clear()
         collarlab.curvature._WORKSPACES.clear()
+        collarlab.curvature._FIELDS.clear()
     return clear
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Runs `python *args` in a fresh process that imports this collarlab,
+    from a scratch directory; the CompletedProcess, with text output."""
+    src = pathlib.Path(collarlab.collar.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+    return run
 
 
 def _load_perfbench(monkeypatch, stem):

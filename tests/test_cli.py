@@ -239,12 +239,14 @@ def test_emit_report_formats(tmp_path):
     assert "# collarlab report" in md
     assert "Overall: **pass**" in md
     assert " s)" in md  # wall clock lives in the markdown only
-    assert (len(re.findall(r"^Peak RSS after this suite: \d+\.\d MB$", md,
-                           re.M)) == len(reports))
-    # the current RSS, read from /proc/self/statm where the platform has it
-    if pathlib.Path("/proc/self/statm").exists():
-        assert (len(re.findall(r"^RSS at this suite's end: \d+\.\d MB$", md,
-                               re.M)) == len(reports))
+    # peak and current RSS, read together from /proc/self/status where the
+    # platform has it, and both left out where it does not
+    shown = len(reports) if pathlib.Path("/proc/self/status").exists() else 0
+    peaks = re.findall(r"^Peak RSS after this suite: (\d+\.\d) MB$", md, re.M)
+    ends = re.findall(r"^RSS at this suite's end: (\d+\.\d) MB$", md, re.M)
+    assert len(peaks) == len(ends) == shown
+    for peak, end in zip(peaks, ends):
+        assert float(end) <= float(peak)
 
     check_ids = {r.check_id for rep in reports for r in rep.records}
     svgs = {n for n in names if n.endswith(".svg")}
@@ -357,6 +359,19 @@ def test_main_reports_failing_checks(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "failing checks:" in err
     assert "mcmullen-variation" in err
+
+
+def test_module_run_warns_nothing_and_import_leaves_cli_unloaded(
+        fresh_python):
+    # `python -m collarlab.cli` warned when the package had loaded cli
+    # before runpy executed it as __main__
+    proc = fresh_python("-W", "error::RuntimeWarning", "-m", "collarlab.cli",
+                        "run", "--suite", "lengths", "--out", "out")
+    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python(
+        "-c", "import sys, collarlab; print('collarlab.cli' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_main_config_errors(tmp_path):

@@ -1,5 +1,6 @@
 """Collar geometry, the tau grid, and its calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from collarlab import (CollarError, CollarParams, TauGrid, collar_from_t,
                        collar_from_u, geodesic_length, make_grid)
-from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
+from collarlab.collar import _GRIDS, STENCIL, U_MAX, U_MIN, stencil_weights
 
 PI = math.pi
 
@@ -83,6 +84,32 @@ def test_make_grid_shares_one_grid_per_distinct_arguments():
     assert make_grid(col, 1024) is not grid
     assert make_grid(col, 512, 8) is not grid
     assert make_grid(collar_from_u(0.1, c=0.45), 512) is not grid
+
+
+def test_grid_edges_are_sorted_and_distinct_on_a_sweep():
+    # the cascade and interior edges join where linspace pins its ends, so
+    # the edges need no np.unique
+    before = set(_GRIDS)
+    try:
+        for u, c, n_tau, p in itertools.product(
+                (0.01, 0.013, 0.05, 0.1, 0.3, 0.5), (0.3, 0.5, 0.9),
+                (64, 100, 512, 1024, 4096), (4, 10, 16)):
+            col = collar_from_u(u, c)
+            edges = make_grid(col, n_tau, p).panel_edges
+            assert np.array_equal(np.unique(edges), edges)
+            assert (edges[0], edges[-1]) == (col.tau_min, col.tau_max)
+    finally:  # keep the shared grid memo at its size
+        for key in set(_GRIDS) - before:
+            del _GRIDS[key]
+
+
+def test_make_grid_leaves_numpy_ma_unimported(fresh_python):
+    proc = fresh_python("-c", "import sys; from collarlab import "
+                        "collar_from_u, make_grid; "
+                        "make_grid(collar_from_u(0.05), 1024); "
+                        "print('numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_make_grid_rejects_coarse_grids():

@@ -1,5 +1,6 @@
 """Curvature workspace: tensors, block decomposition, perturbed family."""
 
+import collections
 import itertools
 import math
 
@@ -9,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import collarlab.collar
-from collarlab import (CollarSystem, CurvatureWorkspace, collar_from_u,
-                       coupled_family, hermitian_defect,
-                       make_grid, perturbed_prediction, upper_index)
+import collarlab.curvature
+from collarlab import (BeltramiSpec, CollarSystem, CurvatureWorkspace,
+                       RunConfig, beltrami_field, collar_from_u,
+                       coupled_family, hermitian_defect, make_grid,
+                       perturbed_prediction, run_suite, upper_index)
 
 PI = math.pi
 
@@ -149,6 +152,61 @@ def test_workspace_memoizes(ws1):
     assert ws1.R(0, 0, 0, 0) == ws1.R(0, 0, 0, 0)
 
 
+def test_collar_fields_are_shared_by_grid_and_coefficients():
+    # in a [u, u] model collar 1 repeats collar 0, and a one-collar model
+    # is collar 0 of the uncoupled two-collar one
+    ws = CurvatureWorkspace.from_u_values([0.05, 0.05], kappa=1.0)
+    assert ws.e_pair(0, 0, 0) is ws.e_pair(1, 1, 1)
+    assert (CurvatureWorkspace.single_collar(0.05).T_xi(0, 0, 0, 0)
+            is CurvatureWorkspace.from_u_values([0.05, 0.05]).T_xi(0, 0, 0, 0))
+
+
+def test_coefficients_equal_under_eq_get_their_own_fields():
+    # 0.0 == -0.0 and -0.01 == complex(-0.01), but conj flips the sign of
+    # a complex zero imaginary part, so each builds different bytes
+    col = collar_from_u(0.1)
+    system = CollarSystem((col,), (make_grid(col, 512),))
+    for b in (-0.01, complex(-0.01, 0.0), complex(-0.01, -0.0)):
+        spec = BeltramiSpec(1, {(0, 0): b})
+        got = CurvatureWorkspace(system, spec).A(0, 0).modes[2]
+        want = beltrami_field(spec, 0, 0, system).modes[2]
+        assert got.tobytes() == want.tobytes()
+
+
+def _g2_entries(u):
+    """g2_spotcheck's curvature entries at one u, in its order."""
+    ws = CurvatureWorkspace.from_u_values([u, u], kappa=1.0)
+    ws0 = CurvatureWorkspace.from_u_values([u, u], kappa=0.0)
+    return [ws.ricci_curvature(0, 0, 0, 0), ws0.ricci_curvature(0, 0, 0, 0),
+            ws.ricci_curvature(0, 0, 0, 1), ws.ricci_curvature(0, 0, 1, 1),
+            ws.ricci_curvature(0, 1, 0, 1)]
+
+
+def test_shared_fields_do_not_depend_on_which_workspace_built_them(
+        clear_models):
+    clear_models()
+    cold = _g2_entries(0.05)
+    clear_models()
+    CurvatureWorkspace.single_collar(0.05).g1_terms()  # warms collar 0
+    assert _g2_entries(0.05) == cold
+
+
+def test_g2_bounds_solves_and_builds_each_field_once(monkeypatch,
+                                                     clear_models):
+    # 244 solves and 307 Q-operator builds when fields were keyed per
+    # workspace by index labels
+    calls = collections.Counter()
+    for name in ("solve_T", "q_operator"):
+        def counted(*args, _f=getattr(collarlab.curvature, name), _n=name):
+            calls[_n] += 1
+            return _f(*args)
+        monkeypatch.setattr(collarlab.curvature, name, counted)
+    clear_models()
+    run_suite(RunConfig.from_dict({"suites": ["g2-bounds"]}), "g2-bounds")
+    assert calls["solve_T"] <= 122
+    assert calls["q_operator"] <= 82
+
+
 def test_single_collar_phase_rotates_family():
     ws = CurvatureWorkspace.single_collar(0.1, n_tau=512, phase=0.7)
     b = ws.bspec.entries[(0, 0)]
@@ -209,6 +267,7 @@ def test_property_coupled_metrics_hermitian_positive(kappa, us):
     # h and tau are MetricMatrix, which rejects a non-Hermitian matrix; the
     # curvature tensor tau contracts is checked unsymmetrised
     before = set(collarlab.collar._GRIDS)
+    fields_before = set(collarlab.curvature._FIELDS)
     try:
         collars = [collar_from_u(u) for u in us]
         system = CollarSystem(collars, [make_grid(col, 512) for col in collars])
@@ -216,6 +275,8 @@ def test_property_coupled_metrics_hermitian_positive(kappa, us):
         assert hermitian_defect(ws.wp_tensor()) < 1e-10
         ws.h().require_positive()
         ws.tau().require_positive()
-    finally:  # keep the shared grid memo at its size
+    finally:  # keep the shared grid and field memos at their size
         for key in set(collarlab.collar._GRIDS) - before:
             del collarlab.collar._GRIDS[key]
+        for key in set(collarlab.curvature._FIELDS) - fields_before:
+            del collarlab.curvature._FIELDS[key]

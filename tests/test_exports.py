@@ -28,7 +28,9 @@ def _snapshot():
     return out
 
 
-def test_exports_resolve_and_the_tracer_restores_them(perfbench_tracer):
+def test_exports_resolve_and_the_tracer_restores_them(perfbench_tracer,
+                                                      clear_models):
+    clear_models()  # cold memos, so the traced workspace solves its fields
     missing = [name for name in collarlab.__all__
                if not hasattr(collarlab, name)]
     assert missing == []

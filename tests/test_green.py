@@ -2,10 +2,6 @@
 
 import importlib.machinery
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -281,14 +277,10 @@ def test_each_grid_mode_is_factored_once(zgbtrf_calls, clear_models):
     assert _mode_factor(grid, -3) is _mode_factor(grid, 3)
 
 
-def test_import_leaves_scipy_linalg_unimported():
+def test_import_leaves_scipy_linalg_unimported(fresh_python):
     # this test process imports scipy.linalg itself, so ask a fresh one
-    src = pathlib.Path(collarlab.green.__file__).parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, collarlab; print('scipy.linalg' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    proc = fresh_python(
+        "-c", "import sys, collarlab; print('scipy.linalg' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
