@@ -303,21 +303,27 @@ class TauGrid:
         """Second-derivative operator with zero Dirichlet ends.
 
         Stencils near the interval ends include the endpoints as ghost
-        nodes pinned to zero (their columns are dropped).  Returned in
-        LAPACK banded storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].
-        Built afresh on each call; the resolvent keeps the band it derives.
+        nodes pinned to zero (their columns are dropped).  Every other row
+        is ``_stencils``' second-derivative row: the same nodes about the
+        same centre, so the same weights.  Returned in LAPACK banded
+        storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].  Built
+        afresh on each call; the resolvent keeps the band it derives.
         """
         n = self.n
+        bw = STENCIL - 1
+        half = STENCIL // 2
+        ab = np.zeros((2 * bw + 1, n))
+        idx, _, w2 = self._stencils
+        i = np.arange(half, n - half)
+        ab[bw + i[:, None] - idx[i], idx[i]] = w2[i]
+        # the rows whose stencil reaches an end, on the nodes extended by both
         xe = np.concatenate(([self.collar.tau_min], self.nodes,
                              [self.collar.tau_max]))
-        bw = STENCIL - 1
-        i = np.arange(n)
-        ie = i + 1  # position in extended array
-        starts = np.clip(ie - STENCIL // 2, 0, n + 2 - STENCIL)
-        c = stencil_weights(xe, starts, STENCIL, xe[ie], 2)[:, :, 2]
+        i = np.r_[:half, n - half : n]
+        starts = np.clip(i + 1 - half, 0, n + 2 - STENCIL)
+        c = stencil_weights(xe, starts, STENCIL, xe[i + 1], 2)[:, :, 2]
         j = starts[:, None] + np.arange(STENCIL) - 1  # interior column index
         keep = (j >= 0) & (j < n)
-        ab = np.zeros((2 * bw + 1, n))
         ab[(bw + i[:, None] - j)[keep], j[keep]] = c[keep]
         return ab, (bw, bw)
 

@@ -31,7 +31,7 @@ from .operators import mul_radial, q_operator, xi
 
 PI = math.pi
 _WORKSPACES: dict = {}  # (cls, collars, n_tau, kappa) -> its shared workspace
-_FIELDS: dict = {}  # (kind, grid, [cutoff,] coefficient reprs) -> collar field
+_FIELDS: dict = {}  # collar fields, derivative pieces and pairings; see below
 
 
 def _memo(store: dict, key, build):
@@ -41,6 +41,26 @@ def _memo(store: dict, key, build):
         hit = build()
         store[key] = hit
     return hit
+
+
+def _intern(f: CollarField) -> CollarField:
+    """The field in _FIELDS with f's grid, truncation flag and mode bytes
+    (in mode order), f itself if it is the first.  The key holds each
+    mode's hash; a hit is checked byte for byte."""
+    key = ("bytes", f.grid, f.truncated,
+           tuple((n, hash(v.tobytes())) for n, v in f.modes.items()))
+    hit = _FIELDS.setdefault(key, f)
+    if hit is not f and any(v.tobytes() != hit.modes[n].tobytes()
+                            for n, v in f.modes.items()):
+        return f  # a hash collision: f stays unshared
+    return hit
+
+
+def _paired(kind: str, f: CollarField, g: CollarField) -> complex:
+    """pairing_l2(f, g) ('l2') or integral_product(f, g) ('product'),
+    memoised in _FIELDS by kind and the two fields."""
+    pair = pairing_l2 if kind == "l2" else integral_product
+    return _memo(_FIELDS, (kind, f, g), lambda: pair(f, g))
 
 
 def upper_index(values: np.ndarray) -> np.ndarray:
@@ -65,14 +85,29 @@ class CurvatureWorkspace:
     """Caching evaluator for the curvature pipeline of one model family.
 
     Holds the collar system and the Beltrami family.  The collar-local
-    chain (restricted fields A_i, tapered products f_{i jbar}, resolvent
-    solves e_{i jbar}, derivative fields xi_k(e_{i jbar}) and their solves,
-    and the Q-operator fields) lives in the module memo ``_FIELDS``, keyed
-    by what each field is built from: the collar's grid object, the cutoff
-    (past the taper), and the repr of each coefficient b_{xJ} it involves.
-    Every workspace on the same grid shares it, whatever its index labels.
-    The metrics, curvature entries and the pairings the blocks contract
-    against are memoised per workspace, under index labels.
+    chain lives in the module memo ``_FIELDS``, shared by every workspace
+    whatever its index labels:
+
+    - A_i on collar J is keyed by the grid object and repr(b_{iJ}) ('None'
+      if absent; repr is bit-exact and type-aware where `==` is not).  It
+      is the only field keyed by coefficient reprs.
+    - Every other field is keyed by the fields it is built from, which
+      hash by identity: f_{i jbar} by (A_i, A_j, cutoff), xi_k(e) by
+      (A_k, e), the Q-operator field by (e_{k lbar}, f_{k lbar}, e_{i jbar}),
+      and each solve, e_{i jbar} = T f_{i jbar} or T xi_k(e), by the field
+      solved.
+    - A_i, f_{i jbar} and xi_k(e) are interned by their bytes
+      (``_intern``) before anything is keyed by them, so byte-identical
+      fields are one object: f_{0 1bar} and f_{1 0bar} of a real coupling
+      share one solve and all built on it, and every empty field on a grid
+      is one field with one solve.
+    - The derivative pieces of e and f that xi and q_operator take (dz e,
+      P e, conj-P e, box e, dzbar e, dz f) are keyed by (kind, field), and
+      each collar's pairing by (kind, field, field).
+
+    Each workspace also keeps, under index labels, the A, f and e it has
+    looked up, its metrics and curvature entries, and the collar sums the
+    blocks contract against.
     """
 
     def __init__(self, system: CollarSystem, bspec: BeltramiSpec,
@@ -103,40 +138,41 @@ class CurvatureWorkspace:
 
     # -- shared field chain --------------------------------------------------
 
-    def _key(self, kind: str, J: int, *labels: int) -> tuple:
-        """Key in _FIELDS of a collar-J field: kind, grid, cutoff (but for A,
-        built before the taper) and repr(b_{xJ}) per label x, 'None' if
-        absent.  repr is bit-exact and type-aware where `==` is not: 0.0 and
-        -0.0, or a float and the equal complex, build different bytes."""
-        grid = self.system.grids[J]
-        coeffs = tuple(repr(self.bspec.entries.get((x, J))) for x in labels)
-        if kind == "A":
-            return (kind, grid, *coeffs)
-        return (kind, grid, self.cutoff, *coeffs)
-
     def A(self, i: int, J: int) -> CollarField:
-        return _memo(_FIELDS, self._key("A", J, i),
-                     lambda: beltrami_field(self.bspec, i, J, self.system))
+        def find():
+            key = ("A", self.system.grids[J],
+                   repr(self.bspec.entries.get((i, J))))
+            return _memo(_FIELDS, key, lambda: _intern(
+                beltrami_field(self.bspec, i, J, self.system)))
+        return _memo(self._cache, ("A", i, J), find)
 
     def f_pair(self, i: int, j: int, J: int) -> CollarField:
         """Tapered product A_i conj(A_j) on collar J."""
-        taper = _memo(_FIELDS, self._key("taper", J), lambda: taper_weights(
-            self.system.collars[J], self.system.grids[J], self.cutoff)[0])
-        return _memo(_FIELDS, self._key("f", J, i, j), lambda: mul_radial(
-            self.A(i, J) * self.A(j, J).conj(), taper))
+        def find():
+            a_i, a_j = self.A(i, J), self.A(j, J)
+            grid = self.system.grids[J]
+            taper = _memo(_FIELDS, ("taper", grid, self.cutoff),
+                          lambda: taper_weights(self.system.collars[J], grid,
+                                                self.cutoff)[0])
+            return _memo(_FIELDS, ("f", a_i, a_j, self.cutoff), lambda: _intern(
+                mul_radial(a_i * a_j.conj(), taper)))
+        return _memo(self._cache, ("f", i, j, J), find)
+
+    def _solved(self, f: CollarField) -> CollarField:
+        return _memo(_FIELDS, ("T", f), lambda: solve_T(f, self.solver))
 
     def e_pair(self, i: int, j: int, J: int) -> CollarField:
         """e_{i jbar} on collar J: resolvent solve against the tapered pair."""
-        return _memo(_FIELDS, self._key("e", J, i, j),
-                     lambda: solve_T(self.f_pair(i, j, J), self.solver))
+        return _memo(self._cache, ("e", i, j, J),
+                     lambda: self._solved(self.f_pair(i, j, J)))
 
     def xi_e(self, k: int, i: int, j: int, J: int) -> CollarField:
-        return _memo(_FIELDS, self._key("xi", J, k, i, j),
-                     lambda: xi(self.A(k, J), self.e_pair(i, j, J)))
+        a_k, e = self.A(k, J), self.e_pair(i, j, J)
+        return _memo(_FIELDS, ("xi", a_k, e),
+                     lambda: _intern(xi(a_k, e, pieces=_FIELDS)))
 
     def T_xi(self, k: int, i: int, j: int, J: int) -> CollarField:
-        return _memo(_FIELDS, self._key("Txi", J, k, i, j),
-                     lambda: solve_T(self.xi_e(k, i, j, J), self.solver))
+        return self._solved(self.xi_e(k, i, j, J))
 
     # -- pairing caches ------------------------------------------------------
 
@@ -144,15 +180,15 @@ class CurvatureWorkspace:
         """sum_J int T(xi_{k}(e_{i jbar})) conj(xi_{l}(e_{p qbar})) dv."""
         (k, i, j), (l, p, q) = left, right
         return _memo(self._cache, ("P2", left, right),
-                     lambda: self.system.collar_sum(lambda J: pairing_l2(
-                         self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
+                     lambda: self.system.collar_sum(lambda J: _paired(
+                         "l2", self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
 
     def XE(self, left: tuple, right: tuple) -> complex:
         """sum_J int xi_{k}(e_{i qbar}) e_{a bbar} dv, plain product."""
         (k, i, q), (a, b) = left, right
         return _memo(self._cache, ("XE", left, right),
-                     lambda: self.system.collar_sum(lambda J: integral_product(
-                         self.xi_e(k, i, q, J), self.e_pair(a, b, J))))
+                     lambda: self.system.collar_sum(lambda J: _paired(
+                         "product", self.xi_e(k, i, q, J), self.e_pair(a, b, J))))
 
     def QE(self, pair: tuple, arg: tuple, against: tuple) -> complex:
         """sum_J int Q_{k lbar}(e_{i jbar}) e_{a bbar} dv, plain product."""
@@ -163,10 +199,10 @@ class CurvatureWorkspace:
             e_ab = self.e_pair(a, b, J)
             if not e_ij.modes or not e_ab.modes:
                 return 0.0  # the product vanishes: skip the q_operator build
-            q_f = _memo(_FIELDS, self._key("Q", J, k, l, i, j),
-                        lambda: q_operator(self.e_pair(k, l, J),
-                                           self.f_pair(k, l, J), e_ij))
-            return integral_product(q_f, e_ab)
+            e_kl, f_kl = self.e_pair(k, l, J), self.f_pair(k, l, J)
+            q_f = _memo(_FIELDS, ("Q", e_kl, f_kl, e_ij),
+                        lambda: q_operator(e_kl, f_kl, e_ij, _FIELDS))
+            return _paired("product", q_f, e_ab)
         return _memo(self._cache, ("QE", pair, arg, against),
                      lambda: self.system.collar_sum(term))
 
@@ -184,8 +220,8 @@ class CurvatureWorkspace:
         e, f = self.e_pair, self.f_pair
         return _memo(self._cache, ("R", i, j, k, l),
                      lambda: self.system.collar_sum(
-                         lambda J: integral_product(e(i, j, J), f(k, l, J)),
-                         lambda J: integral_product(e(i, l, J), f(k, j, J))))
+                         lambda J: _paired("product", e(i, j, J), f(k, l, J)),
+                         lambda J: _paired("product", e(i, l, J), f(k, j, J))))
 
     def wp_tensor(self) -> np.ndarray:
         n = self.bspec.n

@@ -35,7 +35,7 @@ class UnderResolvedError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: memos key fields by their inputs
 class CollarField:
     collar: CollarParams
     grid: TauGrid

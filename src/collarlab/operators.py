@@ -48,14 +48,16 @@ def maass(f: CollarField, p: int, which: str) -> CollarField:
     raise ValueError("which must be 'K' or 'L'")
 
 
-def op_P(f: CollarField) -> CollarField:
-    """P(f) = dz(lambda^-1 dz f), equal to K_1 K_0 f on functions."""
-    return wirtinger(mul_radial(wirtinger(f, "dz"), f.grid.inv_lam), "dz")
+def op_P(f: CollarField, pieces: dict | None = None) -> CollarField:
+    """P(f) = dz(lambda^-1 dz f), equal to K_1 K_0 f on functions; pieces,
+    if given, memoises dz f (see ``_piece``)."""
+    return wirtinger(mul_radial(_piece(f, "dz", pieces), f.grid.inv_lam), "dz")
 
 
-def op_P_bar(f: CollarField) -> CollarField:
-    """conj-P(f) = dzbar(lambda^-1 dzbar f)."""
-    return wirtinger(mul_radial(wirtinger(f, "dzbar"), f.grid.inv_lam), "dzbar")
+def op_P_bar(f: CollarField, pieces: dict | None = None) -> CollarField:
+    """conj-P(f) = dzbar(lambda^-1 dzbar f); pieces as in ``op_P``."""
+    return wirtinger(mul_radial(_piece(f, "dzbar", pieces), f.grid.inv_lam),
+                     "dzbar")
 
 
 def box(f: CollarField) -> CollarField:
@@ -69,25 +71,51 @@ def box(f: CollarField) -> CollarField:
     return CollarField(f.collar, f.grid, out, truncated=f.truncated)
 
 
-def xi(a_field: CollarField, f: CollarField, route: str = "primary") -> CollarField:
+def _piece(f: CollarField, kind: str, pieces: dict | None = None) -> CollarField:
+    """One derivative piece of f: 'dz', 'dzbar', 'box', 'P' or 'Pbar'.
+
+    With a dict, pieces memoises them under (kind, f), the first derivative
+    inside P and Pbar included; f, hashed by identity, must not change.
+    """
+    hit = None if pieces is None else pieces.get((kind, f))
+    if hit is None:
+        if kind == "P":
+            hit = op_P(f, pieces)
+        elif kind == "Pbar":
+            hit = op_P_bar(f, pieces)
+        elif kind == "box":
+            hit = box(f)
+        else:
+            hit = wirtinger(f, kind)
+        if pieces is not None:
+            pieces[(kind, f)] = hit
+    return hit
+
+
+def xi(a_field: CollarField, f: CollarField, route: str = "primary",
+       pieces: dict | None = None) -> CollarField:
     """xi along the Beltrami field A: -lambda^-1 dz(A dz f).
 
     route='harmonic' uses -A P(f) instead, valid when dz(lambda A) = 0;
-    the two agree for harmonic A and provide a cross-check.
+    the two agree for harmonic A and provide a cross-check.  pieces, if
+    given, memoises the derivatives of f (see ``_piece``).
     """
     if route == "primary":
-        inner = a_field * wirtinger(f, "dz")
+        inner = a_field * _piece(f, "dz", pieces)
         return mul_radial(wirtinger(inner, "dz"), -f.grid.inv_lam)
     if route == "harmonic":
-        return (a_field * op_P(f)).scale(-1.0)
+        return (a_field * _piece(f, "P", pieces)).scale(-1.0)
     raise ValueError("route must be 'primary' or 'harmonic'")
 
 
-def q_operator(e_kl: CollarField, f_kl: CollarField, f: CollarField) -> CollarField:
-    """Q_{k lbar}(f) built from the pair (e_{k lbar}, f_{k lbar})."""
-    t1 = op_P_bar(e_kl) * op_P(f)
-    t2 = (f_kl * box(f)).scale(-2.0)
-    t3 = mul_radial(wirtinger(f_kl, "dz") * wirtinger(f, "dzbar"), f.grid.inv_lam)
+def q_operator(e_kl: CollarField, f_kl: CollarField, f: CollarField,
+               pieces: dict | None = None) -> CollarField:
+    """Q_{k lbar}(f) built from the pair (e_{k lbar}, f_{k lbar}); pieces,
+    if given, memoises the derivatives of e_kl, f_kl and f (see ``_piece``)."""
+    t1 = _piece(e_kl, "Pbar", pieces) * _piece(f, "P", pieces)
+    t2 = (f_kl * _piece(f, "box", pieces)).scale(-2.0)
+    t3 = mul_radial(_piece(f_kl, "dz", pieces) * _piece(f, "dzbar", pieces),
+                    f.grid.inv_lam)
     return t1 + t2 + t3
 
 

@@ -1,5 +1,5 @@
-"""The A/B benchmark tool: its choice of workloads to fit peak RSS on, and
-its tier-1 timing record."""
+"""The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
+traced per-layer record and its tier-1 timing record."""
 
 import importlib.util
 import json
@@ -47,3 +47,22 @@ def test_tier1_record_on_synthetic_runs(bench_ab):
     assert record["exit_codes"] == {side: [code] * bench_ab.PAIRS
                                     for side, code in codes.items()}
     assert record["runs"] == runs
+
+
+def test_traced_record_on_synthetic_runs(bench_ab):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["per_layer"]]
+    runs = {"parent": {"command": "p", "seed": 0, "attempted": 4, "failed": 0,
+                       "collar.dtau.calls": 711, "collar.dtau.self_s": 0.05},
+            "change": {"command": "c", "seed": 0, "attempted": 5, "failed": 0,
+                       "collar.dtau.calls": 180, "collar.dtau.self_s": 0.01}}
+    record = bench_ab.traced_record(runs, names)
+    assert record["runs"] == runs
+    assert list(record["per_layer"]) == names
+    assert record["per_layer"]["collar.dtau.calls"] == {"parent": 711,
+                                                       "change": 180}
+    assert record["per_layer"]["collar.dtau.self_s"] == {"parent": 0.05,
+                                                        "change": 0.01}
+    # a metric neither run reported is kept, as None on both sides
+    assert record["per_layer"]["green.solve_T.calls"] == {"parent": None,
+                                                         "change": None}

@@ -319,6 +319,22 @@ def test_green_props_holds_few_samples():
     assert peak - start < 10 * 2**20
 
 
+def test_green_props_holds_two_samples():
+    # draws k and k + 50 are solved together, so two (f, Tf) pairs are live
+    # at a time: the second call peaks near 1.1 MiB, against 8.1 MiB with
+    # the 50 not yet paired held
+    cfg = RunConfig()
+    _suite_green_props(cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _suite_green_props(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * 2**20
+
+
 def test_main_passing_run(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json",
                             output={"directory": str(tmp_path / "out")})

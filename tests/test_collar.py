@@ -263,3 +263,36 @@ def test_d2_dirichlet_exact_on_vanishing_polynomials(u, clear_models):
                 d2[j + d] += ab[bu + d, j] * v[j]
             want = p.deriv(2)(s) * (2 / (b - a)) ** 2
             assert np.abs(d2 - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def _d2_dirichlet_all_fornberg(grid):
+    """The Dirichlet D2 band with every row's weights from its own Fornberg
+    recursion on the nodes extended by both ends."""
+    n = grid.n
+    xe = np.concatenate(([grid.collar.tau_min], grid.nodes,
+                         [grid.collar.tau_max]))
+    bw = STENCIL - 1
+    i = np.arange(n)
+    starts = np.clip(i + 1 - STENCIL // 2, 0, n + 2 - STENCIL)
+    c = stencil_weights(xe, starts, STENCIL, xe[i + 1], 2)[:, :, 2]
+    j = starts[:, None] + np.arange(STENCIL) - 1
+    keep = (j >= 0) & (j < n)
+    ab = np.zeros((2 * bw + 1, n))
+    ab[(bw + i[:, None] - j)[keep], j[keep]] = c[keep]
+    return ab
+
+
+@pytest.mark.parametrize("nodes_per_panel", [10, 20])
+@pytest.mark.parametrize("n_tau", [512, 1024, 2048, 16384])
+def test_d2_dirichlet_reuses_the_stencils_bitwise(n_tau, nodes_per_panel):
+    for u in (0.15, 0.1, 0.05, 0.025, 0.012, 0.01):
+        key = (collar_from_u(u), n_tau, nodes_per_panel)
+        shared = key in _GRIDS
+        grid = make_grid(*key)
+        try:
+            ab, (bl, bu) = grid.d2_banded_dirichlet()
+            assert (bl, bu) == (STENCIL - 1, STENCIL - 1)
+            assert ab.tobytes() == _d2_dirichlet_all_fornberg(grid).tobytes()
+        finally:  # keep the shared grid memo at its size
+            if not shared:
+                del _GRIDS[key]

@@ -207,6 +207,52 @@ def test_g2_bounds_solves_and_builds_each_field_once(monkeypatch,
     assert calls["q_operator"] <= 82
 
 
+def test_byte_identical_pairs_are_one_field():
+    # b_{01} and b_{10} are real, so f_{0 1bar} and f_{1 0bar} have the same
+    # bytes; interned, they share one solve
+    ws = CurvatureWorkspace.from_u_values([0.05, 0.05], kappa=1.0)
+    for J in (0, 1):
+        assert ws.f_pair(0, 1, J) is ws.f_pair(1, 0, J)
+        assert ws.e_pair(0, 1, J) is ws.e_pair(1, 0, J)
+        assert (ws.f_pair(0, 1, J).modes[0].tobytes()
+                == ws.f_pair(1, 0, J).modes[0].tobytes())
+
+
+def test_empty_pairs_are_one_field():
+    # uncoupled, A_0 vanishes on collar 1 and A_1 on collar 0; both collars
+    # share one grid, so every empty pair is one field
+    ws = CurvatureWorkspace.from_u_values([0.05, 0.05], kappa=0.0)
+    empty = [ws.f_pair(i, j, J) for J in (0, 1)
+             for i, j in itertools.product((0, 1), repeat=2)
+             if not ws.f_pair(i, j, J).modes]
+    assert len(empty) == 6
+    assert all(f is empty[0] for f in empty)
+    assert all(ws.e_pair(i, j, J) is ws.e_pair(1, 0, 0) for J in (0, 1)
+               for i, j in itertools.product((0, 1), repeat=2)
+               if not ws.f_pair(i, j, J).modes)
+
+
+def test_g2_bounds_solves_and_differentiates_each_field_once(monkeypatch,
+                                                             clear_models):
+    # 122 solves and 656 dtau calls when fields were keyed by coefficient
+    # reprs and every xi and Q differentiated its inputs afresh
+    calls = collections.Counter()
+
+    def counted(*args, _f=collarlab.curvature.solve_T):
+        calls["solve_T"] += 1
+        return _f(*args)
+
+    def dtau(self, *args, _f=collarlab.collar.TauGrid.dtau):
+        calls["dtau"] += 1
+        return _f(self, *args)
+    monkeypatch.setattr(collarlab.curvature, "solve_T", counted)
+    monkeypatch.setattr(collarlab.collar.TauGrid, "dtau", dtau)
+    clear_models()
+    run_suite(RunConfig.from_dict({"suites": ["g2-bounds"]}), "g2-bounds")
+    assert calls["solve_T"] <= 53
+    assert calls["dtau"] <= 125
+
+
 def test_single_collar_phase_rotates_family():
     ws = CurvatureWorkspace.single_collar(0.1, n_tau=512, phase=0.7)
     b = ws.bspec.entries[(0, 0)]

@@ -9,10 +9,14 @@ pair k (k = 0 .. 9) runs `CMD --workload W --seed k --seconds S --trace 0`
 in both checkouts, one after the other, the base first when k is even;
 CMD is BENCHMARK.json's command (`python3 perfbench/run.py`) and S its
 run_seconds.  Seed 0 is the one perfbench checks against its stored
-references.  Then the default `collarlab run` is made in both checkouts
+references.  After the pairs, one traced run per side (`--seed 0 --trace
+1`, parent first) gives the workload's per-layer metrics: call counts and
+self times per layer, each the median over the run's traced operations.
+Then the default `collarlab run` is made in both checkouts
 and `cmp` compares their report.csv and report.json.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
-change wins and loses, the reports' comparison and `wc -l` of
+change wins and loses, the traced runs with each per-layer metric
+side by side, the reports' comparison and `wc -l` of
 src/collarlab/*.py on both sides.  In ten more alternated pairs the tier-1
 tests (`python -m pytest -q --continue-on-collection-errors` with src on
 PYTHONPATH, as ROADMAP.md gives them) are timed in both checkouts; their
@@ -68,9 +72,9 @@ def export(rev: str, dest: Path):
 
 
 def bench(tree: Path, command: list, workload: str, seed: int,
-          seconds: float) -> dict:
+          seconds: float, trace: int = 0) -> dict:
     cmd = [*command, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
@@ -91,6 +95,15 @@ def paired(run_one) -> list:
             print(json.dumps(run), file=sys.stderr)
             runs.append(run)
     return runs
+
+
+def traced_record(runs: dict, names: list) -> dict:
+    """The traced run of each side, and each named per-layer metric as
+    {"parent": value, "change": value}; None where a side lacks it."""
+    return {"runs": runs,
+            "per_layer": {name: {side: run.get(name)
+                                 for side, run in runs.items()}
+                          for name in names}}
 
 
 def tier1(tree: Path) -> dict:
@@ -217,8 +230,14 @@ def main(argv=None) -> int:
                        for m in declared["end_to_end"]}
             metrics["peak_rss_mb"]["fit_on_attempted"] = (
                 rss_fit(runs) if workload in fitted else None)
-            end_to_end[workload] = {"pairs": PAIRS, "runs": runs,
-                                    "metrics": metrics}
+            traced = {side: bench(trees[side], declared["command"], workload,
+                                  0, declared["run_seconds"], trace=1)
+                      for side in ("parent", "change")}
+            ok &= all(run["failed"] == 0 for run in traced.values())
+            end_to_end[workload] = {
+                "pairs": PAIRS, "runs": runs, "metrics": metrics,
+                "traced": traced_record(
+                    traced, [m["name"] for m in declared["per_layer"]])}
         tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
         codes, reports = {}, {}
         for side, tree in trees.items():
@@ -259,6 +278,10 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} "
                   f"wins {m['change_wins']}/{PAIRS}")
+        for name, m in data["traced"]["per_layer"].items():
+            if name.endswith(".calls") and m["parent"] != m["change"]:
+                print(f"{workload} traced {name}: parent {m['parent']} "
+                      f"change {m['change']}")
         fit = data["metrics"]["peak_rss_mb"]["fit_on_attempted"]
         if fit:
             print(f"{workload} peak_rss_mb fit: "
