@@ -20,7 +20,8 @@ from .asymptotics import (DegenerateFitError, approximant_errors,
                           build_approximants, equivalence_ratios,
                           fit_power_law, g2_spotcheck, geodesic_length,
                           length_derivative_check, perturbed_prediction,
-                          relative_change, target, target_table)
+                          relative_change)
+from .targets import target, target_table
 
 __version__ = "0.1.0"
 

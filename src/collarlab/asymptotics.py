@@ -1,11 +1,7 @@
-"""Tapered approximants, asymptotic targets, power-law fits, length checks.
+"""Tapered approximants, power-law fits, length checks, composite checks.
 
-The model's leading-order laws are all of the form
-
-    value(u) = constant * u**exponent * (1 + O(u))
-
-after dividing out the exact |t|-power (automatic in the scaled gauge,
-|t| = exp(-pi/u)).  This module owns the frozen target table, the
+The model's leading-order laws, value(u) = constant * u**exponent *
+(1 + O(u)), are the rows of ``collarlab.targets``.  This module holds the
 closed-form approximant fields (tapered by the cutoffs of
 ``collarlab.collar``), the power-law fitting used to verify decay orders,
 the geodesic-length derivative check, and the composite checks that run
@@ -25,6 +21,7 @@ from .curvature import CurvatureWorkspace
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
 from .operators import maass
+from .targets import target
 
 PI = math.pi
 
@@ -82,60 +79,6 @@ def build_approximants(collar: CollarParams, grid: TauGrid, b_hat: complex,
     mk = lambda prof: CollarField(collar, grid, {0: prof})
     return Approximants(etilde=mk(e0), ftilde=mk(ftl), d=mk(d0),
                         box1_d=mk(box1_d), xi_etilde=mk(xi_prof))
-
-
-# -- target table ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class AsymptoticTarget:
-    check_id: str
-    constant: complex
-    exponent: float
-    description: str
-
-
-def target_table() -> list[AsymptoticTarget]:
-    """Leading constants of the |t|-normalized laws: value ~ C u^p."""
-    return [
-        AsymptoticTarget("wp-cometric-diag", 2.0, -3.0,
-                         "h^{ii} -> 2 u^-3 |t|^2"),
-        AsymptoticTarget("wp-metric-diag", 0.5, 3.0,
-                         "h_{ii} -> u^3/(2 |t|^2)"),
-        AsymptoticTarget("ricci-diag", 3.0 / (4.0 * PI**2), 2.0,
-                         "tau_{ii} -> 3 u^2/(4 pi^2 |t|^2)"),
-        AsymptoticTarget("wp-curv-diag", 3.0 / (8.0 * PI**2), 5.0,
-                         "R_{iiii} of the WP metric -> 3 u^5/(8 pi^2 |t|^4)"),
-        AsymptoticTarget("g1-term-1", 9.0 / (16.0 * PI**4), 4.0,
-                         "24 h^{ii} int T(xi(e)) conj(xi(e))"),
-        AsymptoticTarget("g1-term-2", -9.0 / (16.0 * PI**4), 4.0,
-                         "6 h^{ii} int |K0 e|^2 (2e - 4f)"),
-        AsymptoticTarget("g1-term-3", -3.0 / (16.0 * PI**4), 4.0,
-                         "-36 tau^{ii} (h^{ii})^2 |int xi(e) e|^2"),
-        AsymptoticTarget("g1-term-4", 9.0 / (16.0 * PI**4), 4.0,
-                         "tau_{ii} h^{ii} R_{iiii}"),
-        AsymptoticTarget("g1-sum", 3.0 / (8.0 * PI**4), 4.0,
-                         "holomorphic sectional curvature magnitude of Ricci metric"),
-        AsymptoticTarget("t-pairing", 3.0 / (256.0 * PI**4), 7.0,
-                         "int T(xi_i(e_ii)) conj(xi_i(e_ii)) dv"),
-        AsymptoticTarget("k0-pairing", -3.0 / (64.0 * PI**4), 7.0,
-                         "int |K0 e|^2 (2e - 4f) dv"),
-        AsymptoticTarget("xi-pairing", -1.0 / (32.0 * PI**3), 6.0,
-                         "int xi_i(e_ii) e_ii dv (real t)"),
-        AsymptoticTarget("ef-pairing", 3.0 / (16.0 * PI**2), 5.0,
-                         "int etilde ftilde dv"),
-        AsymptoticTarget("err-e", 0.0, 4.0, "||e - etilde||_0 = O(u^4/|t|^2)"),
-        AsymptoticTarget("err-xi", 0.0, 5.0,
-                         "||xi(etilde) - (box+1)d||_0 = O(u^5/|t|^3)"),
-        AsymptoticTarget("err-T", 0.0, 5.0,
-                         "||T(xi(etilde)) - d||_0 = O(u^5/|t|^3)"),
-    ]
-
-
-def target(check_id: str) -> AsymptoticTarget:
-    for t in target_table():
-        if t.check_id == check_id:
-            return t
-    raise KeyError(check_id)
 
 
 # -- power-law fitting -----------------------------------------------------
@@ -217,13 +160,14 @@ def length_derivative_check(u_values) -> list[dict]:
 def perturbed_prediction(u: float, C: float) -> float:
     """Closed-form diagonal curvature of the perturbed family, scaled.
 
-    Three of the four blocks keep their unperturbed leading constants; the
-    dual-contraction block picks up the factor 1/(1 + 2 pi^2 C u / 3), and
-    the extra term contributes C times the first-metric curvature.
+    Blocks a, b and d keep their g1-term rows; the dual-contraction block c
+    picks up the factor 1/(1 + 2 pi^2 C u / 3), and the extra term adds C
+    times the first-metric curvature (row wp-curv-diag).
     """
-    quartic = (9.0 / (16.0 * PI**4)
-               - (3.0 / (16.0 * PI**4)) / (1.0 + 2.0 * PI**2 * C * u / 3.0))
-    return quartic * u**4 + (3.0 * C / (8.0 * PI**2)) * u**5
+    a, b, c, d = (target(f"g1-term-{k}").constant for k in (1, 2, 3, 4))
+    wp = target("wp-curv-diag")
+    quartic = a + b + d + c / (1.0 + 2.0 * PI**2 * C * u / 3.0)
+    return quartic * u**4 + C * wp.constant * u**wp.exponent
 
 
 def approximant_errors(u: float, c: float = 0.5, n_tau: int = 1024) -> dict:

@@ -28,6 +28,7 @@ from .differentials import diagonal_family, wp_cometric
 from .fields import CollarField, constant_field, pairing_l2, volume_integral
 from .green import SolverConfig, solve_T
 from .operators import ck_norm, maass
+from .targets import law, target
 
 PI = math.pi
 
@@ -290,23 +291,26 @@ def _wp_diag(u: float, cfg: RunConfig) -> tuple:
 
 def _suite_wp_asymptotics(cfg: RunConfig) -> list:
     recs = []
+    m, c = target("wp-metric-diag"), target("wp-cometric-diag")
     for u in cfg.sweep_values():
         h, hc = _wp_diag(u, cfg)
-        recs.append(_check(cfg, "wp-metric-diag", u, h * 2.0 / u**3, 1.0))
-        recs.append(_check(cfg, "wp-cometric-diag", u, hc * u**3 / 2.0, 1.0))
+        recs.append(_check(cfg, m.check_id, u, h / m.constant / u**m.exponent,
+                           1.0))
+        recs.append(_check(cfg, c.check_id, u, hc * u**-c.exponent / c.constant,
+                           1.0))
     _, hc = _wp_diag(0.1, cfg)
-    recs.append(_check(cfg, "wp-cometric-spot", 0.1, hc, 2000.0))
+    recs.append(_check(cfg, "wp-cometric-spot", 0.1, hc, law(c.check_id, 0.1)))
     return recs
 
 
 def _suite_ricci_asymptotics(cfg: RunConfig) -> list:
-    target = asym.target("ricci-diag").constant
+    t = target("ricci-diag")
     us = cfg.sweep_values()
     recs = []
     for u in us:
         ws = CurvatureWorkspace.single_collar(u, c=cfg.c, n_tau=cfg.n_tau)
-        recs.append(_check(cfg, "ricci-diag", u,
-                           ws.tau().values[0, 0].real / u**2, target, us=us))
+        scaled = ws.tau().values[0, 0].real / u**t.exponent
+        recs.append(_check(cfg, t.check_id, u, scaled, t.constant, us=us))
     rel = [r.rel_err for r in recs]
     mono = all(b < a for a, b in zip(rel, rel[1:]))
     recs.append(_record("ricci-converging", us[-1], float(mono), 1.0, 0.0))
@@ -434,12 +438,10 @@ def _suite_approximants(cfg: RunConfig) -> list:
         k = tid.replace("-", "_")
         fit = asym.fit_power_law([(u_k, d[k]) for u_k, d in zip(us, errs)])
         recs.append(_record(f"{tid}-exponent", u, fit.exponent,
-                            asym.target(tid).exponent - 0.3, 0.0, floor=True))
+                            target(tid).exponent - 0.3, 0.0, floor=True))
     for k, tid in (("ef", "ef-pairing"), ("k0", "k0-pairing"),
                    ("xi_e", "xi-pairing")):
-        t = asym.target(tid)
-        recs.append(_check(cfg, tid, u, errs[-1][k],
-                           t.constant * u**t.exponent))
+        recs.append(_check(cfg, tid, u, errs[-1][k], law(tid, u)))
     spread = (max(eta2) - min(eta2)) / (sum(eta2) / len(eta2))
     recs.append(_check(cfg, "eta2-mass-constant", u, spread, 0.0))
     return recs
@@ -448,7 +450,7 @@ def _suite_approximants(cfg: RunConfig) -> list:
 def _suite_holo_curvature(cfg: RunConfig) -> list:
     recs = []
     us = cfg.sweep_values()
-    t_pairing = asym.target("t-pairing").constant
+    t = target("t-pairing")
     for u in us:
         ws = CurvatureWorkspace.single_collar(u, c=cfg.c, n_tau=cfg.n_tau)
         rep = ws.g1_terms()
@@ -457,8 +459,8 @@ def _suite_holo_curvature(cfg: RunConfig) -> list:
                                key="g1-terms", us=us))
         recs.append(_check(cfg, "g1-sum", u, rep.total, rep.total_target,
                            key="g1-terms", us=us))
-        p2 = ws.P2((0, 0, 0), (0, 0, 0))
-        recs.append(_check(cfg, "t-pairing", u, p2 / u**7, t_pairing, us=us))
+        p2 = ws.P2((0, 0, 0), (0, 0, 0)) / u**t.exponent
+        recs.append(_check(cfg, t.check_id, u, p2, t.constant, us=us))
     return recs
 
 
@@ -483,13 +485,14 @@ def _suite_perturbed(cfg: RunConfig) -> list:
     A = np.array([[2.0, 0.3], [0.3, 1.5]], dtype=complex)
     B = np.array([[1.0, 0.1], [0.1, 1.2]], dtype=complex)
     C = cfg.perturbation_C[0]
-    ricci = asym.target("ricci-diag").constant
+    # tau_ii + C h_ii = u^2 (ricci-diag + C u wp-metric-diag)
+    ricci, wp = target("ricci-diag").constant, target("wp-metric-diag").constant
     for u in us:
         ws = CurvatureWorkspace.from_u_values([u, u], c=cfg.c,
                                               n_tau=cfg.n_tau)
         tt = ws.perturbed_metric(C).values
         full = np.block([[tt, np.zeros((2, 2))], [np.zeros((2, 2)), A + C * B]])
-        pred = (np.prod([u**2 * (ricci + C * u / 2) for _ in range(2)])
+        pred = (np.prod([u**2 * (ricci + C * u * wp) for _ in range(2)])
                 * np.linalg.det(A + C * B))
         ratio = np.linalg.det(full).real / pred.real
         recs.append(_check(cfg, "det-structure", u, ratio, 1.0, us=us))
@@ -503,6 +506,7 @@ def _suite_lengths(cfg: RunConfig) -> list:
                            rec["predicted"]))
     u_spot = PI / 10.0  # t = e^(-10)
     fd = asym.length_derivative_fd(math.exp(-10.0))
+    # a rounded spot value, not a law: u^2/t reads 2173.925 here
     recs.append(_check(cfg, "length-spot", u_spot, fd, 2174.0))
     return recs
 

@@ -28,6 +28,7 @@ from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
 from .operators import mul_radial, q_operator, xi
+from .targets import law
 
 PI = math.pi
 _WORKSPACES: dict = {}  # (cls, collars, n_tau, kappa) -> its shared workspace
@@ -88,19 +89,14 @@ class CurvatureWorkspace:
     chain lives in the module memo ``_FIELDS``, shared by every workspace
     whatever its index labels:
 
-    - A_i on collar J is keyed by the grid object and repr(b_{iJ}) ('None'
-      if absent; repr is bit-exact and type-aware where `==` is not).  It
-      is the only field keyed by coefficient reprs.
+    - A_i, f_{i jbar} and xi_k(e) are interned by their bytes (``_intern``),
+      so byte-identical fields are one object: f_{0 1bar} and f_{1 0bar} of
+      a real coupling share one solve and all built on it, and every empty
+      field on a grid is one field with one solve.
     - Every other field is keyed by the fields it is built from, which
-      hash by identity: f_{i jbar} by (A_i, A_j, cutoff), xi_k(e) by
-      (A_k, e), the Q-operator field by (e_{k lbar}, f_{k lbar}, e_{i jbar}),
-      and each solve, e_{i jbar} = T f_{i jbar} or T xi_k(e), by the field
-      solved.
-    - A_i, f_{i jbar} and xi_k(e) are interned by their bytes
-      (``_intern``) before anything is keyed by them, so byte-identical
-      fields are one object: f_{0 1bar} and f_{1 0bar} of a real coupling
-      share one solve and all built on it, and every empty field on a grid
-      is one field with one solve.
+      hash by identity: f_{i jbar} by (A_i, A_j), xi_k(e) by (A_k, e), the
+      Q-operator field by (e_{k lbar}, f_{k lbar}, e_{i jbar}), and each
+      solve, e_{i jbar} = T f_{i jbar} or T xi_k(e), by the field solved.
     - The derivative pieces of e and f that xi and q_operator take (dz e,
       P e, conj-P e, box e, dzbar e, dz f) are keyed by (kind, field), and
       each collar's pairing by (kind, field, field).
@@ -139,22 +135,17 @@ class CurvatureWorkspace:
     # -- shared field chain --------------------------------------------------
 
     def A(self, i: int, J: int) -> CollarField:
-        def find():
-            key = ("A", self.system.grids[J],
-                   repr(self.bspec.entries.get((i, J))))
-            return _memo(_FIELDS, key, lambda: _intern(
-                beltrami_field(self.bspec, i, J, self.system)))
-        return _memo(self._cache, ("A", i, J), find)
+        return _memo(self._cache, ("A", i, J), lambda: _intern(
+            beltrami_field(self.bspec, i, J, self.system)))
 
     def f_pair(self, i: int, j: int, J: int) -> CollarField:
         """Tapered product A_i conj(A_j) on collar J."""
         def find():
             a_i, a_j = self.A(i, J), self.A(j, J)
             grid = self.system.grids[J]
-            taper = _memo(_FIELDS, ("taper", grid, self.cutoff),
-                          lambda: taper_weights(self.system.collars[J], grid,
-                                                self.cutoff)[0])
-            return _memo(_FIELDS, ("f", a_i, a_j, self.cutoff), lambda: _intern(
+            taper = _memo(_FIELDS, ("taper", grid), lambda: taper_weights(
+                self.system.collars[J], grid, self.cutoff)[0])
+            return _memo(_FIELDS, ("f", a_i, a_j), lambda: _intern(
                 mul_radial(a_i * a_j.conj(), taper)))
         return _memo(self._cache, ("f", i, j, J), find)
 
@@ -317,23 +308,16 @@ class CurvatureWorkspace:
     # -- diagnostics ---------------------------------------------------------
 
     def g1_terms(self) -> G1Report:
-        """Four-block decomposition at the diagonal quadruple (0, 0, 0, 0).
-
-        The reference targets assume the pure diagonal family; they are the
-        leading coefficients of u^4 for each block.
-        """
+        """Four-block decomposition at the diagonal quadruple (0, 0, 0, 0),
+        against the targets g1-term-1..4 and g1-sum of the pure diagonal
+        family."""
         u = self.system.collars[0].u
-        base = u**4 / (16.0 * PI**4)
-        coeffs = {"g1-term-1": 9.0, "g1-term-2": -9.0, "g1-term-3": -3.0,
-                  "g1-term-4": 9.0}
         q = (0, 0, 0, 0)
-        terms = dict(zip(coeffs, (self.block_a(*q), self.block_b(*q),
-                                  self.block_c(*q, self.tau_upper()),
-                                  self.block_d(*q))))
-        targets = {name: c * base for name, c in coeffs.items()}
-        total = sum(terms.values())
-        return G1Report(terms=terms, targets=targets, total=total,
-                        total_target=6.0 * base)
+        terms = {"g1-term-1": self.block_a(*q), "g1-term-2": self.block_b(*q),
+                 "g1-term-3": self.block_c(*q, self.tau_upper()),
+                 "g1-term-4": self.block_d(*q)}
+        return G1Report(terms=terms, targets={k: law(k, u) for k in terms},
+                        total=sum(terms.values()), total_target=law("g1-sum", u))
 
 
 def _support(W: np.ndarray) -> list:

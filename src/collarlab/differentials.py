@@ -129,15 +129,18 @@ class MetricMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         scale = max(1.0, float(np.abs(v).max()))
-        if np.abs(v - v.conj().T).max() > self.HERMITIAN_TOL * scale:
+        # written so that a NaN entry fails
+        if not np.abs(v - v.conj().T).max() <= self.HERMITIAN_TOL * scale:
             raise ValueError(f"{self.kind} matrix is not Hermitian")
         self.values = 0.5 * (v + v.conj().T)
 
     def require_positive(self):
-        w = np.linalg.eigvalsh(self.values)
-        if w.min() <= 0:
+        # eigvalsh returns no NaN for a NaN entry
+        low = (np.linalg.eigvalsh(self.values).min()
+               if np.isfinite(self.values).all() else math.nan)
+        if not low > 0:
             raise ValueError(f"{self.kind} matrix is not positive definite "
-                             f"(min eigenvalue {w.min():.3e})")
+                             f"(min eigenvalue {low:.3e})")
         return self
 
 

@@ -194,6 +194,10 @@ def test_target_table_contents():
     assert target("xi-pairing").constant == pytest.approx(-1 / (32 * PI**3))
     assert target("ef-pairing").constant == pytest.approx(3 / (16 * PI**2))
     assert target("t-pairing").exponent == 7.0
+    # bit for bit: g1-term-2 is -g1-term-1, and g1-sum is 6/(16 pi^4)
+    assert (target("g1-term-2").constant.hex()
+            == (-target("g1-term-1").constant).hex())
+    assert target("g1-sum").constant.hex() == (6.0 / (16.0 * PI**4)).hex()
     with pytest.raises(KeyError):
         target("no-such-check")
 

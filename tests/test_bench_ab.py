@@ -1,8 +1,10 @@
 """The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
-traced per-layer record and its tier-1 timing record."""
+traced per-layer record, its tier-1 timing record and its drift between
+two reports."""
 
 import importlib.util
 import json
+import math
 import pathlib
 import statistics
 
@@ -66,3 +68,53 @@ def test_traced_record_on_synthetic_runs(bench_ab):
     # a metric neither run reported is kept, as None on both sides
     assert record["per_layer"]["green.solve_T.calls"] == {"parent": None,
                                                          "change": None}
+
+
+def _report(records):
+    """A report.json payload of one suite from (check_id, u, measured,
+    target, rel_err, pass) tuples."""
+    return {"suites": [{"suite": "s", "status": "pass", "records": [
+        {"suite": "s", "check_id": c, "u": u, "t_abs": "0",
+         "measured_re": m, "measured_im": "0", "target_re": t,
+         "target_im": "0", "rel_err": r, "pass": p}
+        for c, u, m, t, r, p in records]}]}
+
+
+def test_report_drift_on_synthetic_reports(bench_ab):
+    parent = _report([("a", "0.1", "2000", "2000", "0", "true"),
+                      ("a", "0.05", "4", "2", "1", "true"),
+                      ("b", "0.1", "0.5", "0", "0.5", "true"),
+                      ("c", "0.1", "nan", "0", "nan", "false")])
+    change = _report([("a", "0.1", "2000", "1999.9999999999998",
+                       "1.1368683772161603e-16", "true"),
+                      ("a", "0.05", "4", "2.5", "0.6", "true"),
+                      ("b", "0.1", "0.5", "0", "0.5", "true"),
+                      ("c", "0.1", "nan", "0", "nan", "false")])
+    out = bench_ab.report_drift(change, parent)
+    assert out["same_records"] and out["same_verdicts"]
+    # ids that did not move (NaN included) are left out; "a" keeps the
+    # largest drift over its two records, each at check_report's scale
+    assert out["drift"] == {"a": {"measured": 0.0, "target": 0.5 / 4,
+                                  "rel_err": 0.4}}
+
+    flipped = _report([("a", "0.1", "2000", "2000", "0", "false"),
+                       *[(r["check_id"], r["u"], r["measured_re"],
+                          r["target_re"], r["rel_err"], r["pass"])
+                         for r in parent["suites"][0]["records"][1:]]])
+    out = bench_ab.report_drift(flipped, parent)
+    assert out == {"same_records": True, "same_verdicts": False, "drift": {}}
+
+    # a record out of order: no record-by-record drift
+    swapped = _report([("a", "0.05", "4", "2", "1", "true"),
+                       ("a", "0.1", "2000", "2000", "0", "true")])
+    assert bench_ab.report_drift(swapped, parent) == {
+        "same_records": False, "same_verdicts": False, "drift": {}}
+    # a NaN where the parent had a number is an infinite drift
+    nan = _report([("a", "0.1", "nan", "2000", "nan", "false"),
+                   *[(r["check_id"], r["u"], r["measured_re"],
+                      r["target_re"], r["rel_err"], r["pass"])
+                     for r in parent["suites"][0]["records"][1:]]])
+    out = bench_ab.report_drift(nan, parent)
+    assert out["drift"] == {"a": {"measured": math.inf, "target": 0.0,
+                                  "rel_err": math.inf}}
+    assert not out["same_verdicts"]

@@ -98,6 +98,13 @@ def test_metric_matrix_validation_and_inverse():
     neg = MetricMatrix(np.array([[-1.0 + 0j]]), "WP")
     with pytest.raises(ValueError):
         neg.require_positive()
+    # NaN fails both tests, and is reported as NaN
+    with pytest.raises(ValueError, match="not Hermitian"):
+        MetricMatrix(np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "WP")
+    nan_entry = MetricMatrix(np.eye(2, dtype=complex), "WP")
+    nan_entry.values[0, 0] = np.nan
+    with pytest.raises(ValueError, match="min eigenvalue nan"):
+        nan_entry.require_positive()
     m = MetricMatrix(np.array([[2.0 + 0j, 0.3], [0.3, 1.0]]), "WP")
     # the code inverts through upper_index: conj(h^-1)
     inv = np.conj(upper_index(m.values))

@@ -13,7 +13,11 @@ references.  After the pairs, one traced run per side (`--seed 0 --trace
 1`, parent first) gives the workload's per-layer metrics: call counts and
 self times per layer, each the median over the run's traced operations.
 Then the default `collarlab run` is made in both checkouts
-and `cmp` compares their report.csv and report.json.  Everything goes to BENCH_<label>.json: every
+and `cmp` compares their report.csv and report.json.  When a report
+differs, the two report.json payloads are compared record by record: per
+check id, the largest drift of measured, target and rel_err, at the scale
+perfbench's check_report uses, and whether the ids, u values, order and
+verdicts all match.  Everything goes to BENCH_<label>.json: every
 run, per metric the median and quartiles of each side, the pairs the
 change wins and loses, the traced runs with each per-layer metric
 side by side, the reports' comparison and `wc -l` of
@@ -39,6 +43,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import platform
 import statistics
@@ -181,6 +186,54 @@ def in_process_workloads(tree: Path) -> set:
             if issubclass(cls, module.InProcess)}
 
 
+def _scaled(value, ref, scale) -> float:
+    """|value - ref| / scale: 0 for equal values (two NaNs too), inf where
+    a NaN makes them differ."""
+    if value == ref or (value != value and ref != ref):
+        return 0.0
+    drift = abs(value - ref) / scale
+    return drift if drift == drift else math.inf
+
+
+def report_drift(change: dict, parent: dict) -> dict:
+    """How the change's report.json payload differs from the parent's.
+
+    same_records: the (suite, check_id, u) of every record, in order, match;
+    same_verdicts: so do their verdicts.  drift maps each check id whose
+    records moved to the largest drift of its measured, target and rel_err
+    over its records, scaled as perfbench/run.py's check_report scales them:
+    measured and target by max(|measured|, |target|) of the parent's record
+    (max(|measured|, 1) when its target is 0), rel_err by max(rel_err, 1).
+    Drift is only defined record by record, so it is empty unless
+    same_records holds.
+    """
+    rows = [r for s in change["suites"] for r in s["records"]]
+    refs = [r for s in parent["suites"] for r in s["records"]]
+    layout = lambda records: [(r["suite"], r["check_id"], r["u"])
+                              for r in records]
+    same = layout(rows) == layout(refs)
+    out = {"same_records": same,
+           "same_verdicts": same and all(r["pass"] == w["pass"]
+                                         for r, w in zip(rows, refs)),
+           "drift": {}}
+    if not same:
+        return out
+    for row, want in zip(rows, refs):
+        m, t, m0, t0 = (complex(float(r[f"{k}_re"]), float(r[f"{k}_im"]))
+                        for r in (row, want) for k in ("measured", "target"))
+        scale = max(abs(m0), abs(t0)) if t0 != 0 else max(abs(m0), 1.0)
+        rel, rel0 = float(row["rel_err"]), float(want["rel_err"])
+        drift = {"measured": _scaled(m, m0, scale),
+                 "target": _scaled(t, t0, scale),
+                 "rel_err": _scaled(rel, rel0, max(abs(rel0), 1.0))}
+        if any(drift.values()):
+            worst = out["drift"].setdefault(row["check_id"],
+                                            dict.fromkeys(drift, 0.0))
+            for k, v in drift.items():
+                worst[k] = max(worst[k], v)
+    return out
+
+
 def default_run(tree: Path, out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, "-c", RUN_CLI, "run", "--out",
@@ -247,6 +300,10 @@ def main(argv=None) -> int:
                                    str(tmp / "out_change" / name)]).returncode == 0
             reports[name] = "identical" if same else "different"
             ok &= same
+        if "different" in reports.values():
+            reports["report.json drift"] = report_drift(
+                *(json.loads((tmp / f"out_{side}" / "report.json").read_text())
+                  for side in ("change", "parent")))
         ok &= codes["parent"] == codes["change"]
         lines = {side: src_lines(tree) for side, tree in trees.items()}
 
