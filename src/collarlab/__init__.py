@@ -16,6 +16,7 @@ from .operators import box, ck_norm, maass, op_P, op_P_bar, q_operator, xi
 from .green import (SolverConfig, SolverError, SupportWarning, apply_box1,
                     solve_T)
 from .curvature import CurvatureWorkspace, hermitian_defect, upper_index
+from .memos import cache_scope, cache_stats, clear_cache
 from .asymptotics import (DegenerateFitError, approximant_errors,
                           build_approximants, equivalence_ratios,
                           fit_power_law, g2_spotcheck, geodesic_length,
@@ -39,11 +40,13 @@ __all__ = [
     "CollarParams", "CollarSystem", "CurvatureWorkspace", "CutoffSpec",
     "DegenerateFitError", "MetricMatrix", "QuadDiffSpec", "RunConfig",
     "SolverConfig", "SolverError", "SupportWarning", "TauGrid",
-    "UnderResolvedError", "apply_box1", "approximant_errors", "beltrami_field",
-    "box", "build_approximants", "ck_norm", "collar_from_t", "collar_from_u",
-    "constant_field", "coupled_family", "cutoff_eval", "diagonal_family",
-    "duality_check", "emit_report", "equivalence_ratios", "fit_power_law",
-    "g2_spotcheck", "geodesic_length", "hermitian_defect", "integral_product",
+    "UnderResolvedError", "apply_box1", "approximant_errors",
+    "beltrami_field", "box", "build_approximants", "cache_scope",
+    "cache_stats", "ck_norm", "clear_cache", "collar_from_t",
+    "collar_from_u", "constant_field", "coupled_family", "cutoff_eval",
+    "diagonal_family", "duality_check", "emit_report",
+    "equivalence_ratios", "fit_power_law", "g2_spotcheck",
+    "geodesic_length", "hermitian_defect", "integral_product",
     "length_derivative_check", "maass", "main", "make_grid", "op_P",
     "op_P_bar", "pairing_l2", "perturbed_prediction", "q_operator",
     "qdiff_field", "relative_change", "run_suite", "solve_T", "target",

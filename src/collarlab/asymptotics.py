@@ -20,6 +20,7 @@ from .collar import (CollarParams, CutoffSpec, TauGrid, collar_from_u,
 from .curvature import CurvatureWorkspace
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
+from .memos import cache_scope
 from .operators import maass
 from .targets import target
 
@@ -207,19 +208,22 @@ def g2_spotcheck(u_values=(0.1, 0.07, 0.05, 0.035, 0.025), kappa: float = 1.0,
     case-1: coupling shift of the diagonal entry (kappa on vs off);
     case-2/3/4: mixed quadruples (0,0,0,1), (0,0,1,1), (0,1,0,1).
     All four vanish identically at kappa = 0 and decay faster than the
-    diagonal u^4 law; fits use |entry| against u.
+    diagonal u^4 law; fits use |entry| against u.  Each u's two models
+    are built in a ``cache_scope`` and freed once their entries are taken.
     """
     cases = {f"case-{k}": [] for k in (1, 2, 3, 4)}
     for u in u_values:
-        ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau,
-                                              kappa=kappa)
-        ws0 = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau,
-                                               kappa=0.0)
-        diag = ws.ricci_curvature(0, 0, 0, 0) - ws0.ricci_curvature(0, 0, 0, 0)
-        cases["case-1"].append((u, abs(diag)))
-        cases["case-2"].append((u, abs(ws.ricci_curvature(0, 0, 0, 1))))
-        cases["case-3"].append((u, abs(ws.ricci_curvature(0, 0, 1, 1))))
-        cases["case-4"].append((u, abs(ws.ricci_curvature(0, 1, 0, 1))))
+        with cache_scope():
+            ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau,
+                                                  kappa=kappa)
+            ws0 = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau,
+                                                   kappa=0.0)
+            diag = (ws.ricci_curvature(0, 0, 0, 0)
+                    - ws0.ricci_curvature(0, 0, 0, 0))
+            cases["case-1"].append((u, abs(diag)))
+            cases["case-2"].append((u, abs(ws.ricci_curvature(0, 0, 0, 1))))
+            cases["case-3"].append((u, abs(ws.ricci_curvature(0, 0, 1, 1))))
+            cases["case-4"].append((u, abs(ws.ricci_curvature(0, 1, 0, 1))))
     out = {}
     for case, samples in cases.items():
         try:

@@ -27,6 +27,7 @@ from .curvature import CurvatureWorkspace, upper_index
 from .differentials import diagonal_family, wp_cometric
 from .fields import CollarField, constant_field, pairing_l2, volume_integral
 from .green import SolverConfig, solve_T
+from .memos import cache_stats
 from .operators import ck_norm, maass
 from .targets import law, target
 
@@ -661,6 +662,10 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
                 lines.append(f"| {r.check_id} | {r.u:.4g} | {m} | {t} | "
                              f"{r.rel_err:.3g} | {mark} |")
             lines.append("")
+        memos = "; ".join(f"{name} {s['entries']} entries, "
+                          f"{s['bytes'] / 2**20:.2f} MB"
+                          for name, s in cache_stats().items())
+        lines += [f"Memos at run end: {memos}", ""]
         written.append(_atomic_write(out_dir, "report.md", "\n".join(lines)))
 
     if "svg-lines" in formats:

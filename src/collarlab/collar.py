@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .memos import GRIDS
+
 # Float range limits the supported pinching: r**-2 = exp(2 pi/u) must be
 # representable, and intermediate 1/r profiles appear in mode shifts.
 U_MIN = 0.01
@@ -210,7 +212,6 @@ def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray
 
 
 STENCIL = 9  # polynomial exactness 8; >= 6th order as required
-_GRIDS: dict = {}  # (collar, n_tau, nodes_per_panel) -> its shared TauGrid
 
 
 @dataclass(eq=False)  # hashed by identity: memos key fields by their grid
@@ -329,7 +330,8 @@ class TauGrid:
 
 
 def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10) -> TauGrid:
-    """Composite Gauss grid for a collar; equal arguments share one TauGrid.
+    """Composite Gauss grid for a collar; equal arguments share one TauGrid,
+    kept in ``memos.GRIDS``.
 
     Callers treat it as read-only.  Panel widths shrink geometrically toward
     both interval ends, starting at ~0.02 u (finer than any cutoff
@@ -337,8 +339,8 @@ def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10
     width.
     """
     key = (collar, n_tau, nodes_per_panel)
-    if key in _GRIDS:
-        return _GRIDS[key]
+    if key in GRIDS:
+        return GRIDS[key]
     if n_tau < 64:
         raise CollarError("n_tau too small (need >= 64)")
     a, b = collar.tau_min, collar.tau_max
@@ -377,5 +379,5 @@ def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (centers[:, None] + half_w[:, None] * xg[None, :]).ravel()
     weights = (half_w[:, None] * wg[None, :]).ravel()
-    _GRIDS[key] = TauGrid(collar, nodes, weights, edges)
-    return _GRIDS[key]
+    GRIDS[key] = TauGrid(collar, nodes, weights, edges)
+    return GRIDS[key]

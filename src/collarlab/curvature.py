@@ -27,12 +27,11 @@ from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
                             beltrami_field, coupled_family, wp_metric)
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
+from .memos import FIELDS, WORKSPACES
 from .operators import mul_radial, q_operator, xi
 from .targets import law
 
 PI = math.pi
-_WORKSPACES: dict = {}  # (cls, collars, n_tau, kappa) -> its shared workspace
-_FIELDS: dict = {}  # collar fields, derivative pieces and pairings; see below
 
 
 def _memo(store: dict, key, build):
@@ -45,12 +44,12 @@ def _memo(store: dict, key, build):
 
 
 def _intern(f: CollarField) -> CollarField:
-    """The field in _FIELDS with f's grid, truncation flag and mode bytes
+    """The field in FIELDS with f's grid, truncation flag and mode bytes
     (in mode order), f itself if it is the first.  The key holds each
     mode's hash; a hit is checked byte for byte."""
     key = ("bytes", f.grid, f.truncated,
            tuple((n, hash(v.tobytes())) for n, v in f.modes.items()))
-    hit = _FIELDS.setdefault(key, f)
+    hit = FIELDS.setdefault(key, f)
     if hit is not f and any(v.tobytes() != hit.modes[n].tobytes()
                             for n, v in f.modes.items()):
         return f  # a hash collision: f stays unshared
@@ -59,9 +58,9 @@ def _intern(f: CollarField) -> CollarField:
 
 def _paired(kind: str, f: CollarField, g: CollarField) -> complex:
     """pairing_l2(f, g) ('l2') or integral_product(f, g) ('product'),
-    memoised in _FIELDS by kind and the two fields."""
+    memoised in FIELDS by kind and the two fields."""
     pair = pairing_l2 if kind == "l2" else integral_product
-    return _memo(_FIELDS, (kind, f, g), lambda: pair(f, g))
+    return _memo(FIELDS, (kind, f, g), lambda: pair(f, g))
 
 
 def upper_index(values: np.ndarray) -> np.ndarray:
@@ -86,7 +85,7 @@ class CurvatureWorkspace:
     """Caching evaluator for the curvature pipeline of one model family.
 
     Holds the collar system and the Beltrami family.  The collar-local
-    chain lives in the module memo ``_FIELDS``, shared by every workspace
+    chain lives in the memo ``memos.FIELDS``, shared by every workspace
     whatever its index labels:
 
     - A_i, f_{i jbar} and xi_k(e) are interned by their bytes (``_intern``),
@@ -104,6 +103,11 @@ class CurvatureWorkspace:
     Each workspace also keeps, under index labels, the A, f and e it has
     looked up, its metrics and curvature entries, and the collar sums the
     blocks contract against.
+
+    The shared workspaces (``memos.WORKSPACES``) and the ``FIELDS`` entries
+    live until ``clear_cache()``, or, when made inside a ``cache_scope()``,
+    until that scope exits; a workspace held past its scope still works,
+    but builds its chain anew rather than share it.
     """
 
     def __init__(self, system: CollarSystem, bspec: BeltramiSpec,
@@ -143,14 +147,14 @@ class CurvatureWorkspace:
         def find():
             a_i, a_j = self.A(i, J), self.A(j, J)
             grid = self.system.grids[J]
-            taper = _memo(_FIELDS, ("taper", grid), lambda: taper_weights(
+            taper = _memo(FIELDS, ("taper", grid), lambda: taper_weights(
                 self.system.collars[J], grid, self.cutoff)[0])
-            return _memo(_FIELDS, ("f", a_i, a_j), lambda: _intern(
+            return _memo(FIELDS, ("f", a_i, a_j), lambda: _intern(
                 mul_radial(a_i * a_j.conj(), taper)))
         return _memo(self._cache, ("f", i, j, J), find)
 
     def _solved(self, f: CollarField) -> CollarField:
-        return _memo(_FIELDS, ("T", f), lambda: solve_T(f, self.solver))
+        return _memo(FIELDS, ("T", f), lambda: solve_T(f, self.solver))
 
     def e_pair(self, i: int, j: int, J: int) -> CollarField:
         """e_{i jbar} on collar J: resolvent solve against the tapered pair."""
@@ -159,8 +163,8 @@ class CurvatureWorkspace:
 
     def xi_e(self, k: int, i: int, j: int, J: int) -> CollarField:
         a_k, e = self.A(k, J), self.e_pair(i, j, J)
-        return _memo(_FIELDS, ("xi", a_k, e),
-                     lambda: _intern(xi(a_k, e, pieces=_FIELDS)))
+        return _memo(FIELDS, ("xi", a_k, e),
+                     lambda: _intern(xi(a_k, e, pieces=FIELDS)))
 
     def T_xi(self, k: int, i: int, j: int, J: int) -> CollarField:
         return self._solved(self.xi_e(k, i, j, J))
@@ -191,8 +195,8 @@ class CurvatureWorkspace:
             if not e_ij.modes or not e_ab.modes:
                 return 0.0  # the product vanishes: skip the q_operator build
             e_kl, f_kl = self.e_pair(k, l, J), self.f_pair(k, l, J)
-            q_f = _memo(_FIELDS, ("Q", e_kl, f_kl, e_ij),
-                        lambda: q_operator(e_kl, f_kl, e_ij, _FIELDS))
+            q_f = _memo(FIELDS, ("Q", e_kl, f_kl, e_ij),
+                        lambda: q_operator(e_kl, f_kl, e_ij, FIELDS))
             return _paired("product", q_f, e_ab)
         return _memo(self._cache, ("QE", pair, arg, against),
                      lambda: self.system.collar_sum(term))
@@ -336,10 +340,10 @@ def _contract(W: np.ndarray, term) -> complex:
 
 def _shared_workspace(cls, collars: tuple, n_tau: int, kappa: float):
     key = (cls, collars, n_tau, kappa)
-    if key not in _WORKSPACES:
+    if key not in WORKSPACES:
         system = CollarSystem(collars, tuple(make_grid(col, n_tau) for col in collars))
-        _WORKSPACES[key] = cls(system, coupled_family(system, kappa)[0])
-    return _WORKSPACES[key]
+        WORKSPACES[key] = cls(system, coupled_family(system, kappa)[0])
+    return WORKSPACES[key]
 
 
 def hermitian_defect(tensor: np.ndarray) -> float:

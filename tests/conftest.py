@@ -8,18 +8,14 @@ import sys
 
 import pytest
 
+import collarlab
 import collarlab.collar
-import collarlab.curvature
 
 
 @pytest.fixture(scope="session")
 def clear_models():
     """Empties the shared grid, workspace and field memos when called."""
-    def clear():
-        collarlab.collar._GRIDS.clear()
-        collarlab.curvature._WORKSPACES.clear()
-        collarlab.curvature._FIELDS.clear()
-    return clear
+    return collarlab.clear_cache
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
-traced per-layer record, its tier-1 timing record and its drift between
-two reports."""
+traced per-layer record, its tier-1 timing record, its drift between
+two reports and its reading of report.md's peak RSS per suite."""
 
 import importlib.util
 import json
@@ -9,6 +9,8 @@ import pathlib
 import statistics
 
 import pytest
+
+import collarlab
 
 ROOT = pathlib.Path(__file__).parents[1]
 
@@ -118,3 +120,27 @@ def test_report_drift_on_synthetic_reports(bench_ab):
     assert out["drift"] == {"a": {"measured": math.inf, "target": 0.0,
                                   "rel_err": math.inf}}
     assert not out["same_verdicts"]
+
+
+def test_suite_peaks_from_report_md(bench_ab, tmp_path):
+    md = "\n".join([
+        "# collarlab report", "", "Overall: **fail**", "",
+        "## green-props - pass (0.13 s)", "",
+        "Peak RSS after this suite: 48.9 MB", "",
+        "RSS at this suite's end: 48.7 MB", "",
+        "| check | u | measured | target | rel_err | pass |",
+        "## equivalence - fail (0.00 s)", "",
+        "Peak RSS after this suite: 49.0 MB", "",
+        "## lengths - pass (0.00 s)", "",  # where /proc is missing: no line
+        "Memos at run end: grids 7 entries, 5.26 MB", ""])
+    assert bench_ab.suite_peaks(md) == {"green-props": 48.9,
+                                        "equivalence": 49.0}
+
+    # and on a report.md the CLI writes
+    cfg = collarlab.RunConfig.from_dict({"suites": ["lengths"]})
+    collarlab.emit_report([collarlab.run_suite(cfg, "lengths")],
+                          str(tmp_path), ("markdown",))
+    peaks = bench_ab.suite_peaks((tmp_path / "report.md").read_text())
+    proc = pathlib.Path("/proc/self/status").exists()
+    assert list(peaks) == (["lengths"] if proc else [])
+    assert all(mb > 0 for mb in peaks.values())

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from collarlab import (CurvatureWorkspace, RunConfig, SolverConfig, TauGrid,
-                       collar_from_u, emit_report, main, make_grid,
-                       pairing_l2, relative_change, run_suite, solve_T)
+                       cache_stats, collar_from_u, emit_report, main,
+                       make_grid, pairing_l2, relative_change, run_suite,
+                       solve_T)
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
                            SuiteReport, _random_compact_field, _record,
                            _suite_green_props, run_all)
@@ -247,6 +248,15 @@ def test_emit_report_formats(tmp_path):
     assert len(peaks) == len(ends) == shown
     for peak, end in zip(peaks, ends):
         assert float(end) <= float(peak)
+    # the report ends with the memos' entries and sizes, store by store
+    stats = cache_stats()
+    memo_line = "Memos at run end: " + "; ".join(
+        f"{name} {s['entries']} entries, {s['bytes'] / 2**20:.2f} MB"
+        for name, s in stats.items())
+    assert md.splitlines()[-1] == memo_line
+    assert md.count("Memos at run end") == 1
+    assert list(stats) == ["grids", "fields", "workspaces"]
+    assert stats["grids"]["entries"] > 0 and stats["grids"]["bytes"] > 0
 
     check_ids = {r.check_id for rep in reports for r in rep.records}
     svgs = {n for n in names if n.endswith(".svg")}

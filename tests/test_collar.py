@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collarlab import (CollarError, CollarParams, TauGrid, collar_from_t,
-                       collar_from_u, geodesic_length, make_grid)
-from collarlab.collar import _GRIDS, STENCIL, U_MAX, U_MIN, stencil_weights
+from collarlab import (CollarError, CollarParams, TauGrid, cache_scope,
+                       collar_from_t, collar_from_u, geodesic_length,
+                       make_grid)
+from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
 
 PI = math.pi
 
@@ -89,8 +90,7 @@ def test_make_grid_shares_one_grid_per_distinct_arguments():
 def test_grid_edges_are_sorted_and_distinct_on_a_sweep():
     # the cascade and interior edges join where linspace pins its ends, so
     # the edges need no np.unique
-    before = set(_GRIDS)
-    try:
+    with cache_scope():  # keep the shared grid memo at its size
         for u, c, n_tau, p in itertools.product(
                 (0.01, 0.013, 0.05, 0.1, 0.3, 0.5), (0.3, 0.5, 0.9),
                 (64, 100, 512, 1024, 4096), (4, 10, 16)):
@@ -98,9 +98,6 @@ def test_grid_edges_are_sorted_and_distinct_on_a_sweep():
             edges = make_grid(col, n_tau, p).panel_edges
             assert np.array_equal(np.unique(edges), edges)
             assert (edges[0], edges[-1]) == (col.tau_min, col.tau_max)
-    finally:  # keep the shared grid memo at its size
-        for key in set(_GRIDS) - before:
-            del _GRIDS[key]
 
 
 def test_make_grid_leaves_numpy_ma_unimported(fresh_python):
@@ -286,13 +283,8 @@ def _d2_dirichlet_all_fornberg(grid):
 @pytest.mark.parametrize("n_tau", [512, 1024, 2048, 16384])
 def test_d2_dirichlet_reuses_the_stencils_bitwise(n_tau, nodes_per_panel):
     for u in (0.15, 0.1, 0.05, 0.025, 0.012, 0.01):
-        key = (collar_from_u(u), n_tau, nodes_per_panel)
-        shared = key in _GRIDS
-        grid = make_grid(*key)
-        try:
+        with cache_scope():  # keep the shared grid memo at its size
+            grid = make_grid(collar_from_u(u), n_tau, nodes_per_panel)
             ab, (bl, bu) = grid.d2_banded_dirichlet()
             assert (bl, bu) == (STENCIL - 1, STENCIL - 1)
             assert ab.tobytes() == _d2_dirichlet_all_fornberg(grid).tobytes()
-        finally:  # keep the shared grid memo at its size
-            if not shared:
-                del _GRIDS[key]

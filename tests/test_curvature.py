@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import collarlab.collar
 import collarlab.curvature
 from collarlab import (BeltramiSpec, CollarSystem, CurvatureWorkspace,
-                       RunConfig, beltrami_field, collar_from_u,
+                       RunConfig, beltrami_field, cache_scope, collar_from_u,
                        coupled_family, hermitian_defect, make_grid,
                        perturbed_prediction, run_suite, upper_index)
 
@@ -312,17 +312,10 @@ def test_hermitian_defect_detects_asymmetry():
 def test_property_coupled_metrics_hermitian_positive(kappa, us):
     # h and tau are MetricMatrix, which rejects a non-Hermitian matrix; the
     # curvature tensor tau contracts is checked unsymmetrised
-    before = set(collarlab.collar._GRIDS)
-    fields_before = set(collarlab.curvature._FIELDS)
-    try:
+    with cache_scope():  # keep the shared grid and field memos at their size
         collars = [collar_from_u(u) for u in us]
         system = CollarSystem(collars, [make_grid(col, 512) for col in collars])
         ws = CurvatureWorkspace(system, coupled_family(system, kappa)[0])
         assert hermitian_defect(ws.wp_tensor()) < 1e-10
         ws.h().require_positive()
         ws.tau().require_positive()
-    finally:  # keep the shared grid and field memos at their size
-        for key in set(collarlab.collar._GRIDS) - before:
-            del collarlab.collar._GRIDS[key]
-        for key in set(collarlab.curvature._FIELDS) - fields_before:
-            del collarlab.curvature._FIELDS[key]

@@ -1,0 +1,125 @@
+"""The memo owner: a scope that reads through and frees what it built,
+the public clear, and the per-store statistics."""
+
+import contextlib
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import collarlab.asymptotics
+from collarlab import (CollarField, CurvatureWorkspace, cache_scope,
+                       cache_stats, clear_cache, collar_from_u, g2_spotcheck,
+                       make_grid, memos)
+from collarlab.memos import FIELDS, GRIDS, WORKSPACES
+
+
+def _entries():
+    return {name: s["entries"] for name, s in cache_stats().items()}
+
+
+def test_scope_reads_through_and_keeps_outer_grid_factors():
+    with cache_scope():  # leaves the memos as it found them
+        grid = make_grid(collar_from_u(0.0732), 384)
+        ws = CurvatureWorkspace.single_collar(0.0732, n_tau=384)
+        with cache_scope():
+            assert make_grid(collar_from_u(0.0732), 384) is grid
+            assert CurvatureWorkspace.single_collar(0.0732, n_tau=384) is ws
+            ws.e_pair(0, 0, 0)  # factors the resolvent on the outer grid
+            factored = set(ws.system.grids[0]._cache)
+        # a grid's own cache is no memo store: its factors stay
+        assert set(ws.system.grids[0]._cache) == factored != set()
+        assert make_grid(collar_from_u(0.0732), 384) is grid
+        assert CurvatureWorkspace.single_collar(0.0732, n_tau=384) is ws
+
+
+def test_scope_drops_what_it_built():
+    before = _entries()
+    with cache_scope():
+        grid = make_grid(collar_from_u(0.0731), 384)
+        ws = CurvatureWorkspace.single_collar(0.0731, n_tau=384)
+        ws.tau()
+        assert make_grid(collar_from_u(0.0731), 384) is grid
+        inside = _entries()
+        assert all(inside[k] > before[k] for k in before)
+    assert _entries() == before
+    assert make_grid(collar_from_u(0.0731), 384) is not grid
+    with cache_scope():
+        assert CurvatureWorkspace.single_collar(0.0731, n_tau=384) is not ws
+
+
+def test_nested_scopes_and_a_scope_left_by_an_exception():
+    before = _entries()
+    with cache_scope():
+        outer = make_grid(collar_from_u(0.0733), 256)
+        with cache_scope():
+            inner = make_grid(collar_from_u(0.0734), 256)
+            assert make_grid(collar_from_u(0.0733), 256) is outer
+        assert make_grid(collar_from_u(0.0734), 256) is not inner
+        assert make_grid(collar_from_u(0.0733), 256) is outer
+    assert _entries() == before
+
+    with pytest.raises(RuntimeError):
+        with cache_scope():
+            CurvatureWorkspace.single_collar(0.0735, n_tau=256).h()
+            raise RuntimeError
+    assert _entries() == before
+
+
+def test_cache_stats_counts_each_array_once():
+    clear_cache()
+    assert cache_stats() == {name: {"entries": 0, "bytes": 0}
+                             for name in ("grids", "fields", "workspaces")}
+    with cache_scope():
+        ws = CurvatureWorkspace.single_collar(0.05, n_tau=512)
+        ws.tau()
+        stats = cache_stats()
+        assert {k: s["entries"] for k, s in stats.items()} == {
+            "grids": len(GRIDS), "fields": len(FIELDS),
+            "workspaces": len(WORKSPACES)}
+        grid = ws.system.grids[0]
+        own = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert stats["grids"]["bytes"] >= sum(a.nbytes for a in own)
+        modes = {id(v): v.nbytes for f in FIELDS.values()
+                 if isinstance(f, CollarField) for v in f.modes.values()}
+        assert stats["fields"]["bytes"] >= sum(modes.values()) > 0
+        # the fields reach their one grid, whose arrays count under grids
+        alone = memos._array_bytes(FIELDS, set())
+        assert alone == stats["fields"]["bytes"] + stats["grids"]["bytes"]
+
+
+def test_forty_models_in_one_scope_return_their_memory():
+    us = np.linspace(0.1, 0.02, 40)
+    CurvatureWorkspace.single_collar(0.1).tau()  # import-time and warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with cache_scope():
+            for u in us:
+                ws = CurvatureWorkspace.single_collar(float(u))
+                ws.tau()
+                ws.R(0, 0, 0, 0)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        del ws
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown > 10 * 2**20  # the models were held while the scope ran
+    assert abs(left) < 2**20
+
+
+def test_g2_spotcheck_frees_its_models_with_unchanged_samples(monkeypatch):
+    before = _entries()
+    scoped = g2_spotcheck()
+    assert _entries() == before
+    with cache_scope(), monkeypatch.context() as m:
+        m.setattr(collarlab.asymptotics, "cache_scope", contextlib.nullcontext)
+        unscoped = g2_spotcheck()
+        assert _entries() != before  # this run kept its models
+    assert _entries() == before
+    for case, rec in scoped.items():
+        assert rec["samples"] == unscoped[case]["samples"]
+        assert rec["fit"] == unscoped[case]["fit"]

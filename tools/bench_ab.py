@@ -13,7 +13,9 @@ references.  After the pairs, one traced run per side (`--seed 0 --trace
 1`, parent first) gives the workload's per-layer metrics: call counts and
 self times per layer, each the median over the run's traced operations.
 Then the default `collarlab run` is made in both checkouts
-and `cmp` compares their report.csv and report.json.  When a report
+and `cmp` compares their report.csv and report.json; each side's
+report.md gives its "Peak RSS after this suite" per suite, so a memory
+change shows which suite sets the peak.  When a report
 differs, the two report.json payloads are compared record by record: per
 check id, the largest drift of measured, target and rel_err, at the scale
 perfbench's check_report uses, and whether the ids, u values, order and
@@ -58,6 +60,7 @@ REPORTS = ("report.csv", "report.json")
 RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:]))"
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+PEAK_LINE = "Peak RSS after this suite: "
 
 
 def git(*args) -> str:
@@ -241,6 +244,18 @@ def default_run(tree: Path, out: Path) -> int:
                           capture_output=True).returncode
 
 
+def suite_peaks(markdown: str) -> dict:
+    """{suite: MB} from a report.md's "Peak RSS after this suite" lines,
+    each under its suite's "## <suite> - <status>" heading."""
+    peaks, suite = {}, None
+    for line in markdown.splitlines():
+        if line.startswith("## "):
+            suite = line[3:].split(" - ")[0]
+        elif line.startswith(PEAK_LINE):
+            peaks[suite] = float(line[len(PEAK_LINE):].split()[0])
+    return peaks
+
+
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines())
                for p in (tree / "src" / "collarlab").glob("*.py"))
@@ -292,9 +307,11 @@ def main(argv=None) -> int:
                 "traced": traced_record(
                     traced, [m["name"] for m in declared["per_layer"]])}
         tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
-        codes, reports = {}, {}
+        codes, reports, peaks = {}, {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
+            peaks[side] = suite_peaks(
+                (tmp / f"out_{side}" / "report.md").read_text())
         for name in REPORTS:
             same = subprocess.run(["cmp", "-s", str(tmp / "out_parent" / name),
                                    str(tmp / "out_change" / name)]).returncode == 0
@@ -325,7 +342,8 @@ def main(argv=None) -> int:
         "tier1": tier1_rec,
         "reports": {"command": "collarlab run (default config) in both "
                                "checkouts, then cmp of each report",
-                    "exit_codes": codes, **reports},
+                    "exit_codes": codes,
+                    "peak_rss_mb_after_suite": peaks, **reports},
         "src_lines": {"command": "wc -l src/collarlab/*.py", **lines},
     }
     out = ROOT / f"BENCH_{args.label}.json"
