@@ -310,8 +310,8 @@ def main(argv=None) -> int:
         codes, reports, peaks = {}, {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
-            peaks[side] = suite_peaks(
-                (tmp / f"out_{side}" / "report.md").read_text())
+            md = tmp / f"out_{side}" / "report.md"
+            peaks[side] = suite_peaks(md.read_text()) if md.exists() else {}
         for name in REPORTS:
             same = subprocess.run(["cmp", "-s", str(tmp / "out_parent" / name),
                                    str(tmp / "out_change" / name)]).returncode == 0
