@@ -3,6 +3,16 @@ surfaces: explicit metrics, mode-wise Green solves, curvature tensors, and
 their leading-order asymptotics.
 """
 
+import os
+
+# One OpenBLAS thread unless the caller chose otherwise.  Set before the
+# first submodule import loads numpy (and scipy's _flapack after it): their
+# idle workers spin, no matrix here is large enough for a second thread to
+# pay, and a threaded dot splits its sum, so at n_tau >= 16384 the bits of
+# TauGrid.integrate would depend on the core count.  A caller who imported
+# numpy first already has its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .collar import (CollarError, CollarParams, CutoffSpec, TauGrid,
                      collar_from_t, collar_from_u, cutoff_eval, make_grid)
 from .fields import (BandwidthWarning, CollarField, UnderResolvedError,

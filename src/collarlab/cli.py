@@ -567,20 +567,22 @@ def run_suite(cfg: RunConfig, suite: str) -> SuiteReport:
     for r in records:
         r.suite = suite
     return SuiteReport(suite, records, time.perf_counter() - t0,
-                       *_rss_mb())
+                       *_proc_status()[:2])
 
 
-def _rss_mb() -> tuple:
-    """(peak, current) resident set size of this process, in MB (2**20
-    bytes): VmHWM and VmRSS from one read of /proc/self/status, so the
-    current never reads above the peak; (None, None) without them."""
+def _proc_status() -> tuple:
+    """(peak RSS, current RSS, threads) of this process, the sizes in MB
+    (2**20 bytes): VmHWM, VmRSS and Threads from one read of
+    /proc/self/status, so the current never reads above the peak;
+    (None, None, None) without them."""
     try:
         with open("/proc/self/status") as f:
             status = dict(line.partition(":")[::2] for line in f)
-        return tuple(int(status[k].split()[0]) / 1024
+        peak, rss = (int(status[k].split()[0]) / 1024
                      for k in ("VmHWM", "VmRSS"))
+        return peak, rss, int(status["Threads"])
     except (OSError, KeyError):
-        return None, None
+        return None, None, None
 
 
 def run_all(cfg: RunConfig) -> list:
@@ -665,6 +667,11 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
         memos = "; ".join(f"{name} {s['entries']} entries, "
                           f"{s['bytes'] / 2**20:.2f} MB"
                           for name, s in cache_stats().items())
+        threads = _proc_status()[2]
+        if threads is not None:
+            blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+            lines += [f"Threads at run end: {threads} "
+                      f"(OPENBLAS_NUM_THREADS={blas})", ""]
         lines += [f"Memos at run end: {memos}", ""]
         written.append(_atomic_write(out_dir, "report.md", "\n".join(lines)))
 

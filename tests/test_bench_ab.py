@@ -1,10 +1,12 @@
 """The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
 traced per-layer record, its tier-1 timing record, its drift between
-two reports and its reading of report.md's peak RSS per suite."""
+two reports, its reading of report.md's peak RSS per suite and its record
+of the host's BLAS thread settings."""
 
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import statistics
 
@@ -144,3 +146,16 @@ def test_suite_peaks_from_report_md(bench_ab, tmp_path):
     proc = pathlib.Path("/proc/self/status").exists()
     assert list(peaks) == (["lengths"] if proc else [])
     assert all(mb > 0 for mb in peaks.values())
+
+
+def test_host_records_the_blas_thread_variables(bench_ab, monkeypatch):
+    # this test process has imported collarlab, which set
+    # OPENBLAS_NUM_THREADS; the record gives what the environment holds
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    host = bench_ab.host()
+    assert host["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2",
+                                    "OMP_NUM_THREADS": None,
+                                    "MKL_NUM_THREADS": "3"}
+    assert host["nproc"] == os.cpu_count()

@@ -3,6 +3,7 @@
 import collections
 import json
 import math
+import os
 import pathlib
 import re
 import tracemalloc
@@ -248,6 +249,15 @@ def test_emit_report_formats(tmp_path):
     assert len(peaks) == len(ends) == shown
     for peak, end in zip(peaks, ends):
         assert float(end) <= float(peak)
+    # the thread count comes from the same read, beside the BLAS setting
+    threads = re.findall(r"^Threads at run end: (\d+) "
+                         r"\(OPENBLAS_NUM_THREADS=(.+)\)$", md, re.M)
+    assert len(threads) == min(shown, 1)
+    for count, blas in threads:
+        assert int(count) >= 1
+        assert blas == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    if threads:
+        assert md.splitlines()[-3].startswith("Threads at run end: ")
     # the report ends with the memos' entries and sizes, store by store
     stats = cache_stats()
     memo_line = "Memos at run end: " + "; ".join(

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collarlab import (CollarError, CollarParams, TauGrid, cache_scope,
-                       collar_from_t, collar_from_u, geodesic_length,
-                       make_grid)
-from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
+from collarlab import (CollarError, CollarParams, CutoffSpec, TauGrid,
+                       cache_scope, collar_from_t, collar_from_u,
+                       geodesic_length, make_grid)
+from collarlab.collar import (STENCIL, U_MAX, U_MIN, stencil_weights,
+                              taper_weights)
 
 PI = math.pi
 
@@ -168,6 +169,69 @@ def test_dtau_polynomial_exactness():
     scale = np.abs(f).max()
     assert np.abs(grid.dtau(f) - 8 * grid.nodes**7).max() < 1e-7 * scale
     assert np.abs(grid.dtau(f, 2) - 56 * grid.nodes**6).max() < 1e-4 * scale
+
+
+def _manufactured(col, grid):
+    """{name: (f, f', f'', integral of f)} of two continuum profiles on the
+    grid's nodes, primes tau-derivatives: sin³(πx) with x the position in
+    the tau interval, and the two-sided taper w with its analytic w′ and w″.
+    Each of w's transitions is a smoothstep S with S(y) + S(1 - y) = 1, so
+    it integrates to half its width and ∫w = L - u log(c/c1)."""
+    a, b = col.tau_min, col.tau_max
+    length = b - a
+    x = (grid.nodes - a) / length
+    s, c = np.sin(PI * x), np.cos(PI * x)
+    k = PI / length
+    spec = CutoffSpec()
+    return {"sin3": (s**3, 3 * k * s**2 * c, 3 * k**2 * (2 * s * c**2 - s**3),
+                     4 * length / (3 * PI)),
+            "taper": (*taper_weights(col, grid, spec),
+                      length - col.u * math.log(spec.c / spec.c1))}
+
+
+def _manufactured_errors(col, grid) -> dict:
+    """{name: (dtau, dtau order 2, integrate) errors}: relative sup errors
+    of the derivatives, relative error of the integral."""
+    sup = lambda got, want: np.abs(got - want).max() / np.abs(want).max()
+    return {name: (sup(grid.dtau(f), f1), sup(grid.dtau(f, 2), f2),
+                   abs(grid.integrate(f) - total) / total)
+            for name, (f, f1, f2, total) in _manufactured(col, grid).items()}
+
+
+# Bounds on the errors above at every u of (0.1, 0.05, 0.025), per profile
+# and (n_tau, nodes per panel): twice the largest error measured over the
+# three u (one BLAS thread), rounded up.  The sin³ integral sits at
+# round-off (at most 1.7e-16) and is bounded by 1e-15.
+MANUFACTURED_BOUNDS = {
+    # measured: 1.35e-12, 3.57e-10, 1.7e-16
+    ("sin3", 1024, 10): (3e-12, 8e-10, 1e-15),
+    # measured: 1.70e-12, 9.07e-10, 0
+    ("sin3", 1024, 20): (3.5e-12, 2e-9, 1e-15),
+    # measured: 7.75e-3, 3.16e-2, 1.61e-8 (u = 0.1; 3.1e-9 at u = 0.025)
+    ("taper", 1024, 10): (1.6e-2, 6.4e-2, 3.3e-8),
+    # measured: 5.78e-4, 4.18e-3, 1.40e-10
+    ("taper", 1024, 20): (1.2e-3, 8.4e-3, 2.8e-10),
+}
+
+
+@pytest.mark.parametrize("nodes_per_panel", [10, 20])
+@pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
+def test_calculus_on_manufactured_profiles(u, nodes_per_panel):
+    col = collar_from_u(u)
+    errors = _manufactured_errors(col, make_grid(col, 1024, nodes_per_panel))
+    for name, errs in errors.items():
+        bounds = MANUFACTURED_BOUNDS[(name, 1024, nodes_per_panel)]
+        assert all(e <= bound for e, bound in zip(errs, bounds)), (name, errs)
+
+
+@pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
+def test_taper_second_derivative_converges_with_panel_nodes(u):
+    # the taper's w'' is the least resolved: 3.16e-2 relative sup on the
+    # default grid, 4.18e-3 at 20 nodes per panel (7.6 times smaller)
+    col = collar_from_u(u)
+    coarse, fine = (_manufactured_errors(col, make_grid(col, 1024, m))
+                    ["taper"][1] for m in (10, 20))
+    assert fine < coarse / 5
 
 
 def test_grid_geometry_arrays():

@@ -539,3 +539,52 @@ def test_property_spectral_bounds(cg, spec):
                   pairing_l2(g, g).real)
     assert ff - gf >= -1e-10 * ff
     assert gf - gg >= -1e-10 * ff
+
+
+# Imports collarlab before numpy, as a fresh `collarlab run` does, solves on
+# an n_tau 16384 grid and integrates there, where a threaded zdotu would
+# split its sum; prints OPENBLAS_NUM_THREADS, the process's task count (-1
+# without /proc) and the integral's bytes.
+BLAS_PROBE = """
+import os
+from collarlab import (CollarField, SolverConfig, collar_from_u, make_grid,
+                       solve_T)
+import numpy as np
+col = collar_from_u(0.05)
+grid = make_grid(col, 16384)
+x = (grid.nodes - col.tau_min) / (col.tau_max - col.tau_min)
+f = CollarField(col, grid, {3: (np.sin(np.pi * x) ** 3).astype(complex)})
+g = solve_T(f, SolverConfig(warn_support=False))
+total = grid.integrate(g.modes[3] * np.exp(7j * x))
+task = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"),
+      len(os.listdir(task)) if os.path.isdir(task) else -1,
+      np.complex128(total).tobytes().hex())
+"""
+
+
+def _blas_probe(fresh_python):
+    proc = fresh_python("-c", BLAS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    threads, tasks, total = proc.stdout.split()
+    return threads, int(tasks), total
+
+
+def test_import_runs_one_blas_thread_by_default(fresh_python, monkeypatch):
+    # this test process has imported collarlab, which set the variable
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    threads, tasks, total = _blas_probe(fresh_python)
+    assert threads == "1"
+    # no OpenBLAS worker besides the main thread (three with the pools)
+    assert tasks in (-1, 1)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert _blas_probe(fresh_python)[2] == total
+
+
+def test_import_keeps_the_callers_blas_threads(fresh_python, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    proc = fresh_python("-c", "import os, collarlab; "
+                        "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"

@@ -19,11 +19,11 @@ change shows which suite sets the peak.  When a report
 differs, the two report.json payloads are compared record by record: per
 check id, the largest drift of measured, target and rel_err, at the scale
 perfbench's check_report uses, and whether the ids, u values, order and
-verdicts all match.  Everything goes to BENCH_<label>.json: every
-run, per metric the median and quartiles of each side, the pairs the
-change wins and loses, the traced runs with each per-layer metric
-side by side, the reports' comparison and `wc -l` of
-src/collarlab/*.py on both sides.  In ten more alternated pairs the tier-1
+verdicts all match.  Everything goes to BENCH_<label>.json: the host,
+with the BLAS thread variables this tool was started with, every run,
+per metric the median and quartiles of each side, the pairs the change
+wins and loses, the traced runs with each per-layer metric side by side,
+the reports' comparison and `wc -l` of src/collarlab/*.py on both sides.  In ten more alternated pairs the tier-1
 tests (`python -m pytest -q --continue-on-collection-errors` with src on
 PYTHONPATH, as ROADMAP.md gives them) are timed in both checkouts; their
 tier1_wall_s is summarised like a workload's metrics, next to pytest's
@@ -61,6 +61,11 @@ RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 PEAK_LINE = "Peak RSS after this suite: "
+# the variables that size BLAS thread pools, as this tool was started with
+# them: where a pool has more than one thread, its idle workers' spinning
+# counts in cpu_s
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def git(*args) -> str:
@@ -270,7 +275,8 @@ def host() -> dict:
                   if line.startswith("model name")), platform.processor())
     return {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
             "cpu_model": model, "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS}}
 
 
 def main(argv=None) -> int:
