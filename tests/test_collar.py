@@ -176,7 +176,8 @@ def _manufactured(col, grid):
     grid's nodes, primes tau-derivatives: sin³(πx) with x the position in
     the tau interval, and the two-sided taper w with its analytic w′ and w″.
     Each of w's transitions is a smoothstep S with S(y) + S(1 - y) = 1, so
-    it integrates to half its width and ∫w = L - u log(c/c1)."""
+    it integrates to half its width and ∫w = L - u log(c/c1) (the collar's
+    cut is the cutoff's c, and the two transitions do not overlap)."""
     a, b = col.tau_min, col.tau_max
     length = b - a
     x = (grid.nodes - a) / length

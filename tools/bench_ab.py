@@ -23,12 +23,13 @@ verdicts all match.  Everything goes to BENCH_<label>.json: the host,
 with the BLAS thread variables this tool was started with, every run,
 per metric the median and quartiles of each side, the pairs the change
 wins and loses, the traced runs with each per-layer metric side by side,
-the reports' comparison and `wc -l` of src/collarlab/*.py on both sides.  In ten more alternated pairs the tier-1
-tests (`python -m pytest -q --continue-on-collection-errors` with src on
-PYTHONPATH, as ROADMAP.md gives them) are timed in both checkouts; their
-tier1_wall_s is summarised like a workload's metrics, next to pytest's
-exit codes, which do not count towards this tool's own exit code (tier-1
-fails one check by design).  Beside the peak_rss_mb medians of an
+the reports' comparison and `wc -l` of src/collarlab/*.py on both sides.
+In ten more alternated pairs the tier-1 tests (`python -m pytest -q
+--continue-on-collection-errors` with src on PYTHONPATH, as ROADMAP.md
+gives them) are timed in both checkouts; their tier1_wall_s is
+summarised like a workload's metrics, next to pytest's exit codes,
+which do not count towards this tool's own exit code (tier-1 fails one
+check by design).  Beside the peak_rss_mb medians of an
 in-process workload (one whose perfbench class subclasses InProcess) goes
 a least-squares fit of peak_rss_mb against attempted operations over all
 the workload's runs, with one slope and an intercept per side: perfbench
