@@ -6,11 +6,12 @@ their leading-order asymptotics.
 import os
 
 # One OpenBLAS thread unless the caller chose otherwise.  Set before the
-# first submodule import loads numpy (and scipy's _flapack after it): their
-# idle workers spin, no matrix here is large enough for a second thread to
-# pay, and a threaded dot splits its sum, so at n_tau >= 16384 the bits of
-# TauGrid.integrate would depend on the core count.  A caller who imported
-# numpy first already has its pool.
+# first submodule import loads numpy, whose OpenBLAS also runs the
+# resolvent's LAPACK (scipy's _flapack, with a pool of its own, only where
+# numpy's exports no ILP64 zgbtrf): idle workers spin, no matrix here is
+# large enough for a second thread to pay, and a threaded dot splits its
+# sum, so at n_tau >= 16384 the bits of TauGrid.integrate would depend on
+# the core count.  A caller who imported numpy first already has its pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .collar import (CollarError, CollarParams, CutoffSpec, TauGrid,

@@ -26,7 +26,7 @@ from .collar import (CollarError, CutoffSpec, U_MIN, collar_from_u,
 from .curvature import CurvatureWorkspace, upper_index
 from .differentials import diagonal_family, wp_cometric
 from .fields import CollarField, constant_field, pairing_l2, volume_integral
-from .green import SolverConfig, solve_T
+from .green import LAPACK_SOURCE, SolverConfig, solve_T
 from .memos import cache_stats
 from .operators import ck_norm, maass
 from .targets import law, target
@@ -672,7 +672,8 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
             blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
             lines += [f"Threads at run end: {threads} "
                       f"(OPENBLAS_NUM_THREADS={blas})", ""]
-        lines += [f"Memos at run end: {memos}", ""]
+        lines += [f"LAPACK: {LAPACK_SOURCE}", "",
+                  f"Memos at run end: {memos}", ""]
         written.append(_atomic_write(out_dir, "report.md", "\n".join(lines)))
 
     if "svg-lines" in formats:

@@ -12,11 +12,22 @@ depends on n only through n^2.  The matrix is also real, so for a real
 field (f_-n = conj f_n) the solution's mode -n is the conjugate of its
 mode n: each such +-n pair costs one solve and one residual.
 
-zgbtrf and zgbtrs are the compiled wrappers in scipy/linalg/_flapack, the
-very objects scipy.linalg.lapack exports.  _load_flapack loads that module
-by its full name from its file, which needs only numpy; importing
+zgbtrf and zgbtrs come from the LAPACK numpy has already loaded: the
+library numpy.linalg._umath_linalg links, bound with ctypes through that
+extension's file (a handle resolves symbols through its dependencies on
+Linux).  Only ILP64 names are looked up, and only when numpy's lapack_lite
+reports ILP64, since a wrong integer width corrupts memory:
+scipy_zgb*_64_ (numpy >= 2 wheels), then zgb*_64_ (numpy 1.2x wheels).
+So on numpy's wheels no scipy library is mapped at run time.  Where
+neither pair is exported (Accelerate or conda builds, Windows, whose .pyd
+handle does not search its DLLs), _load_flapack takes the compiled
+wrappers in scipy/linalg/_flapack, the very objects scipy.linalg.lapack
+exports, loading that module by its full name from its file; importing
 scipy.linalg would also load scipy's array-API layer (numpy.f2py,
-numpy.testing): 0.25 s and 25 MB of each start-up.
+numpy.testing): 0.25 s and 25 MB of each start-up.  Each path's zgbtrf
+returns pivots in its own convention (1-based int64 from numpy's LAPACK,
+0-based int32 from _flapack) and its zgbtrs reads them back in it.
+LAPACK_SOURCE names the library file and the zgbtrf symbol in use.
 
 The band's layout follows from STENCIL and the ghost-node clipping alone.
 Its half-width is _BW = STENCIL - 1.  The 9 diagonals of the centred
@@ -31,11 +42,12 @@ whose three keys green.py alone writes:
                          per grid, without the mode diagonal; beside it
                          the end outputs, 6 int64, their columns, (17, 6)
                          int64, and entries, (17, 6) float64: 1.7 KB
-    ("box1_lu", |mode|)  lu.real, (3 _BW + 1, n) float64, int32 pivots,
-                         the mode's main diagonal, n float64, and its end
-                         block, the entries with that diagonal, (17, 6)
-                         float64: 25 n * 8 + 4 n + 8 n + 816 bytes, 217 KB
-                         at n_tau 1024
+    ("box1_lu", |mode|)  lu.real, (3 _BW + 1, n) float64, the pivots
+                         (int64 from numpy's LAPACK), the mode's main
+                         diagonal, n float64, and its end block, the
+                         entries with that diagonal, (17, 6) float64:
+                         25 n * 8 + 8 n + 8 n + 816 bytes, 221 KB at
+                         n_tau 1024
     "support_outer"      n bool, one per grid: the nodes in the outer 10%
                          of the tau interval at either end
 
@@ -45,6 +57,7 @@ quantified by the boundary-cut sensitivity check.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
@@ -54,6 +67,7 @@ from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg, lapack_lite
 
 from .collar import STENCIL
 from .fields import CollarField
@@ -89,7 +103,102 @@ def _load_flapack():
     return flapack.zgbtrf, flapack.zgbtrs
 
 
-zgbtrf, zgbtrs = _load_flapack()
+# the ILP64 (zgbtrf, zgbtrs) names numpy's wheels export, in search order
+_NUMPY_SYMBOLS = (("scipy_zgbtrf_64_", "scipy_zgbtrs_64_"),
+                  ("zgbtrf_64_", "zgbtrs_64_"))
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [("fname", ctypes.c_char_p), ("fbase", ctypes.c_void_p),
+                ("sname", ctypes.c_char_p), ("saddr", ctypes.c_void_p)]
+
+
+def _defining_file(func) -> str:
+    """The name of the shared library file that defines a ctypes function."""
+    info = _DlInfo()
+    ctypes.CDLL(None).dladdr(ctypes.cast(func, ctypes.c_void_p),
+                             ctypes.byref(info))
+    return os.path.basename(os.fsdecode(info.fname))
+
+
+def _address(arr) -> int:
+    """Where the data of a writable, C- or F-contiguous array starts.
+    ctypes' from_buffer takes about 0.6 us here, arr.ctypes.data 2.2 us;
+    a zgbtrs call at n_tau 1024, 60-80 us, passes three arrays."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr.T))
+
+
+def _bind(trf, trs):
+    """zgbtrf and zgbtrs over the Fortran routines trf and trs, with the
+    _flapack signatures.  Every integer is int64, passed by address."""
+    trf.argtypes = [ctypes.c_void_p] * 8
+    trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+    trf.restype = trs.restype = None
+    # zgbtrs's integer arguments (n, kl, ku, nrhs, ldab, ldb), which LAPACK
+    # only reads, built once per shape: each solve then allocates only its
+    # own info
+    dims = {}
+
+    def zgbtrf(ab, kl, ku, overwrite_ab=0):
+        """(lu, piv, info): the band LU of ab[ku + kl + i - j, j] = A[i, j],
+        whose first kl rows are workspace; piv is 1-based int64."""
+        lu = (np.asarray if overwrite_ab else np.array)(ab, complex, order="F")
+        ldab, n = lu.shape
+        if ldab < 2 * kl + ku + 1:
+            raise ValueError(f"ab has {ldab} rows, needs 2 kl + ku + 1")
+        piv = np.empty(n, np.int64)
+        ints = (ctypes.c_int64 * 6)(n, n, kl, ku, ldab, 0)
+        at = ctypes.addressof(ints)
+        trf(at, at + 8, at + 16, at + 24, _address(lu), at + 32,
+            _address(piv), at + 40)
+        return lu, piv, ints[5]
+
+    def zgbtrs(lu, kl, ku, b, piv):
+        """(x, info): the solution of A x = b from zgbtrf's lu and piv."""
+        ab = np.asarray(lu, complex, order="F")
+        x = np.array(b, complex, order="F")
+        ldab, n = ab.shape
+        if (ldab < 2 * kl + ku + 1 or x.shape != (n,) or piv.shape != (n,)
+                or piv.dtype != np.int64):
+            raise ValueError("zgbtrs needs lu (2 kl + ku + 1, n), b (n,) "
+                             "and zgbtrf's int64 pivots")
+        key = n, kl, ku, ldab
+        if key not in dims:
+            ints = (ctypes.c_int64 * 6)(n, kl, ku, 1, ldab, n)
+            dims[key] = ints, ctypes.addressof(ints)
+        at = dims[key][1]
+        info = ctypes.c_int64()
+        # "N" is a Fortran string: its length is the trailing argument
+        trs(b"N", at, at + 8, at + 16, at + 24, _address(ab), at + 32,
+            _address(piv), _address(x), at + 40, ctypes.addressof(info), 1)
+        return x, info.value
+
+    return zgbtrf, zgbtrs
+
+
+def _load_lapack():
+    """(zgbtrf, zgbtrs, source): bound from numpy's LAPACK where it exports
+    an ILP64 pair, else _flapack's; source is "<library file> (<symbol>)"."""
+    lib = _umath_linalg.__file__
+    if getattr(lapack_lite, "_ilp64", False):
+        handle = ctypes.CDLL(lib)
+        for trf, trs in _NUMPY_SYMBOLS:
+            if hasattr(handle, trf) and hasattr(handle, trs):
+                pair = getattr(handle, trf), getattr(handle, trs)
+                return (*_bind(*pair), f"{_defining_file(pair[0])} ({trf})")
+        searched = (f"{' '.join(sum(_NUMPY_SYMBOLS, ()))} in {lib} and "
+                    f"its libraries")
+    else:
+        searched = f"no ILP64 LAPACK behind {lib}"
+    try:
+        trf, trs = _load_flapack()
+    except ImportError as err:
+        raise ImportError(f"collarlab needs LAPACK zgbtrf and zgbtrs; "
+                          f"numpy's: {searched}; scipy's: {err}") from None
+    return trf, trs, "scipy.linalg._flapack (zgbtrf)"
+
+
+zgbtrf, zgbtrs, LAPACK_SOURCE = _load_lapack()
 
 
 class SolverError(RuntimeError):
@@ -150,7 +259,7 @@ def _mode_factor(grid, n_mode):
         band = _box_band(grid)
         s = 0.5 * grid.sin_tau**2
         diag = band.ab[_BW] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
-        work = np.zeros((3 * _BW + 1, grid.n), dtype=complex)
+        work = np.zeros((3 * _BW + 1, grid.n), dtype=complex, order="F")
         work[_BW:] = band.ab
         work[2 * _BW] = diag
         lu, piv, info = zgbtrf(work, _BW, _BW, overwrite_ab=1)

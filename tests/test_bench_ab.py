@@ -1,7 +1,7 @@
 """The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
 traced per-layer record, its tier-1 timing record, its drift between
-two reports, its reading of report.md's peak RSS per suite and its record
-of the host's BLAS thread settings."""
+two reports, its reading of report.md's peak RSS per suite and LAPACK
+line, and its record of the host's BLAS thread settings."""
 
 import importlib.util
 import json
@@ -146,6 +146,24 @@ def test_suite_peaks_from_report_md(bench_ab, tmp_path):
     proc = pathlib.Path("/proc/self/status").exists()
     assert list(peaks) == (["lengths"] if proc else [])
     assert all(mb > 0 for mb in peaks.values())
+
+
+def test_lapack_source_from_report_md(bench_ab, tmp_path):
+    md = "\n".join(["# collarlab report", "",
+                    "Threads at run end: 1 (OPENBLAS_NUM_THREADS=1)", "",
+                    "LAPACK: libopenblas.so (zgbtrf_64_)", "",
+                    "Memos at run end: grids 7 entries, 5.26 MB", ""])
+    assert bench_ab.lapack_source(md) == "libopenblas.so (zgbtrf_64_)"
+    # a report.md from before the line was written, or none at all
+    assert bench_ab.lapack_source(md.replace("LAPACK", "BLAS")) is None
+    assert bench_ab.lapack_source("") is None
+
+    # and on a report.md the CLI writes
+    cfg = collarlab.RunConfig.from_dict({"suites": ["lengths"]})
+    collarlab.emit_report([collarlab.run_suite(cfg, "lengths")],
+                          str(tmp_path), ("markdown",))
+    assert (bench_ab.lapack_source((tmp_path / "report.md").read_text())
+            == collarlab.green.LAPACK_SOURCE)
 
 
 def test_host_records_the_blas_thread_variables(bench_ab, monkeypatch):

@@ -18,6 +18,7 @@ from collarlab import (CurvatureWorkspace, RunConfig, SolverConfig, TauGrid,
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
                            SuiteReport, _random_compact_field, _record,
                            _suite_green_props, run_all)
+from collarlab.green import LAPACK_SOURCE
 
 ROOT = pathlib.Path(__file__).parents[1]
 
@@ -257,7 +258,11 @@ def test_emit_report_formats(tmp_path):
         assert int(count) >= 1
         assert blas == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     if threads:
-        assert md.splitlines()[-3].startswith("Threads at run end: ")
+        assert md.splitlines()[-5].startswith("Threads at run end: ")
+    # and the library and symbol the resolvent's LAPACK comes from
+    assert md.splitlines()[-3] == f"LAPACK: {LAPACK_SOURCE}"
+    assert re.fullmatch(r"LAPACK: \S+ \(\w*zgbtrf\w*\)",
+                        md.splitlines()[-3])
     # the report ends with the memos' entries and sizes, store by store
     stats = cache_stats()
     memo_line = "Memos at run end: " + "; ".join(

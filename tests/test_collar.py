@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collarlab import (CollarError, CollarParams, CutoffSpec, TauGrid,
-                       cache_scope, collar_from_t, collar_from_u,
-                       geodesic_length, make_grid)
-from collarlab.collar import (STENCIL, U_MAX, U_MIN, stencil_weights,
-                              taper_weights)
+from collarlab import (CollarError, CollarParams, TauGrid, cache_scope,
+                       collar_from_t, collar_from_u, geodesic_length,
+                       make_grid)
+from collarlab.collar import STENCIL, U_MAX, U_MIN, stencil_weights
 
 PI = math.pi
 
@@ -171,32 +170,14 @@ def test_dtau_polynomial_exactness():
     assert np.abs(grid.dtau(f, 2) - 56 * grid.nodes**6).max() < 1e-4 * scale
 
 
-def _manufactured(col, grid):
-    """{name: (f, f', f'', integral of f)} of two continuum profiles on the
-    grid's nodes, primes tau-derivatives: sin³(πx) with x the position in
-    the tau interval, and the two-sided taper w with its analytic w′ and w″.
-    Each of w's transitions is a smoothstep S with S(y) + S(1 - y) = 1, so
-    it integrates to half its width and ∫w = L - u log(c/c1) (the collar's
-    cut is the cutoff's c, and the two transitions do not overlap)."""
-    a, b = col.tau_min, col.tau_max
-    length = b - a
-    x = (grid.nodes - a) / length
-    s, c = np.sin(PI * x), np.cos(PI * x)
-    k = PI / length
-    spec = CutoffSpec()
-    return {"sin3": (s**3, 3 * k * s**2 * c, 3 * k**2 * (2 * s * c**2 - s**3),
-                     4 * length / (3 * PI)),
-            "taper": (*taper_weights(col, grid, spec),
-                      length - col.u * math.log(spec.c / spec.c1))}
-
-
-def _manufactured_errors(col, grid) -> dict:
-    """{name: (dtau, dtau order 2, integrate) errors}: relative sup errors
-    of the derivatives, relative error of the integral."""
+def _manufactured_errors(profiles, grid) -> dict:
+    """{name: (dtau, dtau order 2, integrate) errors} of the manufactured
+    profiles on grid: relative sup errors of the derivatives, relative
+    error of the integral."""
     sup = lambda got, want: np.abs(got - want).max() / np.abs(want).max()
     return {name: (sup(grid.dtau(f), f1), sup(grid.dtau(f, 2), f2),
                    abs(grid.integrate(f) - total) / total)
-            for name, (f, f1, f2, total) in _manufactured(col, grid).items()}
+            for name, (f, f1, f2, total) in profiles.items()}
 
 
 # Bounds on the errors above at every u of (0.1, 0.05, 0.025), per profile
@@ -226,21 +207,25 @@ MANUFACTURED_BOUNDS = {
 @pytest.mark.parametrize("n_tau,nodes_per_panel", [(1024, 10), (1024, 20),
                                                    (128, 10)])
 @pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
-def test_calculus_on_manufactured_profiles(u, n_tau, nodes_per_panel):
+def test_calculus_on_manufactured_profiles(u, n_tau, nodes_per_panel,
+                                           manufactured):
     col = collar_from_u(u)
-    errors = _manufactured_errors(col, make_grid(col, n_tau, nodes_per_panel))
+    grid = make_grid(col, n_tau, nodes_per_panel)
+    errors = _manufactured_errors(manufactured(col, grid), grid)
     for name, errs in errors.items():
         bounds = MANUFACTURED_BOUNDS[(name, n_tau, nodes_per_panel)]
         assert all(e <= bound for e, bound in zip(errs, bounds)), (name, errs)
 
 
 @pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
-def test_taper_second_derivative_converges_with_panel_nodes(u):
+def test_taper_second_derivative_converges_with_panel_nodes(u,
+                                                            manufactured):
     # the taper's w'' is the least resolved: 3.16e-2 relative sup on the
     # default grid, 4.18e-3 at 20 nodes per panel (7.6 times smaller)
     col = collar_from_u(u)
-    coarse, fine = (_manufactured_errors(col, make_grid(col, 1024, m))
-                    ["taper"][1] for m in (10, 20))
+    grids = (make_grid(col, 1024, m) for m in (10, 20))
+    coarse, fine = (_manufactured_errors(manufactured(col, grid), grid)
+                    ["taper"][1] for grid in grids)
     assert fine < coarse / 5
 
 

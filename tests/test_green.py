@@ -1,11 +1,14 @@
 """Mode-wise (box + 1) solves: accuracy, spectral bounds, adjointness."""
 
 import importlib.machinery
+import itertools
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +17,11 @@ from scipy.linalg import solve_banded
 import collarlab.green
 from collarlab.green import (_BW, _CORE, _N_END, _band_matvec, _box_band,
                              _mode_factor)
+from numpy.linalg import _umath_linalg
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
-                       apply_box1, collar_from_u, constant_field, make_grid,
-                       pairing_l2, relative_change, solve_T)
+                       apply_box1, cache_scope, collar_from_u, constant_field,
+                       make_grid, pairing_l2, relative_change, solve_T)
 from collarlab.asymptotics import bc_sensitivity_check
 
 PI = math.pi
@@ -59,6 +63,66 @@ def test_manufactured_solution(cg):
     F = CollarField(col, grid, {3: (np.sin(PI * x) ** 3).astype(complex)})
     back = solve_T(apply_box1(F), QUIET)
     assert (back - F).sup_norm() <= 1e-10 * F.sup_norm()
+
+
+def manufactured_solve_error(col, grid, profile, n_mode):
+    """Relative sup error of solve_T against a continuum solution F, from
+    the right-hand side -(sin^2 tau / 2)(F'' - (n/u)^2 F) + F built with
+    the exact F''; profile is (F, F', F'', integral of F)."""
+    f, _, f2, _ = profile
+    rhs = -0.5 * grid.sin_tau**2 * (f2 - (n_mode / col.u) ** 2 * f) + f
+    g = solve_T(CollarField(col, grid, {n_mode: rhs + 0j}), QUIET)
+    return np.abs(g.modes[n_mode] - f).max() / np.abs(f).max()
+
+
+# Bounds on the error above at every u of (0.1, 0.05, 0.025), per profile,
+# (n_tau, nodes per panel) and mode: twice the largest error measured over
+# the three u, rounded up.  sin³ is at round-off on the default grid and
+# sees the stencil's order only on the coarse rung (n_tau 128, 180 nodes);
+# the taper's error is set by the end panels, which n_tau does not refine
+# (n_tau 128 and 1024 give the same 8.4e-3), and falls with the nodes per
+# panel.
+SOLVE_BOUNDS = {
+    # measured: 5.79e-12, 8.23e-14
+    ("sin3", 1024, 10): {0: 1.2e-11, 3: 1.7e-13},
+    # measured: 5.21e-12, 9.28e-14
+    ("sin3", 1024, 20): {0: 1.1e-11, 3: 1.9e-13},
+    # measured: 2.37e-7, 3.86e-9 (u = 0.1; 2.7e-10 at u = 0.025)
+    ("sin3", 128, 10): {0: 4.8e-7, 3: 7.8e-9},
+    # measured: 8.46e-3, 5.08e-3
+    ("taper", 1024, 10): {0: 1.7e-2, 3: 1.1e-2},
+    # measured: 1.82e-4, 1.13e-4
+    ("taper", 1024, 20): {0: 3.7e-4, 3: 2.3e-4},
+    # measured: 8.36e-3, 5.04e-3
+    ("taper", 128, 10): {0: 1.7e-2, 3: 1.1e-2},
+}
+
+
+@pytest.mark.parametrize("n_tau,nodes_per_panel", [(1024, 10), (1024, 20),
+                                                   (128, 10)])
+@pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
+def test_solve_on_manufactured_profiles(u, n_tau, nodes_per_panel,
+                                        manufactured):
+    col = collar_from_u(u)
+    grid = make_grid(col, n_tau, nodes_per_panel)
+    for name, profile in manufactured(col, grid).items():
+        bounds = SOLVE_BOUNDS[(name, n_tau, nodes_per_panel)]
+        for n_mode, bound in bounds.items():
+            err = manufactured_solve_error(col, grid, profile, n_mode)
+            assert err <= bound, (name, n_mode, err)
+
+
+@pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
+def test_taper_solve_converges_with_panel_nodes(u, manufactured):
+    # 8.4e-3 (n = 0) and 5.0e-3 (n = 3) on the default grid, 1.8e-4 and
+    # 1.1e-4 at 20 nodes per panel: 46 times smaller
+    col = collar_from_u(u)
+    grids = [make_grid(col, 1024, m) for m in (10, 20)]
+    for n_mode in (0, 3):
+        coarse, fine = (manufactured_solve_error(
+            col, grid, manufactured(col, grid)["taper"], n_mode)
+            for grid in grids)
+        assert fine < coarse / 10, (n_mode, coarse, fine)
 
 
 def test_solve_then_apply_roundtrip(cg):
@@ -285,27 +349,83 @@ def test_import_leaves_scipy_linalg_unimported(fresh_python):
     assert proc.stdout.strip() == "False"
 
 
-def test_loaded_lapack_matches_scipy_linalg():
-    col = collar_from_u(0.05)
-    grid = make_grid(col, 1024)
+def mode_band(grid, n_mode):
+    """The mode-n (box + 1) band in zgbtrf's layout: _BW workspace rows,
+    then ab[_BW + i - j, j] = M[i, j]."""
     band = _box_band(grid)
     s = 0.5 * grid.sin_tau**2
     ab = np.zeros((3 * _BW + 1, grid.n), dtype=complex)
     ab[_BW:] = band.ab
-    ab[2 * _BW] = band.ab[_BW] + ((3 / col.u) ** 2 * s + 1.0)
-    rhs = compact_window(col, grid) * (1 + 2j)
-    got, want = [], []
-    for lapack, out in ((collarlab.green, got), (scipy.linalg.lapack, want)):
-        lu, piv, info = lapack.zgbtrf(ab, _BW, _BW, overwrite_ab=0)
-        assert info == 0
-        sol, info = lapack.zgbtrs(lu, _BW, _BW, rhs, piv)
-        assert info == 0
-        out += [lu, piv, sol]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    ab[2 * _BW] = band.ab[_BW] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
+    return ab
 
 
-def test_missing_flapack_raises(monkeypatch):
+# the zgbtrf symbol of the fallback, scipy's compiled _flapack
+FLAPACK_SOURCE = "scipy.linalg._flapack (zgbtrf)"
+
+
+def test_loaded_lapack_matches_scipy_linalg():
+    # pivots are compared 0-based, as scipy.linalg.lapack returns them;
+    # numpy's LAPACK returns LAPACK's own 1-based ones
+    base = 0 if collarlab.green.LAPACK_SOURCE == FLAPACK_SOURCE else 1
+    with cache_scope():
+        for u, n_tau in itertools.product((0.1, 0.05, 0.012),
+                                          (512, 1024, 4096)):
+            col = collar_from_u(u)
+            grid = make_grid(col, n_tau)
+            rhs = compact_window(col, grid) * (1 + 2j)
+            for n_mode in (0, 3, 24):
+                ab = mode_band(grid, n_mode)
+                kept = ab.copy()
+                got, want = [], []
+                for lapack, out in ((collarlab.green, got),
+                                    (scipy.linalg.lapack, want)):
+                    lu, piv, info = lapack.zgbtrf(ab, _BW, _BW, overwrite_ab=0)
+                    assert info == 0
+                    # from the complex factor, and from lu.real as cached
+                    sols = [lapack.zgbtrs(a, _BW, _BW, rhs, piv)
+                            for a in (lu, np.array(lu.real, order="F"))]
+                    assert [info for _, info in sols] == [0, 0]
+                    out += [lu, piv, *(sol for sol, _ in sols)]
+                got[1] = got[1] - base
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (u, n_tau, n_mode)
+                assert np.array_equal(ab, kept)  # overwrite_ab=0 copies
+
+
+@pytest.mark.parametrize("absent", ["symbols", "ilp64"])
+def test_flapack_fallback_solves_the_same_bytes(monkeypatch, absent,
+                                                clear_models):
+    # numpy's LAPACK without the ILP64 names, or not ILP64 at all: scipy's
+    # _flapack is loaded, and its solve gives the default path's bytes
+    if absent == "symbols":
+        monkeypatch.setattr(collarlab.green, "_NUMPY_SYMBOLS",
+                            (("no_zgbtrf_64_", "no_zgbtrs_64_"),))
+    else:
+        monkeypatch.setattr(collarlab.green.lapack_lite, "_ilp64", False)
+    trf, trs, source = collarlab.green._load_lapack()
+    assert source == FLAPACK_SOURCE
+    col = collar_from_u(0.05)
+    clear_models()
+    grid = make_grid(col, 512)
+    f = random_compact(col, grid, np.random.default_rng(12))
+    want = solve_T(f, QUIET)
+    # the cached factors keep their path's pivots: the fallback factors
+    # afresh on a new grid, dropped at the scope's end
+    clear_models()
+    monkeypatch.setattr(collarlab.green, "zgbtrf", trf)
+    monkeypatch.setattr(collarlab.green, "zgbtrs", trs)
+    with cache_scope():
+        fresh = make_grid(col, 512)
+        assert fresh is not grid
+        got = solve_T(CollarField(col, fresh, f.modes), QUIET)
+    assert list(got.modes) == list(want.modes)
+    for n, sol in want.modes.items():
+        assert got.modes[n].tobytes() == sol.tobytes()
+    assert got.residual_sup == want.residual_sup
+
+
+def test_missing_lapack_raises(monkeypatch):
     find_spec = importlib.machinery.PathFinder.find_spec
     searched = []
 
@@ -316,10 +436,50 @@ def test_missing_flapack_raises(monkeypatch):
         return find_spec(name, path, target)
 
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_flapack)
-    with pytest.raises(ImportError, match="scipy") as err:
-        collarlab.green._load_flapack()
-    assert "_flapack" in str(err.value)
-    assert searched and all(d in str(err.value) for d in searched)
+    symbols = (("no_zgbtrf_64_", "no_zgbtrs_64_"), ("nor_zgbtrf_", "nor_zgbtrs_"))
+    monkeypatch.setattr(collarlab.green, "_NUMPY_SYMBOLS", symbols)
+    with pytest.raises(ImportError, match="zgbtrf and zgbtrs") as err:
+        collarlab.green._load_lapack()
+    message = str(err.value)
+    assert all(name in message for name in itertools.chain(*symbols))
+    assert _umath_linalg.__file__ in message
+    assert "_flapack" in message
+    assert searched and all(d in message for d in searched)
+    # where numpy's LAPACK is not ILP64, no symbol is looked up there
+    monkeypatch.setattr(collarlab.green.lapack_lite, "_ilp64", False)
+    with pytest.raises(ImportError, match="no ILP64 LAPACK") as err:
+        collarlab.green._load_lapack()
+    assert _umath_linalg.__file__ in str(err.value)
+    assert not any(name in str(err.value) for name in itertools.chain(*symbols))
+
+
+# Imports collarlab, solves once and prints every file the process maps.
+MAPS_PROBE = """
+import collarlab
+import numpy as np
+col = collarlab.collar_from_u(0.05)
+grid = collarlab.make_grid(col, 512)
+f = collarlab.CollarField(col, grid, {0: np.sin(grid.nodes) ** 4 + 0j})
+collarlab.solve_T(f, collarlab.SolverConfig(warn_support=False))
+with open("/proc/self/maps") as maps:
+    print("\\n".join(sorted({line.split(None, 5)[5].strip() for line in maps
+                             if len(line.split(None, 5)) == 6})))
+"""
+
+
+def test_solve_maps_no_scipy_library(fresh_python):
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this platform")
+    if collarlab.green.LAPACK_SOURCE == FLAPACK_SOURCE:
+        pytest.skip("numpy's LAPACK exports no ILP64 zgbtrf: scipy's is used")
+    proc = fresh_python("-c", MAPS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    mapped = proc.stdout.splitlines()
+    assert any(_umath_linalg.__file__ == path for path in mapped)
+    # scipy's package and the libraries its wheel bundles beside it
+    root = os.path.realpath(os.path.dirname(scipy.__file__))
+    under = (root + os.sep, root + ".libs" + os.sep)
+    assert not [p for p in mapped if os.path.realpath(p).startswith(under)]
 
 
 def dense_band(band, diag, bu):

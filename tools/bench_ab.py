@@ -15,7 +15,8 @@ self times per layer, each the median over the run's traced operations.
 Then the default `collarlab run` is made in both checkouts
 and `cmp` compares their report.csv and report.json; each side's
 report.md gives its "Peak RSS after this suite" per suite, so a memory
-change shows which suite sets the peak.  When a report
+change shows which suite sets the peak, and its "LAPACK: " line, the
+library the resolvent solved on (None where report.md has no such line).  When a report
 differs, the two report.json payloads are compared record by record: per
 check id, the largest drift of measured, target and rel_err, at the scale
 perfbench's check_report uses, and whether the ids, u values, order and
@@ -62,6 +63,7 @@ RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 PEAK_LINE = "Peak RSS after this suite: "
+LAPACK_LINE = "LAPACK: "
 # the variables that size BLAS thread pools, as this tool was started with
 # them: where a pool has more than one thread, its idle workers' spinning
 # counts in cpu_s
@@ -262,6 +264,12 @@ def suite_peaks(markdown: str) -> dict:
     return peaks
 
 
+def lapack_source(markdown: str) -> str | None:
+    """What follows "LAPACK: " in a report.md; None without that line."""
+    return next((line[len(LAPACK_LINE):] for line in markdown.splitlines()
+                 if line.startswith(LAPACK_LINE)), None)
+
+
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines())
                for p in (tree / "src" / "collarlab").glob("*.py"))
@@ -314,11 +322,12 @@ def main(argv=None) -> int:
                 "traced": traced_record(
                     traced, [m["name"] for m in declared["per_layer"]])}
         tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
-        codes, reports, peaks = {}, {}, {}
+        codes, reports, peaks, lapack = {}, {}, {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
             md = tmp / f"out_{side}" / "report.md"
-            peaks[side] = suite_peaks(md.read_text()) if md.exists() else {}
+            md = md.read_text() if md.exists() else ""
+            peaks[side], lapack[side] = suite_peaks(md), lapack_source(md)
         for name in REPORTS:
             same = subprocess.run(["cmp", "-s", str(tmp / "out_parent" / name),
                                    str(tmp / "out_change" / name)]).returncode == 0
@@ -350,7 +359,8 @@ def main(argv=None) -> int:
         "reports": {"command": "collarlab run (default config) in both "
                                "checkouts, then cmp of each report",
                     "exit_codes": codes,
-                    "peak_rss_mb_after_suite": peaks, **reports},
+                    "peak_rss_mb_after_suite": peaks, "lapack": lapack,
+                    **reports},
         "src_lines": {"command": "wc -l src/collarlab/*.py", **lines},
     }
     out = ROOT / f"BENCH_{args.label}.json"
@@ -374,6 +384,7 @@ def main(argv=None) -> int:
     print(f"tier1_wall_s: parent {m['parent']['median']:.6g} "
           f"change {m['change']['median']:.6g} wins {m['change_wins']}/{PAIRS}, "
           f"exit codes {tier1_rec['exit_codes']}")
+    print(f"LAPACK {lapack}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
