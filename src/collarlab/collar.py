@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memos import GRIDS
+from .memos import GATHER, GRIDS
 
 # Float range limits the supported pinching: r**-2 = exp(2 pi/u) must be
 # representable, and intermediate 1/r profiles appear in mode shifts.
@@ -186,32 +186,56 @@ def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray
     x0[s] (a scalar x0 serves every stencil).  Returns c with c[s, :, k]
     the weights of the k-th derivative at x0[s], k = 0 interpolating;
     exact for polynomials of degree < width.  The scalar recursion runs
-    once, each statement vectorised over all stencils.
+    once, each statement vectorised over all stencils on stencil-last
+    (m + 1, width, S) arrays, so every operand is a contiguous row; c is
+    a transposed view of that array.
     """
-    xs = x[np.asarray(starts)[:, None] + np.arange(width)]
-    dx = xs - np.reshape(x0, (-1, 1))
-    c = np.zeros(xs.shape + (m + 1,))
-    c[:, 0, 0] = 1.0
+    xs = x[np.arange(width)[:, None] + np.asarray(starts)]
+    dx = xs - np.reshape(x0, (1, -1))
+    c = np.zeros((m + 1,) + xs.shape)
+    c[0, 0] = 1.0
     c1 = 1.0
     for i in range(1, width):
         mn = min(i, m)
         c2 = 1.0
         for j in range(i):
-            c3 = xs[:, i] - xs[:, j]
+            c3 = xs[i] - xs[j]
             c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1]
-                                       - dx[:, i - 1] * c[:, i - 1, k]) / c2
-                c[:, i, 0] = -c1 * dx[:, i - 1] * c[:, i - 1, 0] / c2
+                    c[k, i] = c1 * (k * c[k - 1, i - 1]
+                                    - dx[i - 1] * c[k, i - 1]) / c2
+                c[0, i] = -c1 * dx[i - 1] * c[0, i - 1] / c2
             for k in range(mn, 0, -1):
-                c[:, j, k] = (dx[:, i] * c[:, j, k] - k * c[:, j, k - 1]) / c3
-            c[:, j, 0] = dx[:, i] * c[:, j, 0] / c3
+                c[k, j] = (dx[i] * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = dx[i] * c[0, j] / c3
         c1 = c2
-    return c
+    return c.transpose(2, 1, 0)
 
 
 STENCIL = 9  # polynomial exactness 8; >= 6th order as required
+
+
+def _gather_index(n: int) -> np.ndarray:
+    """The (n, STENCIL) int64 index dtau gathers through: row i holds the
+    nodes of node i's stencil, clipped to the grid at both ends.  It
+    depends on n alone, so every grid of n nodes shares one array, kept in
+    ``memos.GATHER`` until ``clear_cache``."""
+    if n not in GATHER:
+        starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
+        idx = starts[:, None] + np.arange(STENCIL)
+        idx.flags.writeable = False  # shared: a write would reach every grid
+        GATHER[n] = idx
+    return GATHER[n]
+
+
+def _dirichlet_end_rows(n: int):
+    """(rows, starts): the rows of the Dirichlet D2 whose stencil reaches
+    an end, and where each stencil starts on the nodes extended by both
+    ends (extended index j + 1 is node j)."""
+    half = STENCIL // 2
+    rows = np.r_[:half, n - half : n]
+    return rows, np.clip(rows + 1 - half, 0, n + 2 - STENCIL)
 
 
 @dataclass(eq=False)  # hashed by identity: memos key fields by their grid
@@ -282,20 +306,34 @@ class TauGrid:
     # -- differentiation -------------------------------------------------
     @functools.cached_property
     def _stencils(self):
-        x = self.nodes
+        """(idx, w1, w2, end_w2): the gather index every grid of n nodes
+        shares (``_gather_index``), each node's first and second derivative
+        weights on its clipped stencil, (n, STENCIL) each, and the second
+        derivative weights of the Dirichlet D2's end rows, (STENCIL - 1,
+        STENCIL), whose stencils take the ends as ghost nodes.
+
+        One Fornberg pass makes both sets on the nodes extended by both
+        ends: a clipped stencil is the same nodes shifted by one there, so
+        it gets the same weights.
+        """
         n = self.n
-        starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
-        c = stencil_weights(x, starts, STENCIL, x, 2)
-        idx = starts[:, None] + np.arange(STENCIL)[None, :]
+        idx = _gather_index(n)
+        rows, end_starts = _dirichlet_end_rows(n)
+        xe = np.concatenate(([self.collar.tau_min], self.nodes,
+                             [self.collar.tau_max]))
+        c = stencil_weights(xe, np.concatenate((idx[:, 0] + 1, end_starts)),
+                            STENCIL, np.concatenate((self.nodes, xe[rows + 1])),
+                            2)
         # contiguous copies: einsum sums strided rows in another order
-        return (idx, np.ascontiguousarray(c[:, :, 1]),
-                np.ascontiguousarray(c[:, :, 2]))
+        return (idx, np.ascontiguousarray(c[:n, :, 1]),
+                np.ascontiguousarray(c[:n, :, 2]),
+                np.ascontiguousarray(c[n:, :, 2]))
 
     def dtau(self, values, order: int = 1):
         """order-th tau derivative of a sampled profile (order 1 or 2)."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        idx, w1, w2 = self._stencils
+        idx, w1, w2, _ = self._stencils
         w = w1 if order == 1 else w2
         v = np.asarray(values)
         return np.einsum("ij,ij->i", w, v[idx])
@@ -304,28 +342,24 @@ class TauGrid:
         """Second-derivative operator with zero Dirichlet ends.
 
         Stencils near the interval ends include the endpoints as ghost
-        nodes pinned to zero (their columns are dropped).  Every other row
-        is ``_stencils``' second-derivative row: the same nodes about the
-        same centre, so the same weights.  Returned in LAPACK banded
-        storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].  Built
-        afresh on each call; the resolvent keeps the band it derives.
+        nodes pinned to zero (their columns are dropped).  Every row is
+        read from ``_stencils``: the end rows from its ghost-node stencils,
+        every other row from its second-derivative weights (the same nodes
+        about the same centre, so the same weights).  Returned in LAPACK
+        banded storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].
+        Built afresh on each call; the resolvent keeps what it needs of it.
         """
         n = self.n
         bw = STENCIL - 1
         half = STENCIL // 2
         ab = np.zeros((2 * bw + 1, n))
-        idx, _, w2 = self._stencils
+        idx, _, w2, end_w2 = self._stencils
         i = np.arange(half, n - half)
         ab[bw + i[:, None] - idx[i], idx[i]] = w2[i]
-        # the rows whose stencil reaches an end, on the nodes extended by both
-        xe = np.concatenate(([self.collar.tau_min], self.nodes,
-                             [self.collar.tau_max]))
-        i = np.r_[:half, n - half : n]
-        starts = np.clip(i + 1 - half, 0, n + 2 - STENCIL)
-        c = stencil_weights(xe, starts, STENCIL, xe[i + 1], 2)[:, :, 2]
+        i, starts = _dirichlet_end_rows(n)
         j = starts[:, None] + np.arange(STENCIL) - 1  # interior column index
         keep = (j >= 0) & (j < n)
-        ab[(bw + i[:, None] - j)[keep], j[keep]] = c[keep]
+        ab[(bw + i[:, None] - j)[keep], j[keep]] = end_w2[keep]
         return ab, (bw, bw)
 
 

@@ -34,14 +34,18 @@ Its half-width is _BW = STENCIL - 1.  The 9 diagonals of the centred
 stencil, rows _CORE = _BW +- STENCIL // 2, are the only rows nonzero at
 interior outputs; the others reach only the first and last _N_END =
 STENCIL // 2 - 1 = 3 outputs (the clipped stencils).  The residual A x - b
-sums the core rows, then recomputes those end outputs over every row.  The
+sums the core rows, then recomputes those end outputs over every row.  So
+the band is kept as its core rows and that end block; _mode_factor
+rebuilds the full (2 _BW + 1, n) rows zgbtrf factors from them.  The
 factors, these blocks and the support test's mask live in ``grid._cache``,
 whose three keys green.py alone writes:
 
-    "box_band"           -(sin^2 tau / 2) D2, (2 _BW + 1, n) float64, one
-                         per grid, without the mode diagonal; beside it
-                         the end outputs, 6 int64, their columns, (17, 6)
-                         int64, and entries, (17, 6) float64: 1.7 KB
+    "box_band"           the _CORE rows of -(sin^2 tau / 2) D2, (9, n)
+                         float64, one per grid, without the mode diagonal;
+                         beside them the end outputs, 6 int64, their
+                         columns, (17, 6) int64, and entries, (17, 6)
+                         float64: 9 n * 8 + 1,680 bytes, 75 KB at n_tau
+                         1024 (n = 1020)
     ("box1_lu", |mode|)  lu.real, (3 _BW + 1, n) float64, the pivots
                          (int64 from numpy's LAPACK), the mode's main
                          diagonal, n float64, and its end block, the
@@ -86,6 +90,7 @@ _SUPPORT_TOL = 1e-6
 # the band's layout (see the module docstring)
 _BW = STENCIL - 1
 _CORE = slice(_BW - STENCIL // 2, _BW + STENCIL // 2 + 1)
+_MID = _BW - _CORE.start  # the main diagonal's row of the core
 _N_END = STENCIL // 2 - 1
 
 
@@ -215,9 +220,10 @@ class SolverConfig:
 
 
 class _BoxBand(NamedTuple):
-    """A grid's box band, and the end block of its residual."""
+    """A grid's box band, kept as its core diagonals and its end block."""
 
-    ab: np.ndarray  # ab[_BW + i - j, j] = M[i, j], without the mode diagonal
+    core: np.ndarray  # the _CORE rows of ab[_BW + i - j, j] = M[i, j],
+    #                   without the mode diagonal
     ends: np.ndarray  # the first and last _N_END outputs
     end_cols: np.ndarray  # (rows, ends): the column feeding each end output
     end_ab: np.ndarray  # (rows, ends): its entry, 0 outside the matrix
@@ -227,7 +233,8 @@ def _box_band(grid) -> _BoxBand:
     """-(sin^2 tau / 2) D2 in banded storage, shared by every mode of a grid.
 
     Storage is ab[_BW + i - j, j] = M[i, j]; the corners outside the matrix
-    are zero.
+    are zero.  Only the core rows and the end block are kept: every other
+    entry inside the matrix is -0.0, -s times D2's 0.0.
     """
     if "box_band" not in grid._cache:
         ab_d2, _ = grid.d2_banded_dirichlet()
@@ -242,14 +249,30 @@ def _box_band(grid) -> _BoxBand:
         inside = (cols >= 0) & (cols < n)
         cols = np.clip(cols, 0, n - 1)
         grid._cache["box_band"] = _BoxBand(
-            band, ends, cols, np.where(inside, band[rows, cols], 0.0))
+            band[_CORE].copy(), ends, cols,
+            np.where(inside, band[rows, cols], 0.0))
     return grid._cache["box_band"]
+
+
+def _full_band(band: _BoxBand) -> np.ndarray:
+    """The (2 _BW + 1, n) storage _box_band derived its band from, bit for
+    bit: -0.0 inside the matrix and 0.0 in its corners, overwritten by the
+    core rows and by the end block's entries inside the matrix."""
+    n = band.core.shape[1]
+    rows = np.arange(2 * _BW + 1)[:, None]
+    i = np.arange(n) + rows - _BW
+    full = np.where((i >= 0) & (i < n), -0.0, 0.0)
+    full[_CORE] = band.core
+    r, e = np.nonzero(band.end_cols == band.ends + _BW - rows)  # not clipped
+    full[r, band.end_cols[r, e]] = band.end_ab[r, e]
+    return full
 
 
 def _mode_factor(grid, n_mode):
     """Banded LU, main diagonal and end block of the mode-n (box + 1) matrix.
 
-    Factored once per grid and |n|.  The matrix is real, so the complex
+    Factored once per grid and |n|, from the full band rebuilt out of the
+    box band's core and end block.  The matrix is real, so the complex
     factors zgbtrf returns have zero imaginary part: only lu.real (Fortran
     order) and the pivots are kept, next to the diagonal and the end block
     (the band's end entries with that diagonal) the residual uses.
@@ -258,9 +281,9 @@ def _mode_factor(grid, n_mode):
     if key not in grid._cache:
         band = _box_band(grid)
         s = 0.5 * grid.sin_tau**2
-        diag = band.ab[_BW] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
+        diag = band.core[_MID] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
         work = np.zeros((3 * _BW + 1, grid.n), dtype=complex, order="F")
-        work[_BW:] = band.ab
+        work[_BW:] = _full_band(band)
         work[2 * _BW] = diag
         lu, piv, info = zgbtrf(work, _BW, _BW, overwrite_ab=1)
         if info > 0:
@@ -280,18 +303,18 @@ def _band_matvec(band, diag, end_ab, x):
     zeros there, except at the end outputs: each is summed again over every
     row in the same order, from end_ab, the end block with diag.
     """
-    ab, bu, lo, hi = band.ab, _BW, _CORE.start, _CORE.stop
+    core, mid = band.core, _MID
     n = len(x)
-    rows = hi - lo
+    rows = len(core)
     width = n + rows - 1
     buf = np.empty(rows * (width + 1), dtype=complex)
-    # entry (r, j) lands at column r - lo + j of the (rows, width) view
+    # entry (r, j) lands at column r + j of the (rows, width) view
     skew = buf.reshape(rows, width + 1)
-    np.multiply(ab[lo:bu], x, out=skew[: bu - lo, :n])
-    np.multiply(diag, x, out=skew[bu - lo, :n])
-    np.multiply(ab[bu + 1 : hi], x, out=skew[bu - lo + 1 :, :n])
+    np.multiply(core[:mid], x, out=skew[:mid, :n])
+    np.multiply(diag, x, out=skew[mid, :n])
+    np.multiply(core[mid + 1 :], x, out=skew[mid + 1 :, :n])
     skew[:, n:] = 0.0
-    y = buf[: rows * width].reshape(rows, width).sum(axis=0)[bu - lo : bu - lo + n]
+    y = buf[: rows * width].reshape(rows, width).sum(axis=0)[mid : mid + n]
     y[band.ends] = np.add.reduce(end_ab * x[band.end_cols], axis=0)
     return y
 

@@ -166,6 +166,27 @@ def test_lapack_source_from_report_md(bench_ab, tmp_path):
             == collarlab.green.LAPACK_SOURCE)
 
 
+def test_memo_sizes_from_report_md(bench_ab, tmp_path):
+    line = ("grids 7 entries, 4.45 MB; fields 172 entries, 1.12 MB; "
+            "workspaces 12 entries, 0.00 MB")
+    md = "\n".join(["# collarlab report", "",
+                    "LAPACK: libopenblas.so (zgbtrf_64_)", "",
+                    f"Memos at run end: {line}", ""])
+    assert bench_ab.memo_sizes(md) == line
+    # a report.md without the line, or none at all
+    assert bench_ab.memo_sizes(md.replace("Memos", "Caches")) is None
+    assert bench_ab.memo_sizes("") is None
+
+    # and on a report.md the CLI writes
+    cfg = collarlab.RunConfig.from_dict({"suites": ["lengths"]})
+    collarlab.emit_report([collarlab.run_suite(cfg, "lengths")],
+                          str(tmp_path), ("markdown",))
+    got = bench_ab.memo_sizes((tmp_path / "report.md").read_text())
+    assert got == "; ".join(f"{name} {s['entries']} entries, "
+                            f"{s['bytes'] / 2**20:.2f} MB"
+                            for name, s in collarlab.cache_stats().items())
+
+
 def test_host_records_the_blas_thread_variables(bench_ab, monkeypatch):
     # this test process has imported collarlab, which set
     # OPENBLAS_NUM_THREADS; the record gives what the environment holds

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import collarlab.green
+from collarlab.collar import STENCIL
 from collarlab.green import (_BW, _CORE, _N_END, _band_matvec, _box_band,
-                             _mode_factor)
+                             _full_band, _mode_factor)
 from numpy.linalg import _umath_linalg
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
@@ -349,14 +350,26 @@ def test_import_leaves_scipy_linalg_unimported(fresh_python):
     assert proc.stdout.strip() == "False"
 
 
+def full_box_band(grid):
+    """The box band -(sin^2 tau / 2) D2 in full (2 _BW + 1, n) storage,
+    ab[_BW + i - j, j] = M[i, j], built from d2_banded_dirichlet() entry by
+    entry: -0.0 where D2 is 0 inside the matrix, 0.0 in the corners."""
+    ab_d2, _ = grid.d2_banded_dirichlet()
+    n = grid.n
+    s = 0.5 * grid.sin_tau**2
+    rows = np.arange(2 * _BW + 1)[:, None]
+    i = np.arange(n) + rows - _BW  # row of each entry
+    return np.where((i >= 0) & (i < n), -s[np.clip(i, 0, n - 1)] * ab_d2, 0.0)
+
+
 def mode_band(grid, n_mode):
     """The mode-n (box + 1) band in zgbtrf's layout: _BW workspace rows,
-    then ab[_BW + i - j, j] = M[i, j]."""
-    band = _box_band(grid)
+    then ab[_BW + i - j, j] = M[i, j], from the full box band."""
+    band = full_box_band(grid)
     s = 0.5 * grid.sin_tau**2
     ab = np.zeros((3 * _BW + 1, grid.n), dtype=complex)
-    ab[_BW:] = band.ab
-    ab[2 * _BW] = band.ab[_BW] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
+    ab[_BW:] = band
+    ab[2 * _BW] = band[_BW] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
     return ab
 
 
@@ -387,6 +400,12 @@ def test_loaded_lapack_matches_scipy_linalg():
                             for a in (lu, np.array(lu.real, order="F"))]
                     assert [info for _, info in sols] == [0, 0]
                     out += [lu, piv, *(sol for sol, _ in sols)]
+                # the cached factor, zgbtrf'd from the full band rebuilt out
+                # of the box band's core and end block, is this one, bitwise
+                lu, piv, _, _ = _mode_factor(grid, n_mode)
+                assert lu.tobytes() == np.array(got[0].real,
+                                                order="F").tobytes()
+                assert piv.tobytes() == got[1].tobytes()
                 got[1] = got[1] - base
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b), (u, n_tau, n_mode)
@@ -493,15 +512,35 @@ def dense_band(band, diag, bu):
 
 
 def assert_band_layout(grid):
-    """Every nonzero of the box band sits in a core row or reaches one of
-    the first or last _N_END outputs."""
-    band = _box_band(grid)
-    assert band.ab.shape == (2 * _BW + 1, grid.n)
-    ends = np.r_[:_N_END, grid.n - _N_END : grid.n]
-    assert np.array_equal(band.ends, ends)
-    r, j = np.nonzero(band.ab)
+    """Every nonzero of the Dirichlet D2 outside the core diagonals reaches
+    one of the first or last _N_END outputs, and every other entry there is
+    +0.0; the box band keeps the core rows of its full storage, and its
+    end block every entry that reaches an end output."""
+    n = grid.n
+    ends = np.r_[:_N_END, n - _N_END : n]
+    ab_d2, _ = grid.d2_banded_dirichlet()
+    assert ab_d2.shape == (2 * _BW + 1, n)
+    r, j = np.nonzero(ab_d2)
     outside = (r < _CORE.start) | (r >= _CORE.stop)
     assert np.isin(j[outside] + r[outside] - _BW, ends).all()
+    rows, cols = np.indices(ab_d2.shape)
+    in_core = (rows >= _CORE.start) & (rows < _CORE.stop)
+    at_ends = np.isin(cols + rows - _BW, ends)
+    assert not ab_d2[~in_core & ~at_ends].view(np.uint64).any()  # +0.0 bits
+    band = _box_band(grid)
+    assert band.core.shape == (STENCIL, n)
+    assert np.array_equal(band.ends, ends)
+    full = full_box_band(grid)
+    assert band.core.tobytes() == full[_CORE].tobytes()
+    # the end block: each end output's entry in every row, 0 outside the
+    # matrix; with the core it gives back the full storage bit for bit
+    cols = ends + _BW - np.arange(2 * _BW + 1)[:, None]
+    inside = (cols >= 0) & (cols < n)
+    assert np.array_equal(band.end_cols, np.clip(cols, 0, n - 1))
+    r, e = np.nonzero(inside)
+    assert band.end_ab[r, e].tobytes() == full[r, cols[r, e]].tobytes()
+    assert not band.end_ab[~inside].view(np.uint64).any()
+    assert _full_band(band).tobytes() == full.tobytes()
     return band
 
 
@@ -517,7 +556,7 @@ def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
     col = collar_from_u(u)
     grid = make_grid(col, n_tau)
     band = assert_band_layout(grid)
-    ab, bl, bu = band.ab, _BW, _BW
+    ab, bl, bu = full_box_band(grid), _BW, _BW
     rng = np.random.default_rng(n_tau)
     x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     # supported on the first and last 12 nodes: the end outputs carry it

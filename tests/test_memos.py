@@ -4,6 +4,7 @@ the public clear, and the per-store statistics."""
 import contextlib
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import collarlab.asymptotics
 from collarlab import (CollarField, CurvatureWorkspace, cache_scope,
                        cache_stats, clear_cache, collar_from_u, g2_spotcheck,
                        make_grid, memos)
-from collarlab.memos import FIELDS, GRIDS, WORKSPACES
+from collarlab.green import _mode_factor
+from collarlab.memos import FIELDS, GATHER, GRIDS, WORKSPACES
 
 
 def _entries():
@@ -87,6 +89,43 @@ def test_cache_stats_counts_each_array_once():
         # the fields reach their one grid, whose arrays count under grids
         alone = memos._array_bytes(FIELDS, set())
         assert alone == stats["fields"]["bytes"] + stats["grids"]["bytes"]
+
+
+# What a second default grid (n_tau 1024, so n = 1020) adds to the grid
+# store once its stencils, box band and mode-0 factor are built, in bytes:
+# nodes, weights and sin_tau 3 n 8, panel edges 103 * 8, the dtau weights
+# 2 * 9 n 8, the Dirichlet end rows 8 * 9 * 8, the box band's core 9 n 8
+# and end block 6 * 8 + 2 * 17 * 6 * 8, and the factor's lu.real 25 n 8,
+# pivots and diagonal 2 n 8 and end block 17 * 6 * 8: 469,016.  A grid
+# with its own gather index (9 n 8) and all 17 band rows read 138,144 more.
+SECOND_GRID_BYTES = 469_016
+
+
+def test_grids_of_one_node_count_share_one_gather_index():
+    clear_cache()
+
+    def build(u):
+        grid = make_grid(collar_from_u(u), 1024)
+        grid.dtau(grid.nodes)
+        _mode_factor(grid, 0)
+        return grid
+
+    first = build(0.05)
+    before = cache_stats()["grids"]["bytes"]
+    second = build(0.1)
+    grown = cache_stats()["grids"]["bytes"] - before
+    assert first.n == second.n == 1020
+    index = first._stencils[0]
+    assert second._stencils[0] is index and GATHER[1020] is index
+    assert not index.flags.writeable
+    assert grown <= SECOND_GRID_BYTES
+    # clear_cache drops the shared index: once no grid holds it, it is freed
+    ref = weakref.ref(index)
+    del first, second, index
+    clear_cache()
+    gc.collect()
+    assert GATHER == {} and ref() is None
+    assert build(0.05)._stencils[0] is GATHER[1020]
 
 
 def test_forty_models_in_one_scope_return_their_memory():

@@ -15,12 +15,13 @@ self times per layer, each the median over the run's traced operations.
 Then the default `collarlab run` is made in both checkouts
 and `cmp` compares their report.csv and report.json; each side's
 report.md gives its "Peak RSS after this suite" per suite, so a memory
-change shows which suite sets the peak, and its "LAPACK: " line, the
-library the resolvent solved on (None where report.md has no such line).  When a report
-differs, the two report.json payloads are compared record by record: per
-check id, the largest drift of measured, target and rel_err, at the scale
-perfbench's check_report uses, and whether the ids, u values, order and
-verdicts all match.  Everything goes to BENCH_<label>.json: the host,
+change shows which suite sets the peak, its "LAPACK: " line, the
+library the resolvent solved on, and its "Memos at run end: " line, what
+each memo store held at the end (each None where report.md has no such
+line).  When a report differs, the two report.json payloads are compared
+record by record: per check id, the largest drift of measured, target and
+rel_err, at the scale perfbench's check_report uses, and whether the ids,
+u values, order and verdicts all match.  Everything goes to BENCH_<label>.json: the host,
 with the BLAS thread variables this tool was started with, every run,
 per metric the median and quartiles of each side, the pairs the change
 wins and loses, the traced runs with each per-layer metric side by side,
@@ -64,6 +65,7 @@ PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 PEAK_LINE = "Peak RSS after this suite: "
 LAPACK_LINE = "LAPACK: "
+MEMOS_LINE = "Memos at run end: "
 # the variables that size BLAS thread pools, as this tool was started with
 # them: where a pool has more than one thread, its idle workers' spinning
 # counts in cpu_s
@@ -264,10 +266,21 @@ def suite_peaks(markdown: str) -> dict:
     return peaks
 
 
+def line_after(markdown: str, prefix: str) -> str | None:
+    """What follows prefix on a report.md's first line that starts with it;
+    None without such a line."""
+    return next((line[len(prefix):] for line in markdown.splitlines()
+                 if line.startswith(prefix)), None)
+
+
 def lapack_source(markdown: str) -> str | None:
     """What follows "LAPACK: " in a report.md; None without that line."""
-    return next((line[len(LAPACK_LINE):] for line in markdown.splitlines()
-                 if line.startswith(LAPACK_LINE)), None)
+    return line_after(markdown, LAPACK_LINE)
+
+
+def memo_sizes(markdown: str) -> str | None:
+    """What follows "Memos at run end: " in a report.md; None without it."""
+    return line_after(markdown, MEMOS_LINE)
 
 
 def src_lines(tree: Path) -> int:
@@ -322,12 +335,13 @@ def main(argv=None) -> int:
                 "traced": traced_record(
                     traced, [m["name"] for m in declared["per_layer"]])}
         tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
-        codes, reports, peaks, lapack = {}, {}, {}, {}
+        codes, reports, peaks, lapack, memos = {}, {}, {}, {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
             md = tmp / f"out_{side}" / "report.md"
             md = md.read_text() if md.exists() else ""
             peaks[side], lapack[side] = suite_peaks(md), lapack_source(md)
+            memos[side] = memo_sizes(md)
         for name in REPORTS:
             same = subprocess.run(["cmp", "-s", str(tmp / "out_parent" / name),
                                    str(tmp / "out_change" / name)]).returncode == 0
@@ -360,6 +374,7 @@ def main(argv=None) -> int:
                                "checkouts, then cmp of each report",
                     "exit_codes": codes,
                     "peak_rss_mb_after_suite": peaks, "lapack": lapack,
+                    "memos": memos,
                     **reports},
         "src_lines": {"command": "wc -l src/collarlab/*.py", **lines},
     }
@@ -385,6 +400,7 @@ def main(argv=None) -> int:
           f"change {m['change']['median']:.6g} wins {m['change_wins']}/{PAIRS}, "
           f"exit codes {tier1_rec['exit_codes']}")
     print(f"LAPACK {lapack}")
+    print(f"Memos {memos}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
