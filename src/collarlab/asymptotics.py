@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collar import (CollarParams, CutoffSpec, TauGrid, collar_from_u,
-                     make_grid, taper_weights)
+from .collar import (CUT, N_TAU, CollarParams, CutoffSpec, TauGrid,
+                     collar_from_u, make_grid, product_rule, taper_weights)
 from .curvature import CurvatureWorkspace
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
@@ -57,24 +57,17 @@ def build_approximants(collar: CollarParams, grid: TauGrid, b_hat: complex,
     s2 = np.sin(2.0 * tau)
     babs2 = abs(b_hat) ** 2
 
-    w, w1, w2 = taper_weights(collar, grid, spec, "eta")
-    G = 0.5 * babs2 * sin2
-    G1 = 0.5 * babs2 * s2
-    G2 = babs2 * np.cos(2.0 * tau)
-    e0 = G * w
-    e1 = G1 * w + G * w1
-    e2 = G2 * w + 2.0 * G1 * w1 + G * w2
+    G = (0.5 * babs2 * sin2, 0.5 * babs2 * s2, babs2 * np.cos(2.0 * tau))
+    e0, e1, e2 = product_rule(G, taper_weights(collar, grid, spec, "eta"))
     ftl = -0.5 * sin2 * e2 + e0
     xi_prof = -0.5 * np.conj(b_hat) * sin2 * (s2 * e1 + sin2 * e2)
 
-    v, v1, v2 = taper_weights(collar, grid, spec, "eta1")
+    v = taper_weights(collar, grid, spec, "eta1")
     coef = -0.125 * babs2 * np.conj(b_hat)
-    h = sin2 * np.cos(2.0 * tau)
-    h1 = -s2 + np.sin(4.0 * tau)
-    h2 = -2.0 * np.cos(2.0 * tau) + 4.0 * np.cos(4.0 * tau)
-    d0 = coef * h * v
-    d1 = coef * (h1 * v + h * v1)
-    d2 = coef * (h2 * v + 2.0 * h1 * v1 + h * v2)
+    h = (sin2 * np.cos(2.0 * tau), -s2 + np.sin(4.0 * tau),
+         -2.0 * np.cos(2.0 * tau) + 4.0 * np.cos(4.0 * tau))
+    d0 = coef * h[0] * v[0]  # not coef * (h v): that rounds differently
+    d2 = coef * product_rule(h, v)[2]
     box1_d = -0.5 * sin2 * d2 + d0
 
     mk = lambda prof: CollarField(collar, grid, {0: prof})
@@ -171,7 +164,7 @@ def perturbed_prediction(u: float, C: float) -> float:
     return quartic * u**4 + C * wp.constant * u**wp.exponent
 
 
-def approximant_errors(u: float, c: float = 0.5, n_tau: int = 1024) -> dict:
+def approximant_errors(u: float, c: float = CUT, n_tau: int = N_TAU) -> dict:
     """Sup-norm errors and pairings of the closed-form approximant chain.
 
     err_e : ||e - etilde||_0, solver e against the tapered approximant;
@@ -202,7 +195,7 @@ def approximant_errors(u: float, c: float = 0.5, n_tau: int = 1024) -> dict:
 
 
 def g2_spotcheck(u_values=(0.1, 0.07, 0.05, 0.035, 0.025), kappa: float = 1.0,
-                 c: float = 0.5, n_tau: int = 1024) -> dict:
+                 c: float = CUT, n_tau: int = N_TAU) -> dict:
     """Decay of the cross-collar curvature remainder on a two-collar family.
 
     case-1: coupling shift of the diagonal entry (kappa on vs off);
@@ -234,8 +227,8 @@ def g2_spotcheck(u_values=(0.1, 0.07, 0.05, 0.035, 0.025), kappa: float = 1.0,
     return out
 
 
-def zero_coupling_residual(u: float = 0.05, c: float = 0.5,
-                           n_tau: int = 768) -> float:
+def zero_coupling_residual(u: float = 0.05, c: float = CUT,
+                           n_tau: int = N_TAU) -> float:
     """Largest mixed curvature entry of the two-collar family at kappa = 0."""
     ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau, kappa=0.0)
     vals = [abs(ws.ricci_curvature(0, 0, 0, 1)),
@@ -245,7 +238,7 @@ def zero_coupling_residual(u: float = 0.05, c: float = 0.5,
     return max(vals)
 
 
-def equivalence_ratios(u: float, c: float = 0.5, n_tau: int = 1024,
+def equivalence_ratios(u: float, c: float = CUT, n_tau: int = N_TAU,
                        workspace=None) -> dict:
     """Ratios locating the Ricci metric between the two comparison metrics.
 
@@ -269,7 +262,7 @@ def relative_change(a: complex, b: complex) -> float:
     return abs(a - b) / denom if denom > 0 else 0.0
 
 
-def bc_sensitivity_check(u: float, c: float = 0.5, n_tau: int = 1024) -> float:
+def bc_sensitivity_check(u: float, c: float = CUT, n_tau: int = N_TAU) -> float:
     """Relative change of int (T ftilde) etilde dv under the c -> 0.9c re-cut.
 
     Uses an inner cutoff spec (its c at 0.9c) so the input vanishes smoothly

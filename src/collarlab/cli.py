@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics as asym
-from .collar import (CollarError, CutoffSpec, U_MIN, collar_from_u,
-                     cutoff_eval, make_grid)
+from .collar import (CUT, N_TAU, CollarError, CutoffSpec, U_MIN,
+                     collar_from_u, cutoff_eval, make_grid)
 from .curvature import CurvatureWorkspace, upper_index
 from .differentials import diagonal_family, wp_cometric
 from .fields import CollarField, constant_field, pairing_l2, volume_integral
@@ -110,11 +110,11 @@ def _read_config(path: str) -> dict:
 
 @dataclass
 class RunConfig:
-    n_tau: int = 1024
+    n_tau: int = N_TAU
     u_min: float = 0.025
     u_max: float = 0.1
     points: int = 5
-    c: float = 0.5
+    c: float = CUT
     suites: tuple = field(default_factory=lambda: SUITE_IDS)
     tolerances: dict = field(default_factory=dict)
     perturbation_C: tuple = (1.0, 10.0)

@@ -16,7 +16,12 @@ composite Gauss-Legendre panels in tau with geometric refinement toward
 both ends, so that boundary layers of width ``O(u)`` (cutoff transition
 zones, ``r**k`` factors) stay resolved at every supported ``u``.
 The C-infinity cutoffs eta and eta1 that taper fields toward the collar
-ends are set by radii in ``|z|`` as well, so they live here too.
+ends are set by radii in ``|z|`` as well, so they live here too, with
+``product_rule``, the one second-order product rule tapered fields take.
+
+The default model is the one ``collarlab run`` builds: cut ``CUT`` and
+``N_TAU`` grid nodes (before panel rounding).  Every default c and n_tau
+in the package reads these two constants.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from .memos import GATHER, GRIDS
 # representable, and intermediate 1/r profiles appear in mode shifts.
 U_MIN = 0.01
 U_MAX = 0.5
+
+CUT = 0.5
+N_TAU = 1024
 
 
 class CollarError(ValueError):
@@ -83,12 +91,12 @@ class CollarParams:
         return self.u * np.log(np.asarray(r))
 
 
-def collar_from_t(t: complex, c: float = 0.5) -> CollarParams:
+def collar_from_t(t: complex, c: float = CUT) -> CollarParams:
     """Collar for pinching parameter t; u and rho = |t| are derived."""
     return CollarParams(t=complex(t), c=c)
 
 
-def collar_from_u(u: float, c: float = 0.5) -> CollarParams:
+def collar_from_u(u: float, c: float = CUT) -> CollarParams:
     """Collar for a target u; t is real positive, |t| = exp(-pi/u)."""
     if not U_MIN <= u <= U_MAX:
         raise CollarError(f"u = {u} outside supported range [{U_MIN}, {U_MAX}]")
@@ -107,7 +115,7 @@ class CutoffSpec:
     with two analytic derivatives available for box applications.
     """
 
-    c: float = 0.5
+    c: float = CUT
     c1: float = 0.35
     c2: float = 0.25
 
@@ -167,16 +175,16 @@ def taper_weights(collar: CollarParams, grid: TauGrid, spec: CutoffSpec,
     u = collar.u
     x_out = grid.nodes / u
     x_in = -math.pi / u - grid.nodes / u  # log rho - log r
-    o0, d1, d2 = cutoff_eval(spec, x_out, which)
-    o1 = d1 / u
-    o2 = d2 / u**2
-    i0, d1, d2 = cutoff_eval(spec, x_in, which)
-    i1 = -d1 / u
-    i2 = d2 / u**2
-    w = o0 * i0
-    w1 = o1 * i0 + o0 * i1
-    w2 = o2 * i0 + 2.0 * o1 * i1 + o0 * i2
-    return w, w1, w2
+    o0, o1, o2 = cutoff_eval(spec, x_out, which)
+    i0, i1, i2 = cutoff_eval(spec, x_in, which)
+    return product_rule((o0, o1 / u, o2 / u**2), (i0, -i1 / u, i2 / u**2))
+
+
+def product_rule(f, g):
+    """(fg, (fg)', (fg)'') from (f, f', f'') and (g, g', g'')."""
+    f0, f1, f2 = f
+    g0, g1, g2 = g
+    return f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + 2.0 * f1 * g1 + f0 * g2
 
 
 def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray:
@@ -363,7 +371,7 @@ class TauGrid:
         return ab, (bw, bw)
 
 
-def make_grid(collar: CollarParams, n_tau: int = 2048, nodes_per_panel: int = 10) -> TauGrid:
+def make_grid(collar: CollarParams, n_tau: int = N_TAU, nodes_per_panel: int = 10) -> TauGrid:
     """Composite Gauss grid for a collar; equal arguments share one TauGrid,
     kept in ``memos.GRIDS``.
 

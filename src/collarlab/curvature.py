@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collar import (CollarParams, CutoffSpec, collar_from_u, make_grid,
-                     taper_weights)
+from .collar import (CUT, N_TAU, CollarParams, CutoffSpec, collar_from_u,
+                     make_grid, taper_weights)
 from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
                             beltrami_field, coupled_family, wp_metric)
 from .fields import CollarField, integral_product, pairing_l2
@@ -125,13 +125,13 @@ class CurvatureWorkspace:
     # shared, read-only instances; kappa = 0 is the diagonal family
 
     @classmethod
-    def single_collar(cls, u: float, c: float = 0.5, n_tau: int = 1024,
+    def single_collar(cls, u: float, c: float = CUT, n_tau: int = N_TAU,
                       phase: float = 0.0) -> "CurvatureWorkspace":
         t = math.exp(-PI / u) * cmath.exp(1j * phase)
         return _shared_workspace(cls, (CollarParams(t, c),), n_tau, 0.0)
 
     @classmethod
-    def from_u_values(cls, u_values, c: float = 0.5, n_tau: int = 1024,
+    def from_u_values(cls, u_values, c: float = CUT, n_tau: int = N_TAU,
                       kappa: float = 0.0) -> "CurvatureWorkspace":
         collars = tuple(collar_from_u(u, c) for u in u_values)
         return _shared_workspace(cls, collars, n_tau, kappa)

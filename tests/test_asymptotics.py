@@ -76,6 +76,8 @@ def test_cutoff_eval_levels_and_derivatives():
         dn = cutoff_eval(spec, x - h, "eta")[order - 1]
         got = cutoff_eval(spec, x, "eta")[order]
         np.testing.assert_allclose(got, (up - dn) / (2 * h), rtol=0, atol=5e-3)
+    with pytest.raises(ValueError, match="which must be"):
+        cutoff_eval(spec, x, "eta2")
 
 
 def _cutoff_eval_one_order(spec, x, which, order):

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import collarlab.cli
 from collarlab import (CurvatureWorkspace, RunConfig, SolverConfig, TauGrid,
                        cache_stats, collar_from_u, emit_report, main,
                        make_grid, pairing_l2, relative_change, run_suite,
@@ -217,7 +218,7 @@ def test_run_suite_passes_and_rejects_unknown():
         run_suite(cfg, "no-such-suite")
 
 
-def test_emit_report_formats(tmp_path):
+def test_emit_report_formats(tmp_path, monkeypatch):
     cfg = RunConfig.from_dict({"suites": ["verify-calculus", "lengths"]})
     reports = run_all(cfg)
     out = tmp_path / "out"
@@ -276,6 +277,19 @@ def test_emit_report_formats(tmp_path):
     check_ids = {r.check_id for rep in reports for r in rep.records}
     svgs = {n for n in names if n.endswith(".svg")}
     assert svgs == {f"{cid}.svg" for cid in check_ids}
+
+    # where /proc/self/status is missing: no RSS lines and no thread line
+    def no_status(path, *args, **kwargs):
+        if path == "/proc/self/status":
+            raise FileNotFoundError(path)
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(collarlab.cli, "open", no_status, raising=False)
+    assert collarlab.cli._proc_status() == (None, None, None)
+    emit_report(run_all(cfg), str(out), ("markdown",))
+    md = (out / "report.md").read_text()
+    assert "RSS" not in md and "Threads" not in md
+    assert md.splitlines()[-3] == f"LAPACK: {LAPACK_SOURCE}"
+    assert md.splitlines()[-1].startswith("Memos at run end: ")
 
 
 def test_emit_report_respects_format_subset(tmp_path):

@@ -54,6 +54,9 @@ def test_collar_validation_errors():
         collar_from_u(U_MAX * 2)
     with pytest.raises(CollarError):
         collar_from_u(U_MIN / 2)
+    # the same range, checked on a collar made from t: u = 0.0045 here
+    with pytest.raises(CollarError, match="outside supported range"):
+        collar_from_t(1e-300)
     # u = 0.5 is allowed but c = 0.04 < e^{-pi} empties the interval
     with pytest.raises(CollarError, match="cut c too small"):
         CollarParams(t=complex(math.exp(-2 * PI)), c=0.04)
@@ -158,6 +161,8 @@ def test_dtau_accuracy_on_trig():
     d2 = grid.dtau(f, 2)
     assert np.abs(d1 - 3 * np.cos(3 * grid.nodes)).max() < 1e-8
     assert np.abs(d2 + 9 * np.sin(3 * grid.nodes)).max() < 1e-6
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        grid.dtau(f, 3)
 
 
 def test_dtau_polynomial_exactness():

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import collarlab.collar
 import collarlab.curvature
-from collarlab import (BeltramiSpec, CollarSystem, CurvatureWorkspace,
-                       RunConfig, beltrami_field, cache_scope, collar_from_u,
-                       coupled_family, hermitian_defect, make_grid,
-                       perturbed_prediction, run_suite, upper_index)
+import collarlab.memos
+from collarlab import (BeltramiSpec, CollarField, CollarSystem,
+                       CurvatureWorkspace, RunConfig, beltrami_field,
+                       cache_scope, collar_from_u, coupled_family,
+                       hermitian_defect, make_grid, perturbed_prediction,
+                       run_suite, upper_index)
 
 PI = math.pi
 
@@ -216,6 +218,25 @@ def test_byte_identical_pairs_are_one_field():
         assert ws.e_pair(0, 1, J) is ws.e_pair(1, 0, J)
         assert (ws.f_pair(0, 1, J).modes[0].tobytes()
                 == ws.f_pair(1, 0, J).modes[0].tobytes())
+
+
+def test_hash_collision_leaves_the_second_field_unshared(monkeypatch):
+    # every mode hashes alike, so two fields of one grid share a key; the
+    # byte check keeps the second out and the first in FIELDS
+    monkeypatch.setattr(collarlab.curvature, "hash", lambda b: 0,
+                        raising=False)
+    with cache_scope():
+        col = collar_from_u(0.0736)
+        grid = make_grid(col, 256)
+        first, second, copy = (CollarField(col, grid,
+                                           {0: np.full(grid.n, v, complex)})
+                               for v in (1.0, 2.0, 1.0))
+        assert collarlab.curvature._intern(first) is first
+        assert collarlab.curvature._intern(second) is second
+        assert collarlab.curvature._intern(copy) is first
+        held = list(collarlab.memos.FIELDS.values())
+        assert any(f is first for f in held)
+        assert not any(f is second for f in held)
 
 
 def test_empty_pairs_are_one_field():

@@ -192,6 +192,9 @@ def test_wirtinger_rejects_truncated_fields(cg):
         h = f * f
     with pytest.raises(UnderResolvedError):
         wirtinger(h, "dz")
+    # and a derivative it does not know, before any other check
+    with pytest.raises(ValueError, match="which must be 'dz' or 'dzbar'"):
+        wirtinger(f, "dx")
 
 
 def test_at_interpolates_single_mode(cg):

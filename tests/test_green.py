@@ -412,6 +412,29 @@ def test_loaded_lapack_matches_scipy_linalg():
                 assert np.array_equal(ab, kept)  # overwrite_ab=0 copies
 
 
+@pytest.mark.parametrize("call", [
+    "trf-rows", "trs-rows", "trs-b-shape", "trs-piv-shape", "trs-piv-dtype"])
+def test_binding_rejects_wrong_shapes(cg, call):
+    # ctypes passes bare addresses: without these checks a wrong shape is an
+    # out-of-bounds LAPACK read or write; _flapack's wrappers check their own
+    if collarlab.green.LAPACK_SOURCE == FLAPACK_SOURCE:
+        pytest.skip("f2py checks the fallback's shapes")
+    col, grid = cg
+    ab = mode_band(grid, 3)
+    lu, piv, info = collarlab.green.zgbtrf(ab, _BW, _BW)
+    assert info == 0
+    b = compact_window(col, grid).astype(complex)
+    args = {"trf-rows": (ab[1:], _BW, _BW),
+            "trs-rows": (lu[1:], _BW, _BW, b, piv),
+            "trs-b-shape": (lu, _BW, _BW, np.r_[b, 0.0], piv),
+            "trs-piv-shape": (lu, _BW, _BW, b, np.r_[piv, 1]),
+            # the right pivots in another integer type
+            "trs-piv-dtype": (lu, _BW, _BW, b, piv.astype(np.uint64))}[call]
+    bind = "zgbtrf" if call == "trf-rows" else "zgbtrs"
+    with pytest.raises(ValueError):
+        getattr(collarlab.green, bind)(*args)
+
+
 @pytest.mark.parametrize("absent", ["symbols", "ilp64"])
 def test_flapack_fallback_solves_the_same_bytes(monkeypatch, absent,
                                                 clear_models):

@@ -38,6 +38,8 @@ def test_p_factorizes_through_maass(cg):
     lhs = op_P(f)
     rhs = maass(maass(f, 0, "K"), 1, "K")
     assert (lhs - rhs).sup_norm() <= 1e-10 * lhs.sup_norm()
+    with pytest.raises(ValueError, match="which must be 'K' or 'L'"):
+        maass(f, 0, "M")
 
 
 def test_pbar_conjugates_p(cg):

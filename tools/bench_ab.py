@@ -12,17 +12,18 @@ run_seconds.  Seed 0 is the one perfbench checks against its stored
 references.  After the pairs, one traced run per side (`--seed 0 --trace
 1`, parent first) gives the workload's per-layer metrics: call counts and
 self times per layer, each the median over the run's traced operations.
-Then the default `collarlab run` is made in both checkouts
-and `cmp` compares their report.csv and report.json; each side's
-report.md gives its "Peak RSS after this suite" per suite, so a memory
-change shows which suite sets the peak, its "LAPACK: " line, the
-library the resolvent solved on, and its "Memos at run end: " line, what
-each memo store held at the end (each None where report.md has no such
-line).  When a report differs, the two report.json payloads are compared
-record by record: per check id, the largest drift of measured, target and
-rel_err, at the scale perfbench's check_report uses, and whether the ids,
-u values, order and verdicts all match.  Everything goes to BENCH_<label>.json: the host,
-with the BLAS thread variables this tool was started with, every run,
+Then the default `collarlab run` is made in both checkouts and `cmp`
+compares their report.csv and report.json.  Every "label: value" line of
+each side's report.md goes to reports.facts (report_facts): the RSS lines
+under each suite's heading per suite, the thread, LAPACK and memo lines
+per run.  So a memory change shows which suite sets the peak, which
+library the resolvent solved on and what the memos held, and a new
+report.md line needs no change here.  When a report differs, the two
+report.json payloads are compared record by record: per check id, the
+largest drift of measured, target and rel_err, at the scale perfbench's
+check_report uses, and whether the ids, u values, order and verdicts all
+match.  Everything goes to BENCH_<label>.json: the host, with the BLAS
+thread variables this tool was started with, every run,
 per metric the median and quartiles of each side, the pairs the change
 wins and loses, the traced runs with each per-layer metric side by side,
 the reports' comparison and `wc -l` of src/collarlab/*.py on both sides.
@@ -63,9 +64,6 @@ REPORTS = ("report.csv", "report.json")
 RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:]))"
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-PEAK_LINE = "Peak RSS after this suite: "
-LAPACK_LINE = "LAPACK: "
-MEMOS_LINE = "Memos at run end: "
 # the variables that size BLAS thread pools, as this tool was started with
 # them: where a pool has more than one thread, its idle workers' spinning
 # counts in cpu_s
@@ -254,33 +252,22 @@ def default_run(tree: Path, out: Path) -> int:
                           capture_output=True).returncode
 
 
-def suite_peaks(markdown: str) -> dict:
-    """{suite: MB} from a report.md's "Peak RSS after this suite" lines,
-    each under its suite's "## <suite> - <status>" heading."""
-    peaks, suite = {}, None
+def report_facts(markdown: str) -> dict:
+    """Every "label: value" line of a report.md: {"run": {label: value},
+    "suites": {suite: {label: value}}}.  A line between a "## <suite> -
+    <status>" heading and that suite's table is the suite's; every other
+    line is the run's."""
+    facts, suite = {"run": {}, "suites": {}}, None
     for line in markdown.splitlines():
         if line.startswith("## "):
             suite = line[3:].split(" - ")[0]
-        elif line.startswith(PEAK_LINE):
-            peaks[suite] = float(line[len(PEAK_LINE):].split()[0])
-    return peaks
-
-
-def line_after(markdown: str, prefix: str) -> str | None:
-    """What follows prefix on a report.md's first line that starts with it;
-    None without such a line."""
-    return next((line[len(prefix):] for line in markdown.splitlines()
-                 if line.startswith(prefix)), None)
-
-
-def lapack_source(markdown: str) -> str | None:
-    """What follows "LAPACK: " in a report.md; None without that line."""
-    return line_after(markdown, LAPACK_LINE)
-
-
-def memo_sizes(markdown: str) -> str | None:
-    """What follows "Memos at run end: " in a report.md; None without it."""
-    return line_after(markdown, MEMOS_LINE)
+        elif line.startswith("|"):
+            suite = None
+        elif ": " in line:
+            label, _, value = line.partition(": ")
+            (facts["suites"].setdefault(suite, {}) if suite
+             else facts["run"])[label] = value
+    return facts
 
 
 def src_lines(tree: Path) -> int:
@@ -335,13 +322,11 @@ def main(argv=None) -> int:
                 "traced": traced_record(
                     traced, [m["name"] for m in declared["per_layer"]])}
         tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
-        codes, reports, peaks, lapack, memos = {}, {}, {}, {}, {}
+        codes, reports, facts = {}, {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
             md = tmp / f"out_{side}" / "report.md"
-            md = md.read_text() if md.exists() else ""
-            peaks[side], lapack[side] = suite_peaks(md), lapack_source(md)
-            memos[side] = memo_sizes(md)
+            facts[side] = report_facts(md.read_text() if md.exists() else "")
         for name in REPORTS:
             same = subprocess.run(["cmp", "-s", str(tmp / "out_parent" / name),
                                    str(tmp / "out_change" / name)]).returncode == 0
@@ -373,9 +358,7 @@ def main(argv=None) -> int:
         "reports": {"command": "collarlab run (default config) in both "
                                "checkouts, then cmp of each report",
                     "exit_codes": codes,
-                    "peak_rss_mb_after_suite": peaks, "lapack": lapack,
-                    "memos": memos,
-                    **reports},
+                    "facts": facts, **reports},
         "src_lines": {"command": "wc -l src/collarlab/*.py", **lines},
     }
     out = ROOT / f"BENCH_{args.label}.json"
@@ -399,8 +382,8 @@ def main(argv=None) -> int:
     print(f"tier1_wall_s: parent {m['parent']['median']:.6g} "
           f"change {m['change']['median']:.6g} wins {m['change_wins']}/{PAIRS}, "
           f"exit codes {tier1_rec['exit_codes']}")
-    print(f"LAPACK {lapack}")
-    print(f"Memos {memos}")
+    for side, f in facts.items():
+        print(f"{side} report.md: {f['run']}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
