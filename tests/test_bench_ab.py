@@ -124,51 +124,63 @@ def test_report_drift_on_synthetic_reports(bench_ab):
     assert not out["same_verdicts"]
 
 
-def test_report_facts_from_report_md(bench_ab, tmp_path):
-    memos = ("grids 7 entries, 4.45 MB; fields 172 entries, 1.12 MB; "
-             "workspaces 12 entries, 0.00 MB")
-    md = "\n".join([
-        "# collarlab report", "", "Overall: **fail**", "",
-        "## green-props - pass (0.13 s)", "",
-        "Peak RSS after this suite: 48.9 MB", "",
-        "RSS at this suite's end: 48.7 MB", "",
-        "| check | u | measured | target | rel_err | pass |",
-        "| resolvent-sym: x | 0.05 | 1 | 1 | 0 | pass |", "",
-        "## equivalence - fail (0.00 s)", "",
-        "Peak RSS after this suite: 49.0 MB", "",
-        "## lengths - pass (0.00 s)", "",  # where /proc is missing: no line
-        "| check | u | measured | target | rel_err | pass |", "",
-        "Threads at run end: 1 (OPENBLAS_NUM_THREADS=1)", "",
-        "LAPACK: libopenblas.so (zgbtrf_64_)", "",
-        f"Memos at run end: {memos}", ""])
-    facts = bench_ab.report_facts(md)
-    assert facts["suites"] == {
-        "green-props": {"Peak RSS after this suite": "48.9 MB",
-                        "RSS at this suite's end": "48.7 MB"},
-        "equivalence": {"Peak RSS after this suite": "49.0 MB"}}
-    assert facts["run"] == {
-        "Overall": "**fail**",
-        "Threads at run end": "1 (OPENBLAS_NUM_THREADS=1)",
-        "LAPACK": "libopenblas.so (zgbtrf_64_)", "Memos at run end": memos}
-    # a report.md from before a line was written, or none at all
-    assert "LAPACK" not in bench_ab.report_facts(
-        md.replace("LAPACK", "BLAS"))["run"]
-    assert bench_ab.report_facts("") == {"run": {}, "suites": {}}
+MEMOS = ("grids 7 entries, 4.45 MB; fields 172 entries, 1.12 MB; "
+         "workspaces 12 entries, 0.00 MB")
+REPORT_MD = "\n".join([
+    "# collarlab report", "", "Overall: **fail**", "",
+    "## green-props - pass (0.13 s)", "",
+    "Peak RSS after this suite: 48.9 MB", "",
+    "RSS at this suite's end: 48.7 MB", "",
+    "| check | u | measured | target | rel_err | pass |",
+    "| resolvent-sym: x | 0.05 | 1 | 1 | 0 | pass |", "",
+    "## equivalence - fail (0.00 s)", "",
+    "Peak RSS after this suite: 49.0 MB", "",
+    "## lengths - pass (0.00 s)", "",  # where /proc is missing: no line
+    "| check | u | measured | target | rel_err | pass |", "",
+    "Threads at run end: 1 (OPENBLAS_NUM_THREADS=1)", "",
+    "LAPACK: libopenblas.so (zgbtrf_64_)", "",
+    f"Memos at run end: {MEMOS}", ""])
+PROC = pathlib.Path("/proc/self/status").exists()
 
-    # and on a report.md the CLI writes
+
+@pytest.fixture
+def cli_facts(bench_ab, tmp_path):
+    """report_facts of a report.md the CLI writes."""
     cfg = collarlab.RunConfig.from_dict({"suites": ["lengths"]})
     collarlab.emit_report([collarlab.run_suite(cfg, "lengths")],
                           str(tmp_path), ("markdown",))
-    facts = bench_ab.report_facts((tmp_path / "report.md").read_text())
-    proc = pathlib.Path("/proc/self/status").exists()
-    assert list(facts["suites"]) == (["lengths"] if proc else [])
-    for line in facts["suites"].get("lengths", {}).values():
+    return bench_ab.report_facts((tmp_path / "report.md").read_text())
+
+
+def test_suite_peaks_from_report_md(bench_ab, cli_facts):
+    assert bench_ab.report_facts(REPORT_MD)["suites"] == {
+        "green-props": {"Peak RSS after this suite": "48.9 MB",
+                        "RSS at this suite's end": "48.7 MB"},
+        "equivalence": {"Peak RSS after this suite": "49.0 MB"}}
+    assert list(cli_facts["suites"]) == (["lengths"] if PROC else [])
+    for line in cli_facts["suites"].get("lengths", {}).values():
         assert line.endswith(" MB") and float(line.split()[0]) > 0
-    assert facts["run"]["LAPACK"] == collarlab.green.LAPACK_SOURCE
-    assert facts["run"]["Memos at run end"] == "; ".join(
+    assert ("Threads at run end" in cli_facts["run"]) == PROC
+
+
+def test_lapack_source_from_report_md(bench_ab, cli_facts):
+    assert bench_ab.report_facts(REPORT_MD)["run"]["LAPACK"] == (
+        "libopenblas.so (zgbtrf_64_)")
+    # a report.md from before the line was written, or none at all
+    assert "LAPACK" not in bench_ab.report_facts(
+        REPORT_MD.replace("LAPACK", "BLAS"))["run"]
+    assert bench_ab.report_facts("") == {"run": {}, "suites": {}}
+    assert cli_facts["run"]["LAPACK"] == collarlab.green.LAPACK_SOURCE
+
+
+def test_memo_sizes_from_report_md(bench_ab, cli_facts):
+    assert bench_ab.report_facts(REPORT_MD)["run"] == {
+        "Overall": "**fail**",
+        "Threads at run end": "1 (OPENBLAS_NUM_THREADS=1)",
+        "LAPACK": "libopenblas.so (zgbtrf_64_)", "Memos at run end": MEMOS}
+    assert cli_facts["run"]["Memos at run end"] == "; ".join(
         f"{name} {s['entries']} entries, {s['bytes'] / 2**20:.2f} MB"
         for name, s in collarlab.cache_stats().items())
-    assert ("Threads at run end" in facts["run"]) == proc
 
 
 def test_host_records_the_blas_thread_variables(bench_ab, monkeypatch):
