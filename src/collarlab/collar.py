@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memos import GATHER, GRIDS
+from .memos import GRIDS
 
 # Float range limits the supported pinching: r**-2 = exp(2 pi/u) must be
 # representable, and intermediate 1/r profiles appear in mode shifts.
@@ -224,19 +224,6 @@ def stencil_weights(x: np.ndarray, starts, width: int, x0, m: int) -> np.ndarray
 STENCIL = 9  # polynomial exactness 8; >= 6th order as required
 
 
-def _gather_index(n: int) -> np.ndarray:
-    """The (n, STENCIL) int64 index dtau gathers through: row i holds the
-    nodes of node i's stencil, clipped to the grid at both ends.  It
-    depends on n alone, so every grid of n nodes shares one array, kept in
-    ``memos.GATHER`` until ``clear_cache``."""
-    if n not in GATHER:
-        starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
-        idx = starts[:, None] + np.arange(STENCIL)
-        idx.flags.writeable = False  # shared: a write would reach every grid
-        GATHER[n] = idx
-    return GATHER[n]
-
-
 def _dirichlet_end_rows(n: int):
     """(rows, starts): the rows of the Dirichlet D2 whose stencil reaches
     an end, and where each stencil starts on the nodes extended by both
@@ -314,37 +301,55 @@ class TauGrid:
     # -- differentiation -------------------------------------------------
     @functools.cached_property
     def _stencils(self):
-        """(idx, w1, w2, end_w2): the gather index every grid of n nodes
-        shares (``_gather_index``), each node's first and second derivative
-        weights on its clipped stencil, (n, STENCIL) each, and the second
+        """(w1, w2, end_w2): each node's first and second derivative
+        weights on its stencil, (n, STENCIL) each, and the second
         derivative weights of the Dirichlet D2's end rows, (STENCIL - 1,
-        STENCIL), whose stencils take the ends as ghost nodes.
+        STENCIL), whose stencils take the ends as ghost nodes.  Node i's
+        stencil is the STENCIL consecutive nodes centred on it, clipped to
+        the grid: the first and last STENCIL // 2 nodes share the first
+        and last window.
 
         One Fornberg pass makes both sets on the nodes extended by both
         ends: a clipped stencil is the same nodes shifted by one there, so
         it gets the same weights.
         """
         n = self.n
-        idx = _gather_index(n)
+        starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
         rows, end_starts = _dirichlet_end_rows(n)
         xe = np.concatenate(([self.collar.tau_min], self.nodes,
                              [self.collar.tau_max]))
-        c = stencil_weights(xe, np.concatenate((idx[:, 0] + 1, end_starts)),
+        c = stencil_weights(xe, np.concatenate((starts + 1, end_starts)),
                             STENCIL, np.concatenate((self.nodes, xe[rows + 1])),
                             2)
         # contiguous copies: einsum sums strided rows in another order
-        return (idx, np.ascontiguousarray(c[:n, :, 1]),
+        return (np.ascontiguousarray(c[:n, :, 1]),
                 np.ascontiguousarray(c[:n, :, 2]),
                 np.ascontiguousarray(c[n:, :, 2]))
 
     def dtau(self, values, order: int = 1):
-        """order-th tau derivative of a sampled profile (order 1 or 2)."""
+        """order-th tau derivative of a sampled profile (order 1 or 2).
+
+        The profile holds one sample per node.  Each stencil is read as a
+        window of it: the windows of STENCIL consecutive samples are a
+        strided view of the profile, one row per interior node, and the
+        first and last STENCIL // 2 nodes take the first and last window.
+        """
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        idx, w1, w2, _ = self._stencils
+        w1, w2, _ = self._stencils
         w = w1 if order == 1 else w2
-        v = np.asarray(values)
-        return np.einsum("ij,ij->i", w, v[idx])
+        n, h = self.n, STENCIL // 2
+        v = np.ascontiguousarray(values)
+        if v.shape != (n,):
+            raise ValueError(f"profile of shape {v.shape} on a grid of "
+                             f"shape {(n,)}")
+        windows = np.ndarray((n - 2 * h, STENCIL), v.dtype, v,
+                             strides=(v.itemsize, v.itemsize))
+        out = np.empty(n, np.result_type(w, v))
+        np.einsum("ij,ij->i", w[h : n - h], windows, out=out[h : n - h])
+        np.einsum("ij,j->i", w[:h], windows[0], out=out[:h])
+        np.einsum("ij,j->i", w[n - h :], windows[-1], out=out[n - h :])
+        return out
 
     def d2_banded_dirichlet(self):
         """Second-derivative operator with zero Dirichlet ends.
@@ -353,17 +358,19 @@ class TauGrid:
         nodes pinned to zero (their columns are dropped).  Every row is
         read from ``_stencils``: the end rows from its ghost-node stencils,
         every other row from its second-derivative weights (the same nodes
-        about the same centre, so the same weights).  Returned in LAPACK
-        banded storage: (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].
-        Built afresh on each call; the resolvent keeps what it needs of it.
+        about the same centre, so the same weights), written diagonal by
+        diagonal: weight k of interior row i lies on diagonal
+        bw + STENCIL // 2 - k.  Returned in LAPACK banded storage:
+        (ab, (l, u)) with ab[u + i - j, j] = D2[i, j].  Built afresh on
+        each call; the resolvent keeps what it needs of it.
         """
         n = self.n
         bw = STENCIL - 1
         half = STENCIL // 2
         ab = np.zeros((2 * bw + 1, n))
-        idx, _, w2, end_w2 = self._stencils
-        i = np.arange(half, n - half)
-        ab[bw + i[:, None] - idx[i], idx[i]] = w2[i]
+        _, w2, end_w2 = self._stencils
+        for k in range(STENCIL):
+            ab[bw + half - k, k : k + n - 2 * half] = w2[half : n - half, k]
         i, starts = _dirichlet_end_rows(n)
         j = starts[:, None] + np.arange(STENCIL) - 1  # interior column index
         keep = (j >= 0) & (j < n)

@@ -35,10 +35,11 @@ stencil, rows _CORE = _BW +- STENCIL // 2, are the only rows nonzero at
 interior outputs; the others reach only the first and last _N_END =
 STENCIL // 2 - 1 = 3 outputs (the clipped stencils).  The residual A x - b
 sums the core rows, then recomputes those end outputs over every row.  So
-the band is kept as its core rows and that end block; _mode_factor
-rebuilds the full (2 _BW + 1, n) rows zgbtrf factors from them.  The
-factors, these blocks and the support test's mask live in ``grid._cache``,
-whose three keys green.py alone writes:
+the band is kept as its core rows and that end block.  Both come from
+_scaled_band, the full (2 _BW + 1, n) rows built from D2, which
+_mode_factor builds anew for each factor it makes.  The factors, these
+blocks and the support test's mask live in ``grid._cache``, whose three
+keys green.py alone writes:
 
     "box_band"           the _CORE rows of -(sin^2 tau / 2) D2, (9, n)
                          float64, one per grid, without the mode diagonal;
@@ -229,21 +230,31 @@ class _BoxBand(NamedTuple):
     end_ab: np.ndarray  # (rows, ends): its entry, 0 outside the matrix
 
 
+def _scaled_band(grid) -> np.ndarray:
+    """-(sin^2 tau / 2) D2 in full (2 _BW + 1, n) storage, ab[_BW + i - j,
+    j] = M[i, j], built from d2_banded_dirichlet() one diagonal at a time:
+    -0.0 inside the matrix where D2 is 0.0, and 0.0 in its corners."""
+    ab_d2, _ = grid.d2_banded_dirichlet()
+    n = grid.n
+    neg_s = -(0.5 * grid.sin_tau**2)
+    band = np.zeros_like(ab_d2)
+    for r in range(2 * _BW + 1):
+        d = r - _BW  # entry (r, j) lies in row j + d
+        lo, hi = max(0, -d), n - max(0, d)
+        band[r, lo:hi] = neg_s[lo + d : hi + d] * ab_d2[r, lo:hi]
+    return band
+
+
 def _box_band(grid) -> _BoxBand:
     """-(sin^2 tau / 2) D2 in banded storage, shared by every mode of a grid.
 
-    Storage is ab[_BW + i - j, j] = M[i, j]; the corners outside the matrix
-    are zero.  Only the core rows and the end block are kept: every other
-    entry inside the matrix is -0.0, -s times D2's 0.0.
+    Only the core rows and the end block of ``_scaled_band`` are kept:
+    every other entry inside the matrix is -0.0, -s times D2's 0.0.
     """
     if "box_band" not in grid._cache:
-        ab_d2, _ = grid.d2_banded_dirichlet()
+        band = _scaled_band(grid)
         n = grid.n
-        s = 0.5 * grid.sin_tau**2
         rows = np.arange(2 * _BW + 1)[:, None]
-        i = np.arange(n) + rows - _BW  # row of each entry
-        inside = (i >= 0) & (i < n)
-        band = np.where(inside, -s[np.clip(i, 0, n - 1)] * ab_d2, 0.0)
         ends = np.r_[:_N_END, n - _N_END : n]
         cols = ends + _BW - rows
         inside = (cols >= 0) & (cols < n)
@@ -254,28 +265,14 @@ def _box_band(grid) -> _BoxBand:
     return grid._cache["box_band"]
 
 
-def _full_band(band: _BoxBand) -> np.ndarray:
-    """The (2 _BW + 1, n) storage _box_band derived its band from, bit for
-    bit: -0.0 inside the matrix and 0.0 in its corners, overwritten by the
-    core rows and by the end block's entries inside the matrix."""
-    n = band.core.shape[1]
-    rows = np.arange(2 * _BW + 1)[:, None]
-    i = np.arange(n) + rows - _BW
-    full = np.where((i >= 0) & (i < n), -0.0, 0.0)
-    full[_CORE] = band.core
-    r, e = np.nonzero(band.end_cols == band.ends + _BW - rows)  # not clipped
-    full[r, band.end_cols[r, e]] = band.end_ab[r, e]
-    return full
-
-
 def _mode_factor(grid, n_mode):
     """Banded LU, main diagonal and end block of the mode-n (box + 1) matrix.
 
-    Factored once per grid and |n|, from the full band rebuilt out of the
-    box band's core and end block.  The matrix is real, so the complex
-    factors zgbtrf returns have zero imaginary part: only lu.real (Fortran
-    order) and the pivots are kept, next to the diagonal and the end block
-    (the band's end entries with that diagonal) the residual uses.
+    Factored once per grid and |n|, from ``_scaled_band`` with the mode's
+    main diagonal.  The matrix is real, so the complex factors zgbtrf
+    returns have zero imaginary part: only lu.real (Fortran order) and the
+    pivots are kept, next to the diagonal and the end block (the box
+    band's end entries with that diagonal) the residual uses.
     """
     key = ("box1_lu", abs(n_mode))
     if key not in grid._cache:
@@ -283,7 +280,7 @@ def _mode_factor(grid, n_mode):
         s = 0.5 * grid.sin_tau**2
         diag = band.core[_MID] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
         work = np.zeros((3 * _BW + 1, grid.n), dtype=complex, order="F")
-        work[_BW:] = _full_band(band)
+        work[_BW:] = _scaled_band(grid)
         work[2 * _BW] = diag
         lu, piv, info = zgbtrf(work, _BW, _BW, overwrite_ab=1)
         if info > 0:

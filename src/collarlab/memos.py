@@ -10,12 +10,9 @@ Three dicts keep what later calls reuse, by default for the whole process:
     WORKSPACES  (class, collars, n_tau, kappa) -> its CurvatureWorkspace
 
 Entries are only added, never replaced or removed, except by
-``clear_cache`` and on leaving a ``cache_scope``.  A fourth dict, GATHER,
-holds the stencil gather index the grids of one node count share (see
-``collar._gather_index``); only ``clear_cache`` empties it, and
-``cache_stats`` counts it under the grids that reach it.  This module
-imports no other collarlab module, so ``collar``, ``curvature`` and
-``asymptotics`` all import it at module level.
+``clear_cache`` and on leaving a ``cache_scope``.  This module imports no
+other collarlab module, so ``collar``, ``curvature`` and ``asymptotics``
+all import it at module level.
 """
 
 from __future__ import annotations
@@ -25,10 +22,6 @@ import numpy as np
 GRIDS: dict = {}
 FIELDS: dict = {}
 WORKSPACES: dict = {}
-# n -> the (n, STENCIL) int64 gather index every grid of n nodes shares.
-# No scope drops it: a grid built before a scope may make its stencils
-# inside, and a later grid of its node count should find the same array
-GATHER: dict = {}
 # in cache_stats' order: a field's grid counts as the grid's bytes, a
 # workspace's fields as the fields'
 _STORES = {"grids": GRIDS, "fields": FIELDS, "workspaces": WORKSPACES}
@@ -38,7 +31,6 @@ def clear_cache() -> None:
     """Empties every memo: later calls build their models afresh."""
     for store in _STORES.values():
         store.clear()
-    GATHER.clear()
 
 
 # a class, not a @contextmanager function: perfbench's self-test reads a

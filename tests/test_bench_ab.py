@@ -1,7 +1,8 @@
 """The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
-traced per-layer record, its tier-1 timing record, its drift between
-two reports, its reading of report.md's "label: value" lines, and its
-record of the host's BLAS thread settings."""
+traced per-layer record and its summary of changed call counts, its
+tier-1 timing record, its drift between two reports, its reading of
+report.md's "label: value" lines, and its record of the host's BLAS
+thread settings."""
 
 import importlib.util
 import json
@@ -72,6 +73,10 @@ def test_traced_record_on_synthetic_runs(bench_ab):
     # a metric neither run reported is kept, as None on both sides
     assert record["per_layer"]["green.solve_T.calls"] == {"parent": None,
                                                          "change": None}
+    # the summary names each changed count with its layer's self times
+    assert bench_ab.changed_calls(record["per_layer"]) == [
+        "traced collar.dtau.calls: parent 711 change 180; "
+        "self_s parent 0.05 change 0.01"]
 
 
 def _report(records):

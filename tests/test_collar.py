@@ -163,6 +163,36 @@ def test_dtau_accuracy_on_trig():
     assert np.abs(d2 + 9 * np.sin(3 * grid.nodes)).max() < 1e-6
     with pytest.raises(ValueError, match="order must be 1 or 2"):
         grid.dtau(f, 3)
+    # one sample per node: a longer, shorter or two-column profile is
+    # rejected, not read in part
+    for shape in ((grid.n + 1,), (grid.n - 1,), (grid.n, 2)):
+        with pytest.raises(ValueError, match=rf"shape \({grid.n},\)"):
+            grid.dtau(np.ones(shape))
+
+
+@pytest.mark.parametrize("n_tau", [64, 100, 1024, 4096, 16384])
+def test_dtau_windows_match_an_explicit_gather_bitwise(n_tau):
+    # node i's stencil is its STENCIL consecutive nodes clipped to the
+    # grid; dtau reads them as windows of the profile, with the bits of
+    # the same einsum over the gathered (n, STENCIL) matrix
+    rng = np.random.default_rng(n_tau)
+    for u, nodes_per_panel in itertools.product((0.15, 0.05, 0.01),
+                                                (9, 10, 20)):
+        with cache_scope():  # keep the shared grid memo at its size
+            grid = make_grid(collar_from_u(u), n_tau, nodes_per_panel)
+            n = grid.n
+            starts = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
+            idx = starts[:, None] + np.arange(STENCIL)
+            real = rng.normal(size=n)
+            prof = real + 1j * rng.normal(size=n)
+            strided = np.repeat(prof, 2)[::2]
+            for v in (real, prof, strided, np.sin(grid.nodes) ** 2):
+                for order, w in ((1, grid._stencils[0]),
+                                 (2, grid._stencils[1])):
+                    want = np.einsum("ij,ij->i", w, v[idx])
+                    got = grid.dtau(v, order)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (u, order)
 
 
 def test_dtau_polynomial_exactness():

@@ -17,7 +17,7 @@ from scipy.linalg import solve_banded
 import collarlab.green
 from collarlab.collar import STENCIL
 from collarlab.green import (_BW, _CORE, _N_END, _band_matvec, _box_band,
-                             _full_band, _mode_factor)
+                             _mode_factor, _scaled_band)
 from numpy.linalg import _umath_linalg
 
 from collarlab import (CollarField, SolverConfig, SolverError, SupportWarning,
@@ -400,8 +400,8 @@ def test_loaded_lapack_matches_scipy_linalg():
                             for a in (lu, np.array(lu.real, order="F"))]
                     assert [info for _, info in sols] == [0, 0]
                     out += [lu, piv, *(sol for sol, _ in sols)]
-                # the cached factor, zgbtrf'd from the full band rebuilt out
-                # of the box band's core and end block, is this one, bitwise
+                # the cached factor, zgbtrf'd from _scaled_band's full
+                # storage with the mode's diagonal, is this one, bitwise
                 lu, piv, _, _ = _mode_factor(grid, n_mode)
                 assert lu.tobytes() == np.array(got[0].real,
                                                 order="F").tobytes()
@@ -556,14 +556,16 @@ def assert_band_layout(grid):
     full = full_box_band(grid)
     assert band.core.tobytes() == full[_CORE].tobytes()
     # the end block: each end output's entry in every row, 0 outside the
-    # matrix; with the core it gives back the full storage bit for bit
+    # matrix
     cols = ends + _BW - np.arange(2 * _BW + 1)[:, None]
     inside = (cols >= 0) & (cols < n)
     assert np.array_equal(band.end_cols, np.clip(cols, 0, n - 1))
     r, e = np.nonzero(inside)
     assert band.end_ab[r, e].tobytes() == full[r, cols[r, e]].tobytes()
     assert not band.end_ab[~inside].view(np.uint64).any()
-    assert _full_band(band).tobytes() == full.tobytes()
+    # the full storage zgbtrf factors, built diagonal by diagonal, is the
+    # entry-by-entry one bit for bit
+    assert _scaled_band(grid).tobytes() == full.tobytes()
     return band
 
 

@@ -4,7 +4,6 @@ the public clear, and the per-store statistics."""
 import contextlib
 import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from collarlab import (CollarField, CurvatureWorkspace, cache_scope,
                        cache_stats, clear_cache, collar_from_u, g2_spotcheck,
                        make_grid, memos)
 from collarlab.green import _mode_factor
-from collarlab.memos import FIELDS, GATHER, GRIDS, WORKSPACES
+from collarlab.memos import FIELDS, GRIDS, WORKSPACES
 
 
 def _entries():
@@ -96,12 +95,11 @@ def test_cache_stats_counts_each_array_once():
 # nodes, weights and sin_tau 3 n 8, panel edges 103 * 8, the dtau weights
 # 2 * 9 n 8, the Dirichlet end rows 8 * 9 * 8, the box band's core 9 n 8
 # and end block 6 * 8 + 2 * 17 * 6 * 8, and the factor's lu.real 25 n 8,
-# pivots and diagonal 2 n 8 and end block 17 * 6 * 8: 469,016.  A grid
-# with its own gather index (9 n 8) and all 17 band rows read 138,144 more.
+# pivots and diagonal 2 n 8 and end block 17 * 6 * 8: 469,016.
 SECOND_GRID_BYTES = 469_016
 
 
-def test_grids_of_one_node_count_share_one_gather_index():
+def test_a_second_grid_adds_only_its_weights_band_and_factor():
     clear_cache()
 
     def build(u):
@@ -110,22 +108,14 @@ def test_grids_of_one_node_count_share_one_gather_index():
         _mode_factor(grid, 0)
         return grid
 
-    first = build(0.05)
+    build(0.05)
     before = cache_stats()["grids"]["bytes"]
     second = build(0.1)
     grown = cache_stats()["grids"]["bytes"] - before
-    assert first.n == second.n == 1020
-    index = first._stencils[0]
-    assert second._stencils[0] is index and GATHER[1020] is index
-    assert not index.flags.writeable
+    assert second.n == 1020
+    # dtau reads each stencil as a window: the grid keeps no index array
+    assert [w.dtype for w in second._stencils] == [np.float64] * 3
     assert grown <= SECOND_GRID_BYTES
-    # clear_cache drops the shared index: once no grid holds it, it is freed
-    ref = weakref.ref(index)
-    del first, second, index
-    clear_cache()
-    gc.collect()
-    assert GATHER == {} and ref() is None
-    assert build(0.05)._stencils[0] is GATHER[1020]
 
 
 def test_forty_models_in_one_scope_return_their_memory():

@@ -122,6 +122,22 @@ def traced_record(runs: dict, names: list) -> dict:
                           for name in names}}
 
 
+def changed_calls(per_layer: dict) -> list:
+    """A line per traced call count that differs between the sides, with
+    the same layer's self time on both sides beside it where it is
+    declared: a count that rises while its time falls reads as such."""
+    lines = []
+    for name, m in per_layer.items():
+        if name.endswith(".calls") and m["parent"] != m["change"]:
+            line = f"traced {name}: parent {m['parent']} change {m['change']}"
+            self_s = per_layer.get(name.removesuffix(".calls") + ".self_s")
+            if self_s is not None:
+                line += (f"; self_s parent {self_s['parent']} "
+                         f"change {self_s['change']}")
+            lines.append(line)
+    return lines
+
+
 def tier1(tree: Path) -> dict:
     """One timed run of the tier-1 tests in tree."""
     path = os.pathsep.join(filter(None, [str(tree / "src"),
@@ -368,10 +384,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} "
                   f"wins {m['change_wins']}/{PAIRS}")
-        for name, m in data["traced"]["per_layer"].items():
-            if name.endswith(".calls") and m["parent"] != m["change"]:
-                print(f"{workload} traced {name}: parent {m['parent']} "
-                      f"change {m['change']}")
+        for line in changed_calls(data["traced"]["per_layer"]):
+            print(f"{workload} {line}")
         fit = data["metrics"]["peak_rss_mb"]["fit_on_attempted"]
         if fit:
             print(f"{workload} peak_rss_mb fit: "
