@@ -350,12 +350,6 @@ def _compact_field(col, grid, x, window, draw) -> CollarField:
     return CollarField(col, grid, modes)
 
 
-def _random_compact_field(col, grid, rng) -> CollarField:
-    """Random smooth real field vanishing outside the middle 70%: a mode-0
-    profile plus two draws, each added to modes n and -n (1 <= n <= 4)."""
-    return _compact_field(col, grid, *_window(grid), _draw(rng))
-
-
 def _suite_green_props(cfg: RunConfig) -> list:
     recs = []
     rng = np.random.default_rng(cfg.seed)

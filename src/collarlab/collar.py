@@ -15,6 +15,8 @@ has length ``2 pi u``.  All radial samplings live on a ``TauGrid``:
 composite Gauss-Legendre panels in tau with geometric refinement toward
 both ends, so that boundary layers of width ``O(u)`` (cutoff transition
 zones, ``r**k`` factors) stay resolved at every supported ``u``.
+``make_grid`` keeps one grid per distinct model in ``memos.GRIDS``; what
+the resolvent builds on a grid is kept apart, in ``memos.RESOLVENT``.
 The C-infinity cutoffs eta and eta1 that taper fields toward the collar
 ends are set by radii in ``|z|`` as well, so they live here too, with
 ``product_rule``, the one second-order product rule tapered fields take.
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .memos import GRIDS
+from .memos import GRIDS, memo
 
 # Float range limits the supported pinching: r**-2 = exp(2 pi/u) must be
 # representable, and intermediate 1/r profiles appear in mode shifts.
@@ -233,7 +235,7 @@ def _dirichlet_end_rows(n: int):
     return rows, np.clip(rows + 1 - half, 0, n + 2 - STENCIL)
 
 
-@dataclass(eq=False)  # hashed by identity: memos key fields by their grid
+@dataclass(eq=False)  # hashed by identity: memos key entries by their grid
 class TauGrid:
     """Open-interval quadrature/differentiation grid on (tau_min, tau_max).
 
@@ -242,15 +244,14 @@ class TauGrid:
     The pairings multiply complex profiles by ``_complex_csc2``, a cached
     complex copy of csc2 (16 n bytes): the same complex multiply numpy
     makes after casting csc2 anew on every call.  Derived arrays are
-    memoised as cached properties; ``_cache`` holds the resolvent's
-    factors and is written by ``green.py`` alone.
+    memoised as cached properties; the resolvent's band and factors on
+    the grid live in ``memos.RESOLVENT``.
     """
 
     collar: CollarParams
     nodes: np.ndarray
     weights: np.ndarray
     panel_edges: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -387,9 +388,11 @@ def make_grid(collar: CollarParams, n_tau: int = N_TAU, nodes_per_panel: int = 1
     transition zone) and doubling until they reach the uniform interior
     width.
     """
-    key = (collar, n_tau, nodes_per_panel)
-    if key in GRIDS:
-        return GRIDS[key]
+    return memo(GRIDS, (collar, n_tau, nodes_per_panel),
+                lambda: _build_grid(collar, n_tau, nodes_per_panel))
+
+
+def _build_grid(collar: CollarParams, n_tau: int, nodes_per_panel: int) -> TauGrid:
     if n_tau < 64:
         raise CollarError("n_tau too small (need >= 64)")
     a, b = collar.tau_min, collar.tau_max
@@ -428,5 +431,4 @@ def make_grid(collar: CollarParams, n_tau: int = N_TAU, nodes_per_panel: int = 1
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (centers[:, None] + half_w[:, None] * xg[None, :]).ravel()
     weights = (half_w[:, None] * wg[None, :]).ravel()
-    GRIDS[key] = TauGrid(collar, nodes, weights, edges)
-    return GRIDS[key]
+    return TauGrid(collar, nodes, weights, edges)

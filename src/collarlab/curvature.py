@@ -27,20 +27,11 @@ from .differentials import (BeltramiSpec, CollarSystem, MetricMatrix,
                             beltrami_field, coupled_family, wp_metric)
 from .fields import CollarField, integral_product, pairing_l2
 from .green import SolverConfig, solve_T
-from .memos import FIELDS, WORKSPACES
+from .memos import FIELDS, WORKSPACES, memo
 from .operators import mul_radial, q_operator, xi
 from .targets import law
 
 PI = math.pi
-
-
-def _memo(store: dict, key, build):
-    """store[key], built on the first request."""
-    hit = store.get(key)
-    if hit is None:
-        hit = build()
-        store[key] = hit
-    return hit
 
 
 def _intern(f: CollarField) -> CollarField:
@@ -60,7 +51,7 @@ def _paired(kind: str, f: CollarField, g: CollarField) -> complex:
     """pairing_l2(f, g) ('l2') or integral_product(f, g) ('product'),
     memoised in FIELDS by kind and the two fields."""
     pair = pairing_l2 if kind == "l2" else integral_product
-    return _memo(FIELDS, (kind, f, g), lambda: pair(f, g))
+    return memo(FIELDS, (kind, f, g), lambda: pair(f, g))
 
 
 def upper_index(values: np.ndarray) -> np.ndarray:
@@ -139,7 +130,7 @@ class CurvatureWorkspace:
     # -- shared field chain --------------------------------------------------
 
     def A(self, i: int, J: int) -> CollarField:
-        return _memo(self._cache, ("A", i, J), lambda: _intern(
+        return memo(self._cache, ("A", i, J), lambda: _intern(
             beltrami_field(self.bspec, i, J, self.system)))
 
     def f_pair(self, i: int, j: int, J: int) -> CollarField:
@@ -147,24 +138,24 @@ class CurvatureWorkspace:
         def find():
             a_i, a_j = self.A(i, J), self.A(j, J)
             grid = self.system.grids[J]
-            taper = _memo(FIELDS, ("taper", grid), lambda: taper_weights(
+            taper = memo(FIELDS, ("taper", grid), lambda: taper_weights(
                 self.system.collars[J], grid, self.cutoff)[0])
-            return _memo(FIELDS, ("f", a_i, a_j), lambda: _intern(
+            return memo(FIELDS, ("f", a_i, a_j), lambda: _intern(
                 mul_radial(a_i * a_j.conj(), taper)))
-        return _memo(self._cache, ("f", i, j, J), find)
+        return memo(self._cache, ("f", i, j, J), find)
 
     def _solved(self, f: CollarField) -> CollarField:
-        return _memo(FIELDS, ("T", f), lambda: solve_T(f, self.solver))
+        return memo(FIELDS, ("T", f), lambda: solve_T(f, self.solver))
 
     def e_pair(self, i: int, j: int, J: int) -> CollarField:
         """e_{i jbar} on collar J: resolvent solve against the tapered pair."""
-        return _memo(self._cache, ("e", i, j, J),
-                     lambda: self._solved(self.f_pair(i, j, J)))
+        return memo(self._cache, ("e", i, j, J),
+                    lambda: self._solved(self.f_pair(i, j, J)))
 
     def xi_e(self, k: int, i: int, j: int, J: int) -> CollarField:
         a_k, e = self.A(k, J), self.e_pair(i, j, J)
-        return _memo(FIELDS, ("xi", a_k, e),
-                     lambda: _intern(xi(a_k, e, pieces=FIELDS)))
+        return memo(FIELDS, ("xi", a_k, e),
+                    lambda: _intern(xi(a_k, e, pieces=FIELDS)))
 
     def T_xi(self, k: int, i: int, j: int, J: int) -> CollarField:
         return self._solved(self.xi_e(k, i, j, J))
@@ -174,16 +165,16 @@ class CurvatureWorkspace:
     def P2(self, left: tuple, right: tuple) -> complex:
         """sum_J int T(xi_{k}(e_{i jbar})) conj(xi_{l}(e_{p qbar})) dv."""
         (k, i, j), (l, p, q) = left, right
-        return _memo(self._cache, ("P2", left, right),
-                     lambda: self.system.collar_sum(lambda J: _paired(
-                         "l2", self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
+        return memo(self._cache, ("P2", left, right),
+                    lambda: self.system.collar_sum(lambda J: _paired(
+                        "l2", self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
 
     def XE(self, left: tuple, right: tuple) -> complex:
         """sum_J int xi_{k}(e_{i qbar}) e_{a bbar} dv, plain product."""
         (k, i, q), (a, b) = left, right
-        return _memo(self._cache, ("XE", left, right),
-                     lambda: self.system.collar_sum(lambda J: _paired(
-                         "product", self.xi_e(k, i, q, J), self.e_pair(a, b, J))))
+        return memo(self._cache, ("XE", left, right),
+                    lambda: self.system.collar_sum(lambda J: _paired(
+                        "product", self.xi_e(k, i, q, J), self.e_pair(a, b, J))))
 
     def QE(self, pair: tuple, arg: tuple, against: tuple) -> complex:
         """sum_J int Q_{k lbar}(e_{i jbar}) e_{a bbar} dv, plain product."""
@@ -195,28 +186,28 @@ class CurvatureWorkspace:
             if not e_ij.modes or not e_ab.modes:
                 return 0.0  # the product vanishes: skip the q_operator build
             e_kl, f_kl = self.e_pair(k, l, J), self.f_pair(k, l, J)
-            q_f = _memo(FIELDS, ("Q", e_kl, f_kl, e_ij),
-                        lambda: q_operator(e_kl, f_kl, e_ij, FIELDS))
+            q_f = memo(FIELDS, ("Q", e_kl, f_kl, e_ij),
+                       lambda: q_operator(e_kl, f_kl, e_ij, FIELDS))
             return _paired("product", q_f, e_ab)
-        return _memo(self._cache, ("QE", pair, arg, against),
-                     lambda: self.system.collar_sum(term))
+        return memo(self._cache, ("QE", pair, arg, against),
+                    lambda: self.system.collar_sum(term))
 
     # -- metrics -------------------------------------------------------------
 
     def h(self) -> MetricMatrix:
-        return _memo(self._cache, ("h",), lambda: wp_metric(
+        return memo(self._cache, ("h",), lambda: wp_metric(
             self.bspec, self.system, self.compact_part))
 
     def h_upper(self) -> np.ndarray:
-        return _memo(self._cache, ("h^",), lambda: upper_index(self.h().values))
+        return memo(self._cache, ("h^",), lambda: upper_index(self.h().values))
 
     def R(self, i: int, j: int, k: int, l: int) -> complex:
         """First-metric curvature entry R_{i jbar k lbar}."""
         e, f = self.e_pair, self.f_pair
-        return _memo(self._cache, ("R", i, j, k, l),
-                     lambda: self.system.collar_sum(
-                         lambda J: _paired("product", e(i, j, J), f(k, l, J)),
-                         lambda J: _paired("product", e(i, l, J), f(k, j, J))))
+        return memo(self._cache, ("R", i, j, k, l),
+                    lambda: self.system.collar_sum(
+                        lambda J: _paired("product", e(i, j, J), f(k, l, J)),
+                        lambda J: _paired("product", e(i, l, J), f(k, j, J))))
 
     def wp_tensor(self) -> np.ndarray:
         n = self.bspec.n
@@ -233,10 +224,10 @@ class CurvatureWorkspace:
             for i, j in np.ndindex(vals.shape):
                 vals[i, j] = _contract(G, lambda a, b: self.R(i, j, a, b))
             return MetricMatrix(vals, "Ricci")
-        return _memo(self._cache, ("tau",), build)
+        return memo(self._cache, ("tau",), build)
 
     def tau_upper(self) -> np.ndarray:
-        return _memo(self._cache, ("tau^",), lambda: upper_index(self.tau().values))
+        return memo(self._cache, ("tau^",), lambda: upper_index(self.tau().values))
 
     def perturbed_metric(self, C: float) -> MetricMatrix:
         return MetricMatrix(self.tau().values + C * self.h().values,
@@ -271,18 +262,14 @@ class CurvatureWorkspace:
         acc = 0.0 + 0.0j
         for p, q in _support(T):
             for al, be in G_support:
-                k1 = (q, al, be)
-                if k1 not in F1:
-                    F1[k1] = sum(
-                        self.XE((vk, vi, q), (va, be))
-                        for vi, vk, va in itertools.permutations((i, k, al)))
+                f1 = memo(F1, (q, al, be), lambda: sum(
+                    self.XE((vk, vi, q), (va, be))
+                    for vi, vk, va in itertools.permutations((i, k, al))))
                 for ga, de in G_support:
-                    k2 = (p, ga, de)
-                    if k2 not in F2:
-                        F2[k2] = sum(
-                            np.conj(self.XE((vj, vl, p), (vb, ga)))
-                            for vj, vl, vb in itertools.permutations((j, l, de)))
-                    acc -= T[p, q] * G[al, be] * G[ga, de] * F1[k1] * F2[k2]
+                    f2 = memo(F2, (p, ga, de), lambda: sum(
+                        np.conj(self.XE((vj, vl, p), (vb, ga)))
+                        for vj, vl, vb in itertools.permutations((j, l, de))))
+                    acc -= T[p, q] * G[al, be] * G[ga, de] * f1 * f2
         return acc
 
     def block_d(self, i: int, j: int, k: int, l: int) -> complex:
@@ -339,11 +326,10 @@ def _contract(W: np.ndarray, term) -> complex:
 
 
 def _shared_workspace(cls, collars: tuple, n_tau: int, kappa: float):
-    key = (cls, collars, n_tau, kappa)
-    if key not in WORKSPACES:
+    def build():
         system = CollarSystem(collars, tuple(make_grid(col, n_tau) for col in collars))
-        WORKSPACES[key] = cls(system, coupled_family(system, kappa)[0])
-    return WORKSPACES[key]
+        return cls(system, coupled_family(system, kappa)[0])
+    return memo(WORKSPACES, (cls, collars, n_tau, kappa), build)
 
 
 def hermitian_defect(tensor: np.ndarray) -> float:

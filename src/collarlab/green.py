@@ -38,8 +38,8 @@ sums the core rows, then recomputes those end outputs over every row.  So
 the band is kept as its core rows and that end block.  Both come from
 _scaled_band, the full (2 _BW + 1, n) rows built from D2, which
 _mode_factor builds anew for each factor it makes.  The factors, these
-blocks and the support test's mask live in ``grid._cache``, whose three
-keys green.py alone writes:
+blocks and the support test's mask are memos in ``memos.RESOLVENT``,
+keyed (grid, name), and a factor (grid, "box1_lu", |mode|):
 
     "box_band"           the _CORE rows of -(sin^2 tau / 2) D2, (9, n)
                          float64, one per grid, without the mode diagonal;
@@ -47,7 +47,7 @@ keys green.py alone writes:
                          columns, (17, 6) int64, and entries, (17, 6)
                          float64: 9 n * 8 + 1,680 bytes, 75 KB at n_tau
                          1024 (n = 1020)
-    ("box1_lu", |mode|)  lu.real, (3 _BW + 1, n) float64, the pivots
+    "box1_lu", |mode|    lu.real, (3 _BW + 1, n) float64, the pivots
                          (int64 from numpy's LAPACK), the mode's main
                          diagonal, n float64, and its end block, the
                          entries with that diagonal, (17, 6) float64:
@@ -76,6 +76,7 @@ from numpy.linalg import _umath_linalg, lapack_lite
 
 from .collar import STENCIL
 from .fields import CollarField
+from .memos import RESOLVENT, memo
 from .operators import box
 
 # a right-hand side with max|b| below this is solved scaled up to unit size;
@@ -232,16 +233,16 @@ class _BoxBand(NamedTuple):
 
 def _scaled_band(grid) -> np.ndarray:
     """-(sin^2 tau / 2) D2 in full (2 _BW + 1, n) storage, ab[_BW + i - j,
-    j] = M[i, j], built from d2_banded_dirichlet() one diagonal at a time:
-    -0.0 inside the matrix where D2 is 0.0, and 0.0 in its corners."""
-    ab_d2, _ = grid.d2_banded_dirichlet()
+    j] = M[i, j]: d2_banded_dirichlet()'s fresh band, each diagonal scaled
+    where it lies, -0.0 inside the matrix where D2 is 0.0, and 0.0 in its
+    corners."""
+    band, _ = grid.d2_banded_dirichlet()
     n = grid.n
     neg_s = -(0.5 * grid.sin_tau**2)
-    band = np.zeros_like(ab_d2)
     for r in range(2 * _BW + 1):
         d = r - _BW  # entry (r, j) lies in row j + d
         lo, hi = max(0, -d), n - max(0, d)
-        band[r, lo:hi] = neg_s[lo + d : hi + d] * ab_d2[r, lo:hi]
+        band[r, lo:hi] *= neg_s[lo + d : hi + d]
     return band
 
 
@@ -251,7 +252,7 @@ def _box_band(grid) -> _BoxBand:
     Only the core rows and the end block of ``_scaled_band`` are kept:
     every other entry inside the matrix is -0.0, -s times D2's 0.0.
     """
-    if "box_band" not in grid._cache:
+    def build():
         band = _scaled_band(grid)
         n = grid.n
         rows = np.arange(2 * _BW + 1)[:, None]
@@ -259,10 +260,9 @@ def _box_band(grid) -> _BoxBand:
         cols = ends + _BW - rows
         inside = (cols >= 0) & (cols < n)
         cols = np.clip(cols, 0, n - 1)
-        grid._cache["box_band"] = _BoxBand(
-            band[_CORE].copy(), ends, cols,
-            np.where(inside, band[rows, cols], 0.0))
-    return grid._cache["box_band"]
+        return _BoxBand(band[_CORE].copy(), ends, cols,
+                        np.where(inside, band[rows, cols], 0.0))
+    return memo(RESOLVENT, (grid, "box_band"), build)
 
 
 def _mode_factor(grid, n_mode):
@@ -274,8 +274,7 @@ def _mode_factor(grid, n_mode):
     pivots are kept, next to the diagonal and the end block (the box
     band's end entries with that diagonal) the residual uses.
     """
-    key = ("box1_lu", abs(n_mode))
-    if key not in grid._cache:
+    def build():
         band = _box_band(grid)
         s = 0.5 * grid.sin_tau**2
         diag = band.core[_MID] + ((n_mode / grid.collar.u) ** 2 * s + 1.0)
@@ -287,8 +286,17 @@ def _mode_factor(grid, n_mode):
             raise np.linalg.LinAlgError(f"mode {n_mode} matrix is singular")
         end_ab = band.end_ab.copy()
         end_ab[_BW] = diag[band.ends]
-        grid._cache[key] = (np.array(lu.real, order="F"), piv, diag, end_ab)
-    return grid._cache[key]
+        return np.array(lu.real, order="F"), piv, diag, end_ab
+    return memo(RESOLVENT, (grid, "box1_lu", abs(n_mode)), build)
+
+
+def _support_outer(grid) -> np.ndarray:
+    """The nodes in the outer _SUPPORT_FRAC of the tau interval at
+    either end."""
+    tau = grid.nodes
+    lo, hi = grid.collar.tau_min, grid.collar.tau_max
+    width = _SUPPORT_FRAC * (hi - lo)
+    return (tau < lo + width) | (tau > hi - width)
 
 
 def _band_matvec(band, diag, end_ab, x):
@@ -363,13 +371,8 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
         f_sups.append(sup)
         acc += mag
     if cfg.warn_support and f.modes:
-        if "support_outer" not in grid._cache:
-            tau = grid.nodes
-            lo, hi = grid.collar.tau_min, grid.collar.tau_max
-            width = _SUPPORT_FRAC * (hi - lo)
-            grid._cache["support_outer"] = ((tau < lo + width)
-                                            | (tau > hi - width))
-        outer = grid._cache["support_outer"]
+        outer = memo(RESOLVENT, (grid, "support_outer"),
+                     lambda: _support_outer(grid))
         sup_all = float(acc.max())
         sup_outer = float(acc[outer].max()) if outer.any() else 0.0
         if sup_all > 0 and sup_outer > _SUPPORT_TOL * sup_all:

@@ -1,18 +1,20 @@
 """The model memos and their one owner.
 
-Three dicts keep what later calls reuse, by default for the whole process:
+Four dicts keep what later calls reuse, by default for the whole process:
 
-    GRIDS       (collar, n_tau, nodes_per_panel) -> its TauGrid, with the
-                resolvent's band and factors in the grid's ``_cache``
+    GRIDS       (collar, n_tau, nodes_per_panel) -> its TauGrid
+    RESOLVENT   (grid, ...) -> the resolvent's box band, factors and support
+                mask on that grid (see ``green``)
     FIELDS      the curvature chain's collar fields, their solves, the
                 derivative pieces xi and q_operator take, and collar
                 pairings (see ``CurvatureWorkspace``)
     WORKSPACES  (class, collars, n_tau, kappa) -> its CurvatureWorkspace
 
-Entries are only added, never replaced or removed, except by
-``clear_cache`` and on leaving a ``cache_scope``.  This module imports no
-other collarlab module, so ``collar``, ``curvature`` and ``asymptotics``
-all import it at module level.
+Every get-or-build of a model memo goes through ``memo``.  Entries are
+only added, never replaced or removed, except by ``clear_cache`` and on
+leaving a ``cache_scope``.  This module imports no other collarlab
+module, so ``collar``, ``green``, ``curvature`` and ``asymptotics`` all
+import it at module level.
 """
 
 from __future__ import annotations
@@ -20,11 +22,22 @@ from __future__ import annotations
 import numpy as np
 
 GRIDS: dict = {}
+RESOLVENT: dict = {}
 FIELDS: dict = {}
 WORKSPACES: dict = {}
 # in cache_stats' order: a field's grid counts as the grid's bytes, a
 # workspace's fields as the fields'
-_STORES = {"grids": GRIDS, "fields": FIELDS, "workspaces": WORKSPACES}
+_STORES = {"grids": GRIDS, "resolvent": RESOLVENT, "fields": FIELDS,
+           "workspaces": WORKSPACES}
+
+
+def memo(store: dict, key, build):
+    """store[key], built on the first request."""
+    hit = store.get(key)
+    if hit is None:
+        hit = build()
+        store[key] = hit
+    return hit
 
 
 def clear_cache() -> None:
@@ -38,13 +51,13 @@ def clear_cache() -> None:
 class cache_scope:
     """Frees, on exit, every memo entry made inside the block.
 
-    Inside, a grid, workspace or field built before the block is returned
-    as the same object.  Entries made inside are dropped on exit, also when
-    the block raises, so a later call builds them anew; nested scopes each
-    drop their own.  A grid built before the block keeps the factors solved
-    on it inside.  Dicts keep insertion order and nothing but
-    ``clear_cache`` deletes, so the entries made inside are each store's
-    last ones past its length at entry.
+    Inside, a grid, factor, workspace or field built before the block is
+    returned as the same object.  Every entry made inside is dropped on
+    exit, whichever grid it was made on, also when the block raises, so a
+    later call builds it anew; nested scopes each drop their own.  Dicts
+    keep insertion order and nothing but ``clear_cache`` deletes, so the
+    entries made inside are each store's last ones past its length at
+    entry.
 
         with cache_scope():
             for u in us:
@@ -61,7 +74,8 @@ class cache_scope:
 
 
 def cache_stats() -> dict:
-    """{store: {"entries": n, "bytes": b}} for grids, fields, workspaces.
+    """{store: {"entries": n, "bytes": b}} for grids, resolvent, fields,
+    workspaces.
 
     bytes is the data of the numpy arrays the store's values reach
     (through dicts, sequences and collarlab objects' attributes), each

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import CollarField, wirtinger
+from .memos import memo
 
 
 def mul_radial(f: CollarField, values: np.ndarray) -> CollarField:
@@ -77,19 +78,15 @@ def _piece(f: CollarField, kind: str, pieces: dict | None = None) -> CollarField
     With a dict, pieces memoises them under (kind, f), the first derivative
     inside P and Pbar included; f, hashed by identity, must not change.
     """
-    hit = None if pieces is None else pieces.get((kind, f))
-    if hit is None:
+    def build():
         if kind == "P":
-            hit = op_P(f, pieces)
-        elif kind == "Pbar":
-            hit = op_P_bar(f, pieces)
-        elif kind == "box":
-            hit = box(f)
-        else:
-            hit = wirtinger(f, kind)
-        if pieces is not None:
-            pieces[(kind, f)] = hit
-    return hit
+            return op_P(f, pieces)
+        if kind == "Pbar":
+            return op_P_bar(f, pieces)
+        if kind == "box":
+            return box(f)
+        return wirtinger(f, kind)
+    return build() if pieces is None else memo(pieces, (kind, f), build)
 
 
 def xi(a_field: CollarField, f: CollarField, route: str = "primary",

@@ -1,9 +1,10 @@
 """The A/B benchmark tool: its choice of workloads to fit peak RSS on, its
 traced per-layer record and its summary of changed call counts, its
 tier-1 timing record, its drift between two reports, its reading of
-report.md's "label: value" lines, and its record of the host's BLAS
-thread settings."""
+report.md's "label: value" lines, its record of the host's BLAS thread
+settings, and the config of its fine-grid pair."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -199,3 +200,10 @@ def test_host_records_the_blas_thread_variables(bench_ab, monkeypatch):
                                     "OMP_NUM_THREADS": None,
                                     "MKL_NUM_THREADS": "3"}
     assert host["nproc"] == os.cpu_count()
+
+
+def test_fine_grid_config_is_the_default_run_at_n_tau_16384(bench_ab):
+    raw = json.loads(bench_ab.FINE_GRID.read_text())
+    cfg = collarlab.RunConfig.from_dict(raw)
+    assert cfg.n_tau == 16384
+    assert cfg == dataclasses.replace(collarlab.RunConfig(), n_tau=16384)

@@ -17,8 +17,8 @@ from collarlab import (CurvatureWorkspace, RunConfig, SolverConfig, TauGrid,
                        make_grid, pairing_l2, relative_change, run_suite,
                        solve_T)
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
-                           SuiteReport, _random_compact_field, _record,
-                           _suite_green_props, run_all)
+                           SuiteReport, _compact_field, _draw, _record,
+                           _suite_green_props, _window, run_all)
 from collarlab.green import LAPACK_SOURCE
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -271,7 +271,7 @@ def test_emit_report_formats(tmp_path, monkeypatch):
         for name, s in stats.items())
     assert md.splitlines()[-1] == memo_line
     assert md.count("Memos at run end") == 1
-    assert list(stats) == ["grids", "fields", "workspaces"]
+    assert list(stats) == ["grids", "resolvent", "fields", "workspaces"]
     assert stats["grids"]["entries"] > 0 and stats["grids"]["bytes"] > 0
 
     check_ids = {r.check_id for rep in reports for r in rep.records}
@@ -316,7 +316,8 @@ def _green_props_all_at_once(cfg):
     col = collar_from_u(0.05, cfg.c)
     grid = make_grid(col, cfg.n_tau)
     worst = {"lower": math.inf, "upper": math.inf, "resid": 0.0, "selfadj": 0.0}
-    fields = [_random_compact_field(col, grid, rng) for _ in range(100)]
+    fields = [_compact_field(col, grid, *_window(grid), _draw(rng))
+              for _ in range(100)]
     solved = []
     for f in fields:
         g = solve_T(f, SolverConfig())

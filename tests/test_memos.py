@@ -1,5 +1,5 @@
-"""The memo owner: a scope that reads through and frees what it built,
-the public clear, and the per-store statistics."""
+"""The memo owner: a scope that reads through and frees every entry it
+built, the public clear, and the per-store statistics."""
 
 import contextlib
 import gc
@@ -9,30 +9,43 @@ import numpy as np
 import pytest
 
 import collarlab.asymptotics
+import collarlab.green
 from collarlab import (CollarField, CurvatureWorkspace, cache_scope,
                        cache_stats, clear_cache, collar_from_u, g2_spotcheck,
-                       make_grid, memos)
-from collarlab.green import _mode_factor
-from collarlab.memos import FIELDS, GRIDS, WORKSPACES
+                       make_grid, memos, solve_T)
+from collarlab.green import _mode_factor, zgbtrf
+from collarlab.memos import FIELDS, GRIDS, RESOLVENT, WORKSPACES
 
 
 def _entries():
     return {name: s["entries"] for name, s in cache_stats().items()}
 
 
-def test_scope_reads_through_and_keeps_outer_grid_factors():
+def test_scope_reads_through_and_drops_outer_grid_factors(monkeypatch):
+    factored = []
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return zgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(collarlab.green, "zgbtrf", counted)
     with cache_scope():  # leaves the memos as it found them
         grid = make_grid(collar_from_u(0.0732), 384)
         ws = CurvatureWorkspace.single_collar(0.0732, n_tau=384)
         with cache_scope():
             assert make_grid(collar_from_u(0.0732), 384) is grid
             assert CurvatureWorkspace.single_collar(0.0732, n_tau=384) is ws
-            ws.e_pair(0, 0, 0)  # factors the resolvent on the outer grid
-            factored = set(ws.system.grids[0]._cache)
-        # a grid's own cache is no memo store: its factors stay
-        assert set(ws.system.grids[0]._cache) == factored != set()
+            e = ws.e_pair(0, 0, 0)  # factors the resolvent on the outer grid
+            assert (grid, "box1_lu", 0) in RESOLVENT
+        # one rule: every entry made inside goes, the outer grid's factor too
+        assert (grid, "box1_lu", 0) not in RESOLVENT
         assert make_grid(collar_from_u(0.0732), 384) is grid
         assert CurvatureWorkspace.single_collar(0.0732, n_tau=384) is ws
+        factored.clear()
+        again = solve_T(ws.f_pair(0, 0, 0), ws.solver)
+        assert len(factored) == 1  # the factor is made anew
+        assert list(again.modes) == list(e.modes) == [0]
+        assert again.modes[0].tobytes() == e.modes[0].tobytes()
 
 
 def test_scope_drops_what_it_built():
@@ -71,14 +84,15 @@ def test_nested_scopes_and_a_scope_left_by_an_exception():
 def test_cache_stats_counts_each_array_once():
     clear_cache()
     assert cache_stats() == {name: {"entries": 0, "bytes": 0}
-                             for name in ("grids", "fields", "workspaces")}
+                             for name in ("grids", "resolvent", "fields",
+                                          "workspaces")}
     with cache_scope():
         ws = CurvatureWorkspace.single_collar(0.05, n_tau=512)
         ws.tau()
         stats = cache_stats()
         assert {k: s["entries"] for k, s in stats.items()} == {
-            "grids": len(GRIDS), "fields": len(FIELDS),
-            "workspaces": len(WORKSPACES)}
+            "grids": len(GRIDS), "resolvent": len(RESOLVENT),
+            "fields": len(FIELDS), "workspaces": len(WORKSPACES)}
         grid = ws.system.grids[0]
         own = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
         assert stats["grids"]["bytes"] >= sum(a.nbytes for a in own)
@@ -91,7 +105,8 @@ def test_cache_stats_counts_each_array_once():
 
 
 # What a second default grid (n_tau 1024, so n = 1020) adds to the grid
-# store once its stencils, box band and mode-0 factor are built, in bytes:
+# and resolvent stores once its stencils, box band and mode-0 factor are
+# built, in bytes:
 # nodes, weights and sin_tau 3 n 8, panel edges 103 * 8, the dtau weights
 # 2 * 9 n 8, the Dirichlet end rows 8 * 9 * 8, the box band's core 9 n 8
 # and end block 6 * 8 + 2 * 17 * 6 * 8, and the factor's lu.real 25 n 8,
@@ -108,11 +123,18 @@ def test_a_second_grid_adds_only_its_weights_band_and_factor():
         _mode_factor(grid, 0)
         return grid
 
+    def held():
+        stats = cache_stats()
+        return stats["grids"]["bytes"] + stats["resolvent"]["bytes"]
+
     build(0.05)
-    before = cache_stats()["grids"]["bytes"]
+    before = held()
     second = build(0.1)
-    grown = cache_stats()["grids"]["bytes"] - before
+    grown = held() - before
     assert second.n == 1020
+    # the band and factor are the resolvent's memos, not the grid's
+    assert not hasattr(second, "_cache")
+    assert cache_stats()["resolvent"]["bytes"] > 0
     # dtau reads each stencil as a window: the grid keeps no index array
     assert [w.dtype for w in second._stencils] == [np.float64] * 3
     assert grown <= SECOND_GRID_BYTES

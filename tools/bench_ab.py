@@ -32,7 +32,14 @@ In ten more alternated pairs the tier-1 tests (`python -m pytest -q
 gives them) are timed in both checkouts; their tier1_wall_s is
 summarised like a workload's metrics, next to pytest's exit codes,
 which do not count towards this tool's own exit code (tier-1 fails one
-check by design).  Beside the peak_rss_mb medians of an
+check by design).  In ten more alternated pairs a fresh `collarlab run
+--config tools/fine-grid.json` (the default run at n_tau 16384, where
+collarlab's own compute dominates start-up) runs in both checkouts, the
+config read from the working tree so that a base predating the file runs
+it too.  Each run's wall time, CPU time and peak RSS (from os.wait4's
+rusage of the child) are summarised like a workload's metrics, each
+side's report.md goes through report_facts, and every pair's report.csv
+and report.json are compared with `cmp`.  Beside the peak_rss_mb medians of an
 in-process workload (one whose perfbench class subclasses InProcess) goes
 a least-squares fit of peak_rss_mb against attempted operations over all
 the workload's runs, with one slope and an intercept per side: perfbench
@@ -41,7 +48,8 @@ a side that completes more operations in the fixed run time reads higher
 peak RSS without holding more data.  Any other workload (full-run) reports
 the largest peak of the child processes that ran its operations, which
 does not grow with their number, so its fit_on_attempted is null.  Exits
-1 when a run fails an operation or a report differs.
+1 when a run fails an operation, a report differs, or the sides' runs
+exit with different codes.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ ROOT = Path.cwd()
 REPORTS = ("report.csv", "report.json")
 RUN_CLI = "import sys; from collarlab.cli import main; sys.exit(main(sys.argv[1:]))"
 PAIRS = 10
+FINE_GRID = ROOT / "tools" / "fine-grid.json"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # the variables that size BLAS thread pools, as this tool was started with
 # them: where a pool has more than one thread, its idle workers' spinning
@@ -268,6 +277,55 @@ def default_run(tree: Path, out: Path) -> int:
                           capture_output=True).returncode
 
 
+def fine_run(tree: Path, out: Path) -> dict:
+    """One fresh `collarlab run --config FINE_GRID` in tree, writing to
+    out: its wall time, the child's CPU time and peak RSS, its exit code
+    and report_facts of its report.md."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", RUN_CLI, "run", "--config",
+                             str(FINE_GRID), "--out", str(out)], cwd=tree,
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    # reaped here, so Popen must not wait for it again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    md = out / "report.md"
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB
+            "exit_code": proc.returncode,
+            "facts": report_facts(md.read_text() if md.exists() else "")}
+
+
+def same_reports(a: Path, b: Path) -> dict:
+    """{report: "identical" or "different"} for each of REPORTS, by cmp."""
+    return {name: "identical" if subprocess.run(
+                ["cmp", "-s", str(a / name), str(b / name)]).returncode == 0
+            else "different" for name in REPORTS}
+
+
+def fine_record(tmp: Path, trees: dict) -> dict:
+    """PAIRS alternated fine_run pairs, each pair's reports compared."""
+    runs = paired(lambda side, k: fine_run(trees[side],
+                                           tmp / f"fine_{k}_{side}"))
+    compared = [same_reports(*(tmp / f"fine_{k}_{side}"
+                               for side in ("parent", "change")))
+                for k in range(PAIRS)]
+    reports = {name: ("identical" if all(c[name] == "identical"
+                                         for c in compared) else "different")
+               for name in REPORTS}
+    return {"command": f"collarlab run --config "
+                       f"{FINE_GRID.relative_to(ROOT)} in both checkouts, "
+                       f"then cmp of each pair's reports",
+            "pairs": PAIRS, "runs": runs,
+            "metrics": {m: summary(runs, m, "lower")
+                        for m in ("wall_s", "cpu_s", "peak_rss_mb")},
+            "exit_codes": {s: [r["exit_code"] for r in runs if r["side"] == s]
+                           for s in ("parent", "change")},
+            **reports}
+
+
 def report_facts(markdown: str) -> dict:
     """Every "label: value" line of a report.md: {"run": {label: value},
     "suites": {suite: {label: value}}}.  A line between a "## <suite> -
@@ -338,16 +396,16 @@ def main(argv=None) -> int:
                 "traced": traced_record(
                     traced, [m["name"] for m in declared["per_layer"]])}
         tier1_rec = tier1_record(paired(lambda side, _: tier1(trees[side])))
-        codes, reports, facts = {}, {}, {}
+        fine = fine_record(tmp, trees)
+        ok &= "different" not in (fine[name] for name in REPORTS)
+        ok &= fine["exit_codes"]["parent"] == fine["exit_codes"]["change"]
+        codes, facts = {}, {}
         for side, tree in trees.items():
             codes[side] = default_run(tree, tmp / f"out_{side}")
             md = tmp / f"out_{side}" / "report.md"
             facts[side] = report_facts(md.read_text() if md.exists() else "")
-        for name in REPORTS:
-            same = subprocess.run(["cmp", "-s", str(tmp / "out_parent" / name),
-                                   str(tmp / "out_change" / name)]).returncode == 0
-            reports[name] = "identical" if same else "different"
-            ok &= same
+        reports = same_reports(tmp / "out_parent", tmp / "out_change")
+        ok &= "different" not in reports.values()
         if "different" in reports.values():
             reports["report.json drift"] = report_drift(
                 *(json.loads((tmp / f"out_{side}" / "report.json").read_text())
@@ -371,6 +429,7 @@ def main(argv=None) -> int:
                   "where it is worse.",
         "end_to_end": end_to_end,
         "tier1": tier1_rec,
+        "fine_grid": fine,
         "reports": {"command": "collarlab run (default config) in both "
                                "checkouts, then cmp of each report",
                     "exit_codes": codes,
@@ -396,6 +455,12 @@ def main(argv=None) -> int:
     print(f"tier1_wall_s: parent {m['parent']['median']:.6g} "
           f"change {m['change']['median']:.6g} wins {m['change_wins']}/{PAIRS}, "
           f"exit codes {tier1_rec['exit_codes']}")
+    for name, m in fine["metrics"].items():
+        print(f"fine-grid {name}: parent {m['parent']['median']:.6g} "
+              f"change {m['change']['median']:.6g} "
+              f"wins {m['change_wins']}/{PAIRS}")
+    print(f"fine-grid reports: {[fine[name] for name in REPORTS]}, "
+          f"exit codes {fine['exit_codes']}")
     for side, f in facts.items():
         print(f"{side} report.md: {f['run']}")
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
