@@ -675,8 +675,8 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
         for r in rows:
             by_check.setdefault(r.check_id, []).append(r)
         for check_id, group in sorted(by_check.items()):
-            pts = sorted((math.log10(r.u),
-                          math.log10(max(r.rel_err, 1e-16))) for r in group)
+            pts = sorted((math.log10(r.u), math.log10(max(r.rel_err, 1e-16)))
+                         for r in group if math.isfinite(r.rel_err))
             written.append(_atomic_write(out_dir, f"{check_id}.svg",
                                          _svg_line(check_id, pts)))
     return written
@@ -684,7 +684,7 @@ def emit_report(reports: list, out_dir: str, formats) -> list:
 
 def _svg_line(title: str, pts: list) -> str:
     w, h, pad = 480, 320, 40
-    xs, ys = zip(*pts)
+    xs, ys = zip(*pts) if pts else ((0.0,), (0.0,))  # no finite point
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 - x0 < 1e-12:

@@ -91,14 +91,14 @@ class CurvatureWorkspace:
       P e, conj-P e, box e, dzbar e, dz f) are keyed by (kind, field), and
       each collar's pairing by (kind, field, field).
 
-    Each workspace also keeps, under index labels, the A, f and e it has
-    looked up, its metrics and curvature entries, and the collar sums the
-    blocks contract against.
+    - What a workspace looks up by index label (its A, f and e, metrics,
+      curvature entries and the collar sums the blocks contract against)
+      is a ``FIELDS`` entry keyed (workspace, label, indices...).
 
     The shared workspaces (``memos.WORKSPACES``) and the ``FIELDS`` entries
     live until ``clear_cache()``, or, when made inside a ``cache_scope()``,
-    until that scope exits; a workspace held past its scope still works,
-    but builds its chain anew rather than share it.
+    until that scope exits, whenever the workspace was built; a label entry
+    made outside any scope keeps its workspace alive until ``clear_cache()``.
     """
 
     def __init__(self, system: CollarSystem, bspec: BeltramiSpec,
@@ -110,7 +110,6 @@ class CurvatureWorkspace:
         # support warnings are expected here: solver inputs vanish at the
         # walls only through the taper, not over a full margin
         self.solver = SolverConfig(warn_support=False)
-        self._cache = {}
 
     # -- constructors ------------------------------------------------------
     # shared, read-only instances; kappa = 0 is the diagonal family
@@ -130,7 +129,7 @@ class CurvatureWorkspace:
     # -- shared field chain --------------------------------------------------
 
     def A(self, i: int, J: int) -> CollarField:
-        return memo(self._cache, ("A", i, J), lambda: _intern(
+        return memo(FIELDS, (self, "A", i, J), lambda: _intern(
             beltrami_field(self.bspec, i, J, self.system)))
 
     def f_pair(self, i: int, j: int, J: int) -> CollarField:
@@ -142,14 +141,14 @@ class CurvatureWorkspace:
                 self.system.collars[J], grid, self.cutoff)[0])
             return memo(FIELDS, ("f", a_i, a_j), lambda: _intern(
                 mul_radial(a_i * a_j.conj(), taper)))
-        return memo(self._cache, ("f", i, j, J), find)
+        return memo(FIELDS, (self, "f", i, j, J), find)
 
     def _solved(self, f: CollarField) -> CollarField:
         return memo(FIELDS, ("T", f), lambda: solve_T(f, self.solver))
 
     def e_pair(self, i: int, j: int, J: int) -> CollarField:
         """e_{i jbar} on collar J: resolvent solve against the tapered pair."""
-        return memo(self._cache, ("e", i, j, J),
+        return memo(FIELDS, (self, "e", i, j, J),
                     lambda: self._solved(self.f_pair(i, j, J)))
 
     def xi_e(self, k: int, i: int, j: int, J: int) -> CollarField:
@@ -165,14 +164,14 @@ class CurvatureWorkspace:
     def P2(self, left: tuple, right: tuple) -> complex:
         """sum_J int T(xi_{k}(e_{i jbar})) conj(xi_{l}(e_{p qbar})) dv."""
         (k, i, j), (l, p, q) = left, right
-        return memo(self._cache, ("P2", left, right),
+        return memo(FIELDS, (self, "P2", left, right),
                     lambda: self.system.collar_sum(lambda J: _paired(
                         "l2", self.T_xi(k, i, j, J), self.xi_e(l, p, q, J))))
 
     def XE(self, left: tuple, right: tuple) -> complex:
         """sum_J int xi_{k}(e_{i qbar}) e_{a bbar} dv, plain product."""
         (k, i, q), (a, b) = left, right
-        return memo(self._cache, ("XE", left, right),
+        return memo(FIELDS, (self, "XE", left, right),
                     lambda: self.system.collar_sum(lambda J: _paired(
                         "product", self.xi_e(k, i, q, J), self.e_pair(a, b, J))))
 
@@ -189,22 +188,22 @@ class CurvatureWorkspace:
             q_f = memo(FIELDS, ("Q", e_kl, f_kl, e_ij),
                        lambda: q_operator(e_kl, f_kl, e_ij, FIELDS))
             return _paired("product", q_f, e_ab)
-        return memo(self._cache, ("QE", pair, arg, against),
+        return memo(FIELDS, (self, "QE", pair, arg, against),
                     lambda: self.system.collar_sum(term))
 
     # -- metrics -------------------------------------------------------------
 
     def h(self) -> MetricMatrix:
-        return memo(self._cache, ("h",), lambda: wp_metric(
+        return memo(FIELDS, (self, "h"), lambda: wp_metric(
             self.bspec, self.system, self.compact_part))
 
     def h_upper(self) -> np.ndarray:
-        return memo(self._cache, ("h^",), lambda: upper_index(self.h().values))
+        return memo(FIELDS, (self, "h^"), lambda: upper_index(self.h().values))
 
     def R(self, i: int, j: int, k: int, l: int) -> complex:
         """First-metric curvature entry R_{i jbar k lbar}."""
         e, f = self.e_pair, self.f_pair
-        return memo(self._cache, ("R", i, j, k, l),
+        return memo(FIELDS, (self, "R", i, j, k, l),
                     lambda: self.system.collar_sum(
                         lambda J: _paired("product", e(i, j, J), f(k, l, J)),
                         lambda J: _paired("product", e(i, l, J), f(k, j, J))))
@@ -224,10 +223,10 @@ class CurvatureWorkspace:
             for i, j in np.ndindex(vals.shape):
                 vals[i, j] = _contract(G, lambda a, b: self.R(i, j, a, b))
             return MetricMatrix(vals, "Ricci")
-        return memo(self._cache, ("tau",), build)
+        return memo(FIELDS, (self, "tau"), build)
 
     def tau_upper(self) -> np.ndarray:
-        return memo(self._cache, ("tau^",), lambda: upper_index(self.tau().values))
+        return memo(FIELDS, (self, "tau^"), lambda: upper_index(self.tau().values))
 
     def perturbed_metric(self, C: float) -> MetricMatrix:
         return MetricMatrix(self.tau().values + C * self.h().values,

@@ -5,9 +5,9 @@ Four dicts keep what later calls reuse, by default for the whole process:
     GRIDS       (collar, n_tau, nodes_per_panel) -> its TauGrid
     RESOLVENT   (grid, ...) -> the resolvent's box band, factors and support
                 mask on that grid (see ``green``)
-    FIELDS      the curvature chain's collar fields, their solves, the
-                derivative pieces xi and q_operator take, and collar
-                pairings (see ``CurvatureWorkspace``)
+    FIELDS      the curvature chain's fields, solves, derivative pieces
+                and collar pairings, and each workspace's entries keyed
+                (workspace, label, ...) (see ``CurvatureWorkspace``)
     WORKSPACES  (class, collars, n_tau, kappa) -> its CurvatureWorkspace
 
 Every get-or-build of a model memo goes through ``memo``.  Entries are
@@ -53,7 +53,7 @@ class cache_scope:
 
     Inside, a grid, factor, workspace or field built before the block is
     returned as the same object.  Every entry made inside is dropped on
-    exit, whichever grid it was made on, also when the block raises, so a
+    exit, on whichever grid or workspace, also when the block raises, so a
     later call builds it anew; nested scopes each drop their own.  Dicts
     keep insertion order and nothing but ``clear_cache`` deletes, so the
     entries made inside are each store's last ones past its length at

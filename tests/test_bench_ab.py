@@ -2,7 +2,8 @@
 traced per-layer record and its summary of changed call counts, its
 tier-1 timing record, its drift between two reports, its reading of
 report.md's "label: value" lines, its record of the host's BLAS thread
-settings, and the config of its fine-grid pair."""
+settings, the config of its fine-grid pair and its one way to run the
+CLI."""
 
 import dataclasses
 import importlib.util
@@ -207,3 +208,13 @@ def test_fine_grid_config_is_the_default_run_at_n_tau_16384(bench_ab):
     cfg = collarlab.RunConfig.from_dict(raw)
     assert cfg.n_tau == 16384
     assert cfg == dataclasses.replace(collarlab.RunConfig(), n_tau=16384)
+
+
+def test_cli_run_measures_a_fresh_run(bench_ab, tmp_path):
+    config = tmp_path / "lengths.json"
+    config.write_text(json.dumps({"suites": ["lengths"]}))
+    run = bench_ab.cli_run(ROOT, tmp_path / "out", config)
+    assert run["exit_code"] == 0
+    assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 0
+    assert run["facts"]["run"]["LAPACK"] == collarlab.green.LAPACK_SOURCE
+    assert (tmp_path / "out" / "report.csv").exists()

@@ -299,6 +299,26 @@ def test_emit_report_respects_format_subset(tmp_path):
     assert [p.split("/")[-1] for p in written] == ["report.json"]
 
 
+def test_svg_lines_plot_only_finite_rel_err(tmp_path):
+    finite = [_record("mixed", u, 1.0 + u, 1.0, 1.0)
+              for u in (0.1, 0.05, 0.025)]
+    nan = [_record("mixed", 0.07, math.nan, 1.0, 1.0),
+           _record("unresolved", 0.1, math.nan, 1.0, 1.0),
+           _record("unresolved", 0.05, math.nan, 1.0, 1.0)]
+    emit_report([SuiteReport("s", finite + nan, 0.0)], str(tmp_path / "all"),
+                ("svg-lines",))
+    emit_report([SuiteReport("s", finite, 0.0)], str(tmp_path / "finite"),
+                ("svg-lines",))
+    svgs = {p.name: p.read_text() for p in (tmp_path / "all").iterdir()}
+    assert set(svgs) == {"mixed.svg", "unresolved.svg"}
+    for text in svgs.values():
+        assert "nan" not in text and "inf" not in text
+    # a NaN record moves neither the points nor the scale of the others
+    assert svgs["mixed.svg"] == (tmp_path / "finite" / "mixed.svg").read_text()
+    assert 'points=""' in svgs["unresolved.svg"]
+    assert "<circle" not in svgs["unresolved.svg"]
+
+
 def test_seeded_suite_is_deterministic(tmp_path):
     cfg = RunConfig.from_dict({"suites": ["green-props"]})
     a = tmp_path / "a"

@@ -4,6 +4,7 @@ built, the public clear, and the per-store statistics."""
 import contextlib
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import collarlab.asymptotics
 import collarlab.green
 from collarlab import (CollarField, CurvatureWorkspace, cache_scope,
                        cache_stats, clear_cache, collar_from_u, g2_spotcheck,
-                       make_grid, memos, solve_T)
+                       make_grid, memos)
 from collarlab.green import _mode_factor, zgbtrf
 from collarlab.memos import FIELDS, GRIDS, RESOLVENT, WORKSPACES
 
@@ -42,10 +43,26 @@ def test_scope_reads_through_and_drops_outer_grid_factors(monkeypatch):
         assert make_grid(collar_from_u(0.0732), 384) is grid
         assert CurvatureWorkspace.single_collar(0.0732, n_tau=384) is ws
         factored.clear()
-        again = solve_T(ws.f_pair(0, 0, 0), ws.solver)
-        assert len(factored) == 1  # the factor is made anew
+        again = ws.e_pair(0, 0, 0)
+        assert again is not e  # the workspace solves anew, on a new factor
+        assert len(factored) == 1
         assert list(again.modes) == list(e.modes) == [0]
         assert again.modes[0].tobytes() == e.modes[0].tobytes()
+
+
+def test_scope_frees_what_an_outer_workspace_looked_up_inside():
+    with cache_scope():  # leaves the memos as it found them
+        ws = CurvatureWorkspace.single_collar(0.0736, n_tau=256)
+        assert not hasattr(ws, "_cache")  # its label entries are FIELDS'
+        before = _entries()
+        with cache_scope():
+            solved = weakref.ref(ws.e_pair(0, 0, 0))
+            ws.tau()
+            assert (ws, "tau") in FIELDS
+        assert _entries() == before
+        assert (ws, "tau") not in FIELDS
+        gc.collect()
+        assert solved() is None  # nothing outside the scope held the solve
 
 
 def test_scope_drops_what_it_built():

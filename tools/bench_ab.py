@@ -270,21 +270,16 @@ def report_drift(change: dict, parent: dict) -> dict:
     return out
 
 
-def default_run(tree: Path, out: Path) -> int:
+def cli_run(tree: Path, out: Path, config: Path | None = None) -> dict:
+    """One fresh `collarlab run` in tree, writing to out, with --config
+    config when given: its wall time, the child's CPU time and peak RSS,
+    its exit code and report_facts of its report.md."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run([sys.executable, "-c", RUN_CLI, "run", "--out",
-                           str(out)], cwd=tree, env=env,
-                          capture_output=True).returncode
-
-
-def fine_run(tree: Path, out: Path) -> dict:
-    """One fresh `collarlab run --config FINE_GRID` in tree, writing to
-    out: its wall time, the child's CPU time and peak RSS, its exit code
-    and report_facts of its report.md."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    args = ["run", "--out", str(out)]
+    if config is not None:
+        args += ["--config", str(config)]
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", RUN_CLI, "run", "--config",
-                             str(FINE_GRID), "--out", str(out)], cwd=tree,
+    proc = subprocess.Popen([sys.executable, "-c", RUN_CLI, *args], cwd=tree,
                             env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -306,9 +301,10 @@ def same_reports(a: Path, b: Path) -> dict:
 
 
 def fine_record(tmp: Path, trees: dict) -> dict:
-    """PAIRS alternated fine_run pairs, each pair's reports compared."""
-    runs = paired(lambda side, k: fine_run(trees[side],
-                                           tmp / f"fine_{k}_{side}"))
+    """PAIRS alternated cli_run pairs on FINE_GRID, each pair's reports
+    compared."""
+    runs = paired(lambda side, k: cli_run(
+        trees[side], tmp / f"fine_{k}_{side}", FINE_GRID))
     compared = [same_reports(*(tmp / f"fine_{k}_{side}"
                                for side in ("parent", "change")))
                 for k in range(PAIRS)]
@@ -399,11 +395,10 @@ def main(argv=None) -> int:
         fine = fine_record(tmp, trees)
         ok &= "different" not in (fine[name] for name in REPORTS)
         ok &= fine["exit_codes"]["parent"] == fine["exit_codes"]["change"]
-        codes, facts = {}, {}
-        for side, tree in trees.items():
-            codes[side] = default_run(tree, tmp / f"out_{side}")
-            md = tmp / f"out_{side}" / "report.md"
-            facts[side] = report_facts(md.read_text() if md.exists() else "")
+        default = {side: cli_run(tree, tmp / f"out_{side}")
+                   for side, tree in trees.items()}
+        codes = {side: run["exit_code"] for side, run in default.items()}
+        facts = {side: run["facts"] for side, run in default.items()}
         reports = same_reports(tmp / "out_parent", tmp / "out_change")
         ok &= "different" not in reports.values()
         if "different" in reports.values():
