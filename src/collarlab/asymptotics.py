@@ -229,13 +229,19 @@ def g2_spotcheck(u_values=(0.1, 0.07, 0.05, 0.035, 0.025), kappa: float = 1.0,
 
 def zero_coupling_residual(u: float = 0.05, c: float = CUT,
                            n_tau: int = N_TAU) -> float:
-    """Largest mixed curvature entry of the two-collar family at kappa = 0."""
-    ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau, kappa=0.0)
-    vals = [abs(ws.ricci_curvature(0, 0, 0, 1)),
-            abs(ws.ricci_curvature(0, 0, 1, 1)),
-            abs(ws.ricci_curvature(0, 1, 0, 1)),
-            abs(ws.R(0, 0, 0, 1))]
-    return max(vals)
+    """Largest mixed curvature entry of the two-collar family at kappa = 0.
+
+    The kappa = 0 model is built in a ``cache_scope`` and freed once its
+    four entries are taken; its collar grid, when made before the call,
+    is read through.
+    """
+    with cache_scope():
+        ws = CurvatureWorkspace.from_u_values([u, u], c=c, n_tau=n_tau,
+                                              kappa=0.0)
+        return max(abs(ws.ricci_curvature(0, 0, 0, 1)),
+                   abs(ws.ricci_curvature(0, 0, 1, 1)),
+                   abs(ws.ricci_curvature(0, 1, 0, 1)),
+                   abs(ws.R(0, 0, 0, 1)))
 
 
 def equivalence_ratios(u: float, c: float = CUT, n_tau: int = N_TAU,
@@ -267,15 +273,18 @@ def bc_sensitivity_check(u: float, c: float = CUT, n_tau: int = N_TAU) -> float:
 
     Uses an inner cutoff spec (its c at 0.9c) so the input vanishes smoothly
     at both walls of both cuts; quantifies the Dirichlet-truncation bias of
-    the solver.
+    the solver.  Both cuts are solved in a ``cache_scope``: the re-cut
+    grid, its band and factor are freed once the two pairings are taken,
+    and a grid or factor made before the call is read through.
     """
     spec = CutoffSpec(c=0.9 * c)
     vals = []
-    for cut in (c, 0.9 * c):
-        col = collar_from_u(u, c=cut)
-        grid = make_grid(col, n_tau)
-        b_hat = -u / PI
-        ap = build_approximants(col, grid, b_hat, spec)
-        Tf = solve_T(ap.ftilde, SolverConfig(warn_support=False))
-        vals.append(pairing_l2(Tf, ap.etilde))
+    with cache_scope():
+        for cut in (c, 0.9 * c):
+            col = collar_from_u(u, c=cut)
+            grid = make_grid(col, n_tau)
+            b_hat = -u / PI
+            ap = build_approximants(col, grid, b_hat, spec)
+            Tf = solve_T(ap.ftilde, SolverConfig(warn_support=False))
+            vals.append(pairing_l2(Tf, ap.etilde))
     return relative_change(vals[0], vals[1])

@@ -164,10 +164,49 @@ def test_suite_peaks_from_report_md(bench_ab, cli_facts):
         "green-props": {"Peak RSS after this suite": "48.9 MB",
                         "RSS at this suite's end": "48.7 MB"},
         "equivalence": {"Peak RSS after this suite": "49.0 MB"}}
-    assert list(cli_facts["suites"]) == (["lengths"] if PROC else [])
-    for line in cli_facts["suites"].get("lengths", {}).values():
+    rss = {label: value for label, value in cli_facts["suites"]["lengths"]
+           .items() if "RSS" in label}
+    assert len(rss) == (2 if PROC else 0)
+    for line in rss.values():
         assert line.endswith(" MB") and float(line.split()[0]) > 0
     assert ("Threads at run end" in cli_facts["run"]) == PROC
+
+
+def test_memo_entries_per_suite_from_report_md(bench_ab, cli_facts):
+    # the line is the suite's, with or without the RSS lines above it
+    counts = ", ".join(f"{name} {s['entries']}"
+                       for name, s in collarlab.cache_stats().items())
+    assert cli_facts["suites"]["lengths"][
+        "Memo entries after this suite"] == counts
+    assert "Memo entries after this suite" not in cli_facts["run"]
+    assert bench_ab.report_facts(
+        "## lengths - pass (0.00 s)\n\n"
+        "Memo entries after this suite: grids 1, resolvent 2, fields 3, "
+        "workspaces 4\n\n| check |")["suites"] == {"lengths": {
+            "Memo entries after this suite":
+                "grids 1, resolvent 2, fields 3, workspaces 4"}}
+
+
+def test_changed_memo_entries_name_both_sides(bench_ab):
+    line = "Memo entries after this suite"
+    parent = {"run": {}, "suites": {
+        "green-props": {line: "grids 6, resolvent 19, fields 65, "
+                              "workspaces 5"},
+        "lengths": {line: "grids 6, resolvent 19, fields 65, workspaces 5"}}}
+    change = {"run": {}, "suites": {
+        "green-props": {line: "grids 6, resolvent 12, fields 65, "
+                              "workspaces 5"},
+        "lengths": {line: "grids 6, resolvent 19, fields 65, workspaces 5"},
+        "equivalence": {line: "grids 6, resolvent 12, fields 70, "
+                              "workspaces 6"}}}
+    assert bench_ab.changed_memo_entries(
+        {"parent": parent, "change": change}) == [
+        "green-props memo entries: parent grids 6, resolvent 19, fields 65, "
+        "workspaces 5; change grids 6, resolvent 12, fields 65, workspaces 5",
+        "equivalence memo entries: parent None; change grids 6, resolvent "
+        "12, fields 70, workspaces 6"]
+    assert bench_ab.changed_memo_entries(
+        {"parent": parent, "change": parent}) == []
 
 
 def test_lapack_source_from_report_md(bench_ab, cli_facts):

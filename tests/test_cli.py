@@ -251,6 +251,15 @@ def test_emit_report_formats(tmp_path, monkeypatch):
     assert len(peaks) == len(ends) == shown
     for peak, end in zip(peaks, ends):
         assert float(end) <= float(peak)
+    # each suite's memo entry counts, store by store, read at its end: the
+    # last suite's are the run's
+    counts = re.findall(r"^Memo entries after this suite: grids (\d+), "
+                        r"resolvent (\d+), fields (\d+), workspaces (\d+)$",
+                        md, re.M)
+    assert [tuple(map(int, c)) for c in counts] == [
+        tuple(rep.memo_entries.values()) for rep in reports]
+    assert list(reports[-1].memo_entries.values()) == [
+        s["entries"] for s in cache_stats().values()]
     # the thread count comes from the same read, beside the BLAS setting
     threads = re.findall(r"^Threads at run end: (\d+) "
                          r"\(OPENBLAS_NUM_THREADS=(.+)\)$", md, re.M)
@@ -288,6 +297,7 @@ def test_emit_report_formats(tmp_path, monkeypatch):
     emit_report(run_all(cfg), str(out), ("markdown",))
     md = (out / "report.md").read_text()
     assert "RSS" not in md and "Threads" not in md
+    assert md.count("Memo entries after this suite: ") == len(reports)
     assert md.splitlines()[-3] == f"LAPACK: {LAPACK_SOURCE}"
     assert md.splitlines()[-1].startswith("Memos at run end: ")
 

@@ -88,19 +88,23 @@ SOLVE_BOUNDS = {
     ("sin3", 1024, 10): {0: 1.2e-11, 3: 1.7e-13},
     # measured: 5.21e-12, 9.28e-14
     ("sin3", 1024, 20): {0: 1.1e-11, 3: 1.9e-13},
+    # measured: 4.63e-12, 7.55e-14
+    ("sin3", 1024, 40): {0: 9.3e-12, 3: 1.6e-13},
     # measured: 2.37e-7, 3.86e-9 (u = 0.1; 2.7e-10 at u = 0.025)
     ("sin3", 128, 10): {0: 4.8e-7, 3: 7.8e-9},
     # measured: 8.46e-3, 5.08e-3
     ("taper", 1024, 10): {0: 1.7e-2, 3: 1.1e-2},
     # measured: 1.82e-4, 1.13e-4
     ("taper", 1024, 20): {0: 3.7e-4, 3: 2.3e-4},
+    # measured: 3.01e-7, 3.21e-7
+    ("taper", 1024, 40): {0: 6.1e-7, 3: 6.5e-7},
     # measured: 8.36e-3, 5.04e-3
     ("taper", 128, 10): {0: 1.7e-2, 3: 1.1e-2},
 }
 
 
 @pytest.mark.parametrize("n_tau,nodes_per_panel", [(1024, 10), (1024, 20),
-                                                   (128, 10)])
+                                                   (1024, 40), (128, 10)])
 @pytest.mark.parametrize("u", [0.1, 0.05, 0.025])
 def test_solve_on_manufactured_profiles(u, n_tau, nodes_per_panel,
                                         manufactured):

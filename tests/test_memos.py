@@ -11,9 +11,10 @@ import pytest
 
 import collarlab.asymptotics
 import collarlab.green
-from collarlab import (CollarField, CurvatureWorkspace, cache_scope,
-                       cache_stats, clear_cache, collar_from_u, g2_spotcheck,
-                       make_grid, memos)
+from collarlab import (CollarField, CurvatureWorkspace, RunConfig,
+                       cache_scope, cache_stats, clear_cache, collar_from_u,
+                       g2_spotcheck, make_grid, memos, run_suite)
+from collarlab.collar import CUT
 from collarlab.green import _mode_factor, zgbtrf
 from collarlab.memos import FIELDS, GRIDS, RESOLVENT, WORKSPACES
 
@@ -191,3 +192,33 @@ def test_g2_spotcheck_frees_its_models_with_unchanged_samples(monkeypatch):
     for case, rec in scoped.items():
         assert rec["samples"] == unscoped[case]["samples"]
         assert rec["fit"] == unscoped[case]["fit"]
+
+
+@pytest.mark.parametrize("check", ["bc_sensitivity_check",
+                                   "zero_coupling_residual"])
+def test_spot_check_frees_its_models_with_unchanged_bits(monkeypatch, check):
+    # a u no other test builds, so the check makes every model it reads
+    run = getattr(collarlab.asymptotics, check)
+    kwargs = {"u": 0.0737, "n_tau": 512}
+    before = _entries()
+    scoped = run(**kwargs)
+    assert _entries() == before
+    with cache_scope(), monkeypatch.context() as m:
+        m.setattr(collarlab.asymptotics, "cache_scope", contextlib.nullcontext)
+        unscoped = run(**kwargs)
+        assert _entries() != before  # this run kept its models
+    assert _entries() == before
+    assert float(scoped).hex() == float(unscoped).hex()
+
+
+def test_green_props_keeps_only_what_later_suites_read():
+    clear_cache()
+    run_suite(RunConfig.from_dict({"grid": {"n_tau": 512}}), "green-props")
+    grids = {key[0]: grid for key, grid in GRIDS.items() if key[1] == 512}
+    # bc-sensitivity's re-cut grid went with its scope
+    assert not [col for col in grids if col.c == 0.9 * CUT]
+    # the seeded samples' mode 1-4 factors went with theirs; the mode-0
+    # factor, built by the positivity solve before it, stays
+    grid = grids[collar_from_u(0.05)]
+    assert [key[2] for key in RESOLVENT
+            if key[:2] == (grid, "box1_lu")] == [0]

@@ -14,11 +14,13 @@ references.  After the pairs, one traced run per side (`--seed 0 --trace
 self times per layer, each the median over the run's traced operations.
 Then the default `collarlab run` is made in both checkouts and `cmp`
 compares their report.csv and report.json.  Every "label: value" line of
-each side's report.md goes to reports.facts (report_facts): the RSS lines
-under each suite's heading per suite, the thread, LAPACK and memo lines
-per run.  So a memory change shows which suite sets the peak, which
-library the resolvent solved on and what the memos held, and a new
-report.md line needs no change here.  When a report differs, the two
+each side's report.md goes to reports.facts (report_facts): the RSS and
+memo-entry lines under each suite's heading per suite, the thread, LAPACK
+and memo lines per run.  So a memory change shows which suite sets the
+peak, which library the resolvent solved on and what the memos held, and
+a new report.md line needs no change here.  Where a suite's memo entry
+counts differ between the sides, both are printed (changed_memo_entries),
+for the default run and the first fine-grid pair.  When a report differs, the two
 report.json payloads are compared record by record: per check id, the
 largest drift of measured, target and rel_err, at the scale perfbench's
 check_report uses, and whether the ids, u values, order and verdicts all
@@ -144,6 +146,23 @@ def changed_calls(per_layer: dict) -> list:
                 line += (f"; self_s parent {self_s['parent']} "
                          f"change {self_s['change']}")
             lines.append(line)
+    return lines
+
+
+def changed_memo_entries(facts: dict) -> list:
+    """A line per suite whose "Memo entries after this suite" line differs
+    between the sides' report_facts ({"parent": ..., "change": ...}),
+    with both sides' counts; None where a side lacks the line."""
+    label = "Memo entries after this suite"
+    suites = dict.fromkeys([*facts["parent"]["suites"],
+                            *facts["change"]["suites"]])
+    lines = []
+    for suite in suites:
+        counts = {side: facts[side]["suites"].get(suite, {}).get(label)
+                  for side in ("parent", "change")}
+        if counts["parent"] != counts["change"]:
+            lines.append(f"{suite} memo entries: parent {counts['parent']}; "
+                         f"change {counts['change']}")
     return lines
 
 
@@ -456,8 +475,13 @@ def main(argv=None) -> int:
               f"wins {m['change_wins']}/{PAIRS}")
     print(f"fine-grid reports: {[fine[name] for name in REPORTS]}, "
           f"exit codes {fine['exit_codes']}")
+    first = {run["side"]: run["facts"] for run in fine["runs"][:2]}
+    for line in changed_memo_entries(first):
+        print(f"fine-grid {line}")
     for side, f in facts.items():
         print(f"{side} report.md: {f['run']}")
+    for line in changed_memo_entries(facts):
+        print(line)
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
 
