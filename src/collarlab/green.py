@@ -48,11 +48,9 @@ keyed (grid, name), and a factor (grid, "box1_lu", |mode|):
                          float64: 9 n * 8 + 1,680 bytes, 75 KB at n_tau
                          1024 (n = 1020)
     "box1_lu", |mode|    lu.real, (3 _BW + 1, n) float64, the pivots
-                         (int64 from numpy's LAPACK), the mode's main
-                         diagonal, n float64, and its end block, the
-                         entries with that diagonal, (17, 6) float64:
-                         25 n * 8 + 8 n + 8 n + 816 bytes, 221 KB at
-                         n_tau 1024
+                         (int64 from numpy's LAPACK) and the mode's main
+                         diagonal, n float64: 25 n * 8 + 8 n + 8 n bytes,
+                         220 KB at n_tau 1024
     "support_outer"      n bool, one per grid: the nodes in the outer 10%
                          of the tau interval at either end
 
@@ -266,13 +264,12 @@ def _box_band(grid) -> _BoxBand:
 
 
 def _mode_factor(grid, n_mode):
-    """Banded LU, main diagonal and end block of the mode-n (box + 1) matrix.
+    """Banded LU and main diagonal of the mode-n (box + 1) matrix.
 
     Factored once per grid and |n|, from ``_scaled_band`` with the mode's
     main diagonal.  The matrix is real, so the complex factors zgbtrf
     returns have zero imaginary part: only lu.real (Fortran order) and the
-    pivots are kept, next to the diagonal and the end block (the box
-    band's end entries with that diagonal) the residual uses.
+    pivots are kept, next to the diagonal the residual uses.
     """
     def build():
         band = _box_band(grid)
@@ -284,9 +281,7 @@ def _mode_factor(grid, n_mode):
         lu, piv, info = zgbtrf(work, _BW, _BW, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"mode {n_mode} matrix is singular")
-        end_ab = band.end_ab.copy()
-        end_ab[_BW] = diag[band.ends]
-        return np.array(lu.real, order="F"), piv, diag, end_ab
+        return np.array(lu.real, order="F"), piv, diag
     return memo(RESOLVENT, (grid, "box1_lu", abs(n_mode)), build)
 
 
@@ -299,14 +294,15 @@ def _support_outer(grid) -> np.ndarray:
     return (tau < lo + width) | (tau > hi - width)
 
 
-def _band_matvec(band, diag, end_ab, x):
+def _band_matvec(band, diag, x):
     """A x for the band matrix A of band with main diagonal diag.
 
     Each core diagonal's products are written skewed into their own row of
     a buffer whose padding is zeroed, and the rows summed in order,
     diagonal by diagonal.  The rows outside the core would add only exact
     zeros there, except at the end outputs: each is summed again over every
-    row in the same order, from end_ab, the end block with diag.
+    row in the same order, from the end block with its main-diagonal row's
+    products taken from diag.
     """
     core, mid = band.core, _MID
     n = len(x)
@@ -320,7 +316,9 @@ def _band_matvec(band, diag, end_ab, x):
     np.multiply(core[mid + 1 :], x, out=skew[mid + 1 :, :n])
     skew[:, n:] = 0.0
     y = buf[: rows * width].reshape(rows, width).sum(axis=0)[mid : mid + n]
-    y[band.ends] = np.add.reduce(end_ab * x[band.end_cols], axis=0)
+    prods = band.end_ab * x[band.end_cols]
+    prods[_BW] = diag[band.ends] * x[band.ends]
+    y[band.ends] = np.add.reduce(prods, axis=0)
     return y
 
 
@@ -388,7 +386,7 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
             # residual is the twin's, already in res_sups
             out[n_mode] = np.conj(out[-n_mode])
             continue
-        lu, piv, diag, end_ab = _mode_factor(grid, n_mode)
+        lu, piv, diag = _mode_factor(grid, n_mode)
         k = 0
         if rhs_sup < _TINY:
             # solved at unit scale: scaling up by 2**-k is exact, and it
@@ -398,7 +396,7 @@ def solve_T(f: CollarField, config: SolverConfig | None = None) -> CollarField:
         sol, _ = zgbtrs(lu, _BW, _BW, rhs, piv)
         out[n_mode] = _ldexp(sol, k) if k else sol
         # residual against the defining discrete forward operator
-        res = _band_matvec(band, diag, end_ab, sol)
+        res = _band_matvec(band, diag, sol)
         res -= rhs
         res_sups.append(math.ldexp(np.abs(res).max(), k))
     # np.max, unlike max(), carries a NaN residual through to the gate

@@ -2,8 +2,8 @@
 traced per-layer record and its summary of changed call counts, its
 tier-1 timing record, its drift between two reports, its reading of
 report.md's "label: value" lines, its record of the host's BLAS thread
-settings, the config of its fine-grid pair and its one way to run the
-CLI."""
+settings, the config of its fine-grid pair, its one way to run the CLI
+and its line counts of src/collarlab."""
 
 import dataclasses
 import importlib.util
@@ -257,3 +257,26 @@ def test_cli_run_measures_a_fresh_run(bench_ab, tmp_path):
     assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 0
     assert run["facts"]["run"]["LAPACK"] == collarlab.green.LAPACK_SOURCE
     assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_src_lines_per_module_on_two_trees(bench_ab, tmp_path):
+    modules = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+               "change": {"a.py": "x = 1\n", "b.py": "z = 3\n",
+                          "c.py": "w = 4\nv = 5\n"}}
+    trees = {}
+    for side, files in modules.items():
+        trees[side] = tmp_path / side
+        package = trees[side] / "src" / "collarlab"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not a module\n")
+    lines = bench_ab.src_lines(trees)
+    assert (lines["parent"], lines["change"]) == (3, 4)
+    assert lines["modules"] == {"a.py": {"parent": 2, "change": 1},
+                                "b.py": {"parent": 1, "change": 1},
+                                "c.py": {"parent": None, "change": 2}}
+    # the unchanged module is left out
+    assert bench_ab.changed_modules(lines) == [
+        "src_lines a.py: parent 2 change 1",
+        "src_lines c.py: parent None change 2"]

@@ -1,6 +1,7 @@
 """Run configs, suite execution, report emission, and exit codes."""
 
 import collections
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from collarlab import (CurvatureWorkspace, RunConfig, SolverConfig, TauGrid,
                        solve_T)
 from collarlab.cli import (CSV_COLUMNS, TOLERANCE_KEYS, ConfigError,
                            SuiteReport, _compact_field, _draw, _record,
-                           _suite_green_props, _window, run_all)
+                           _suite_green_props, _tol, _window, run_all)
 from collarlab.green import LAPACK_SOURCE
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -37,8 +38,11 @@ def test_runconfig_defaults_and_overrides():
     cfg = RunConfig.from_dict({"sweep": {"u_min": 0.03, "points": 4},
                                "tolerances": {"t-pairing": 0.2}})
     assert cfg.u_min == 0.03 and cfg.points == 4
-    assert cfg.tol("t-pairing", 0.15) == 0.2
-    assert cfg.tol("unlisted", 0.15) == 0.15
+    # a listed key overrides its default; an unlisted one keeps it, a
+    # callable default evaluated at u
+    assert _tol(cfg, "t-pairing", 0.05) == 0.2
+    assert _tol(cfg, "residual", 0.05) == 1e-6
+    assert _tol(cfg, "length-derivative", 0.05) == 3 * 0.05
 
 
 def test_runconfig_rejects_bad_input():
@@ -125,12 +129,12 @@ def default_run_all(clear_models):
                 built[type(self).__name__] += 1
                 _init(self, *args, **kwargs)
             mp.setattr(cls, "__init__", counted)
-        tol = RunConfig.tol
+        tol = collarlab.cli._tol
 
-        def recorded(self, key, default):
+        def recorded(cfg, key, u):
             keys.add(key)
-            return tol(self, key, default)
-        mp.setattr(RunConfig, "tol", recorded)
+            return tol(cfg, key, u)
+        mp.setattr(collarlab.cli, "_tol", recorded)
         clear_models()
         reports = run_all(RunConfig.from_dict({}))
     return reports, built, keys
@@ -371,6 +375,20 @@ def test_green_props_streaming_matches_all_at_once():
     measured = {r.check_id: r.measured for r in _suite_green_props(cfg)
                 if r.check_id in oracle}
     assert measured == oracle
+
+
+def test_a_nan_sample_fails_the_spectral_gates(monkeypatch):
+    # the first sample's first pairing reads NaN, so both its spectral
+    # margins are NaN: the worst case over the samples must be NaN too
+    calls = itertools.count()
+
+    def nan_first(a, b):
+        return complex(math.nan) if next(calls) == 0 else pairing_l2(a, b)
+    monkeypatch.setattr(collarlab.cli, "pairing_l2", nan_first)
+    recs = {r.check_id: r for r in _suite_green_props(RunConfig(n_tau=512))}
+    for key in ("spectral-lower", "spectral-upper"):
+        assert math.isnan(recs[key].measured.real)
+        assert not recs[key].passed
 
 
 def test_green_props_holds_few_samples():

@@ -321,6 +321,7 @@ def test_curvature_pipeline_float_safe_down_to_floor(u, clear_models):
 
 def test_hermitian_defect_detects_asymmetry():
     t = np.zeros((1, 1, 1, 1), dtype=complex)
+    assert hermitian_defect(t) == 0.0  # the zero tensor has no scale
     t[0, 0, 0, 0] = 1j
     assert hermitian_defect(t) > 0.0
 

@@ -406,7 +406,7 @@ def test_loaded_lapack_matches_scipy_linalg():
                     out += [lu, piv, *(sol for sol, _ in sols)]
                 # the cached factor, zgbtrf'd from _scaled_band's full
                 # storage with the mode's diagonal, is this one, bitwise
-                lu, piv, _, _ = _mode_factor(grid, n_mode)
+                lu, piv, _ = _mode_factor(grid, n_mode)
                 assert lu.tobytes() == np.array(got[0].real,
                                                 order="F").tobytes()
                 assert piv.tobytes() == got[1].tobytes()
@@ -591,9 +591,9 @@ def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
     # supported on the first and last 12 nodes: the end outputs carry it
     at_ends = np.where(np.isin(np.arange(grid.n), np.r_[:12, -12:0]), x, 0)
     for n_mode in (0, 4, 24):
-        _, _, diag, end_ab = _mode_factor(grid, n_mode)
+        _, _, diag = _mode_factor(grid, n_mode)
         for v in (x, at_ends):
-            got = _band_matvec(band, diag, end_ab, v)
+            got = _band_matvec(band, diag, v)
             # diagonal r of the storage adds its products to y[j + r - bu]
             acc = np.zeros(grid.n + bl + bu, dtype=complex)
             for r in range(bl + bu + 1):
@@ -602,9 +602,9 @@ def test_band_matvec_sums_diagonal_by_diagonal(n_tau, u):
             want = dense_band(ab, diag, bu) @ v
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # the band is real: conj(x) maps to conj(A x), sign bits included
-        got_conj = _band_matvec(band, diag, end_ab, np.conj(x))
+        got_conj = _band_matvec(band, diag, np.conj(x))
         assert got_conj.tobytes() == np.conj(
-            _band_matvec(band, diag, end_ab, x)).tobytes()
+            _band_matvec(band, diag, x)).tobytes()
 
 
 def test_singular_factor_raises(monkeypatch, clear_models):

@@ -127,9 +127,9 @@ def test_cache_stats_counts_each_array_once():
 # built, in bytes:
 # nodes, weights and sin_tau 3 n 8, panel edges 103 * 8, the dtau weights
 # 2 * 9 n 8, the Dirichlet end rows 8 * 9 * 8, the box band's core 9 n 8
-# and end block 6 * 8 + 2 * 17 * 6 * 8, and the factor's lu.real 25 n 8,
-# pivots and diagonal 2 n 8 and end block 17 * 6 * 8: 469,016.
-SECOND_GRID_BYTES = 469_016
+# and end block 6 * 8 + 2 * 17 * 6 * 8, and the factor's lu.real 25 n 8
+# and its pivots and diagonal 2 n 8: 468,200.
+SECOND_GRID_BYTES = 468_200
 
 
 def test_a_second_grid_adds_only_its_weights_band_and_factor():

@@ -28,7 +28,8 @@ match.  Everything goes to BENCH_<label>.json: the host, with the BLAS
 thread variables this tool was started with, every run,
 per metric the median and quartiles of each side, the pairs the change
 wins and loses, the traced runs with each per-layer metric side by side,
-the reports' comparison and `wc -l` of src/collarlab/*.py on both sides.
+the reports' comparison and `wc -l` of src/collarlab/*.py on both sides,
+in total and per module; the modules whose count changed are printed.
 In ten more alternated pairs the tier-1 tests (`python -m pytest -q
 --continue-on-collection-errors` with src on PYTHONPATH, as ROADMAP.md
 gives them) are timed in both checkouts; their tier1_wall_s is
@@ -359,9 +360,24 @@ def report_facts(markdown: str) -> dict:
     return facts
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in (tree / "src" / "collarlab").glob("*.py"))
+def src_lines(trees: dict) -> dict:
+    """`wc -l` of src/collarlab/*.py in each side's tree: the side's total,
+    and per module {"parent": lines, "change": lines}, None where a side
+    lacks the module."""
+    per = {side: {p.name: len(p.read_text().splitlines())
+                  for p in (tree / "src" / "collarlab").glob("*.py")}
+           for side, tree in trees.items()}
+    return {"command": "wc -l src/collarlab/*.py",
+            **{side: sum(counts.values()) for side, counts in per.items()},
+            "modules": {name: {side: per[side].get(name) for side in per}
+                        for name in sorted(set().union(*per.values()))}}
+
+
+def changed_modules(lines: dict) -> list:
+    """A line per module whose src_lines count differs between the sides."""
+    return [f"src_lines {name}: parent {m['parent']} change {m['change']}"
+            for name, m in lines["modules"].items()
+            if m["parent"] != m["change"]]
 
 
 def host() -> dict:
@@ -425,7 +441,7 @@ def main(argv=None) -> int:
                 *(json.loads((tmp / f"out_{side}" / "report.json").read_text())
                   for side in ("change", "parent")))
         ok &= codes["parent"] == codes["change"]
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        lines = src_lines(trees)
 
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     record = {
@@ -448,7 +464,7 @@ def main(argv=None) -> int:
                                "checkouts, then cmp of each report",
                     "exit_codes": codes,
                     "facts": facts, **reports},
-        "src_lines": {"command": "wc -l src/collarlab/*.py", **lines},
+        "src_lines": lines,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
@@ -481,6 +497,9 @@ def main(argv=None) -> int:
     for side, f in facts.items():
         print(f"{side} report.md: {f['run']}")
     for line in changed_memo_entries(facts):
+        print(line)
+    print(f"src_lines: parent {lines['parent']} change {lines['change']}")
+    for line in changed_modules(lines):
         print(line)
     print(f"reports {reports}, exit codes {codes}; wrote {out.name}")
     return 0 if ok else 1
